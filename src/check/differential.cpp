@@ -460,9 +460,6 @@ void cluster_case(std::uint64_t seed, int level) {
 void predict_case(std::uint64_t seed, int level) {
   const int steps = level >= 2 ? 8 : (level == 1 ? 24 : 64);
   predict::PredictorParams params;
-  // Shrink the LLSP window with the trace so small cases still roll it.
-  if (level >= 1) params.llsp_window = 4;
-
   for (const std::string& kind : predict::registered_predictors()) {
     params.kind = kind;
     auto predictor = predict::make_predictor(params);

@@ -116,7 +116,6 @@ void audit(const serve::EdgeServerFrontend& frontend) {
 
   audit(frontend.queue());
   for (std::uint64_t s = 0; s < frontend.sessions(); ++s) {
-    LP_CHECK(frontend.session_k(s) >= 1.0);
     audit(frontend.session_tracker(s));
     audit(frontend.session_cache(s));
     LP_CHECK(frontend.session_bandwidth_bps(s) > 0.0);
@@ -213,14 +212,6 @@ void audit_equal(const SlidingWindow::Snapshot& a,
   LP_CHECK_MSG(a.sum == b.sum, std::string(what) + ": window sums differ");
 }
 
-void audit_equal_vec(const std::vector<double>& a,
-                     const std::vector<double>& b, const char* what) {
-  LP_CHECK_MSG(a.size() == b.size(),
-               std::string(what) + ": vector sizes differ");
-  for (std::size_t i = 0; i < a.size(); ++i)
-    LP_CHECK_MSG(a[i] == b[i], std::string(what) + ": vector values differ");
-}
-
 }  // namespace
 
 void audit_equal(const predict::PredictorState& a,
@@ -232,10 +223,7 @@ void audit_equal(const predict::PredictorState& a,
   LP_CHECK_MSG(a.abs_err_sum == b.abs_err_sum && a.err_sum == b.err_sum &&
                    a.scored == b.scored,
                "predictor error statistics differ");
-  audit_equal_vec(a.scalars, b.scalars, "predictor scalars");
-  audit_equal_vec(a.window, b.window, "predictor window");
-  audit_equal_vec(a.window_times_sec, b.window_times_sec,
-                  "predictor window times");
+  LP_CHECK_MSG(a.scalars == b.scalars, "predictor scalars differ");
 }
 
 void audit_equal(const serve::SessionState& a, const serve::SessionState& b) {

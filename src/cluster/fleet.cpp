@@ -1,79 +1,24 @@
 #include "cluster/fleet.h"
 
-#include <cmath>
-#include <memory>
 #include <string>
 
 #include "common/check.h"
-#include "models/zoo.h"
 
 namespace lp::cluster {
-
-namespace {
-
-struct ArrivalParams {
-  DurationNs gap = 0;
-  bool poisson = false;
-};
-
-sim::Task client_stream(sim::Simulator& sim, core::OffloadClient& client,
-                        ArrivalParams arrivals, Rng rng,
-                        std::vector<core::InferenceRecord>& out) {
-  for (;;) {
-    core::InferenceRecord rec;
-    co_await client.infer(&rec);
-    out.push_back(rec);
-    DurationNs gap = arrivals.gap;
-    if (arrivals.poisson && gap > 0)
-      gap = std::max<DurationNs>(
-          1, static_cast<DurationNs>(
-                 rng.exponential(static_cast<double>(gap))));
-    if (gap > 0) co_await sim.delay(gap);
-  }
-}
-
-sim::Task audit_driver(
-    sim::Simulator& sim, const ClusterRouter& router,
-    const std::function<void(const ClusterRouter&, TimeNs)>& on_audit,
-    DurationNs period) {
-  for (;;) {
-    co_await sim.delay(period);
-    on_audit(router, sim.now());
-  }
-}
-
-}  // namespace
 
 ClusterResult run_cluster(const ClusterConfig& config,
                           const core::PredictorBundle& predictors) {
   LP_CHECK(config.servers >= 1);
-  LP_CHECK(!config.tenants.empty());
-  LP_CHECK(config.duration > 0);
-  LP_CHECK(config.zipf_alpha >= 0.0);
+  ClusterResult result;
+  serve::Testbed bed(config, predictors, &result);
+  const fault::FaultPlan no_faults;
+  for (std::size_t i = 0; i < config.servers; ++i)
+    bed.add_server(config.seed ^ (0xf00d + 0x9e3779b97f4a7c15ull * (i + 1)),
+                   "server" + std::to_string(i),
+                   i < config.server_faults.size() ? config.server_faults[i]
+                                                   : no_faults);
 
-  sim::Simulator sim;
-  const hw::CpuModel cpu;
-  const hw::GpuModel gpu;
-
-  // One GPU + scheduler + frontend per server.
-  std::vector<std::unique_ptr<hw::GpuScheduler>> schedulers;
-  std::vector<std::unique_ptr<serve::EdgeServerFrontend>> frontends;
-  std::vector<serve::EdgeServerFrontend*> frontend_ptrs;
-  for (std::size_t i = 0; i < config.servers; ++i) {
-    schedulers.push_back(std::make_unique<hw::GpuScheduler>(sim));
-    frontends.push_back(std::make_unique<serve::EdgeServerFrontend>(
-        sim, *schedulers.back(), gpu, config.frontend, config.runtime,
-        config.seed ^ (0xf00d + 0x9e3779b97f4a7c15ull * (i + 1))));
-    if (config.telemetry != nullptr)
-      frontends.back()->set_telemetry(config.telemetry,
-                                      "server" + std::to_string(i));
-    frontends.back()->start_gpu_watcher(config.watcher_period);
-    if (i < config.server_faults.size() && !config.server_faults[i].empty())
-      frontends.back()->attach_fault_plan(&config.server_faults[i]);
-    frontend_ptrs.push_back(frontends.back().get());
-  }
-
-  ClusterRouter router(sim, frontend_ptrs, config.router);
+  ClusterRouter router(bed.sim(), bed.servers(), config.router);
   if (config.telemetry != nullptr) router.set_telemetry(config.telemetry);
   for (std::size_t i = 0;
        i < config.heartbeat_faults.size() && i < config.servers; ++i)
@@ -82,101 +27,33 @@ ClusterResult run_cluster(const ClusterConfig& config,
   if (!config.interconnect_faults.empty())
     router.attach_interconnect_faults(&config.interconnect_faults);
 
-  struct TenantState {
-    graph::Graph model;
-    std::unique_ptr<core::GraphCostProfile> profile;
-  };
-  std::vector<std::unique_ptr<TenantState>> tenants;
-  std::vector<std::unique_ptr<net::Link>> links;
-  std::vector<std::unique_ptr<core::OffloadClient>> clients;
-
-  ClusterResult result;
-  result.warmup = config.warmup;
-  result.duration = config.duration;
-  std::size_t total_clients = 0;
-  for (const serve::TenantSpec& spec : config.tenants) {
-    LP_CHECK(spec.clients > 0);
-    total_clients += static_cast<std::size_t>(spec.clients);
-  }
-  result.clients.reserve(total_clients);
-  clients.reserve(total_clients);
-
-  std::uint64_t index = 0;
-  for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-    const serve::TenantSpec& spec = config.tenants[t];
-    result.tenant_names.push_back(spec.model);
-    result.tenant_slo_sec.push_back(spec.slo_sec);
-    auto state = std::unique_ptr<TenantState>(
-        new TenantState{models::make_model(spec.model), nullptr});
-    state->profile =
-        std::make_unique<core::GraphCostProfile>(state->model, predictors);
-    const core::GraphCostProfile& profile = *state->profile;
-    tenants.push_back(std::move(state));
-
-    core::RuntimeParams runtime = config.runtime;
-    runtime.slo_sec = spec.slo_sec;
-    for (int c = 0; c < spec.clients; ++c) {
-      ++index;
-      const std::uint64_t seed =
-          config.seed ^ (0x9e3779b97f4a7c15ull * (index + 1));
-      links.push_back(std::make_unique<net::Link>(
-          sim, spec.upload, spec.download, spec.rtt, seed ^ 0x71));
-
-      // The router places the session; the client binds directly to its
-      // home server (the router is control plane only — no data-path hop).
-      const std::uint64_t session = router.open_session(profile);
-      const std::size_t home = router.binding(session).server;
-      clients.push_back(std::make_unique<core::OffloadClient>(
-          sim, cpu, profile, *links.back(), router.server(home), spec.policy,
-          runtime, seed ^ 0xc1, session));
-      if (config.telemetry != nullptr) {
-        std::string track = "t";
-        track += std::to_string(t);
-        track += '/';
-        track += spec.model;
-        track += '#';
-        track += std::to_string(c);
-        links.back()->set_telemetry(config.telemetry, track);
-        clients.back()->set_telemetry(config.telemetry, track);
-      }
-      clients.back()->start_runtime_profiler(config.profiler_period);
-      result.clients.push_back(serve::ClientTrace{t, {}});
-
-      // Zipf-skewed think times: client c's gap scales by (c + 1)^alpha,
-      // so the head of the population is hot and the tail cold.
-      DurationNs gap = spec.request_gap;
-      if (config.zipf_alpha > 0.0 && gap > 0)
-        gap = std::max<DurationNs>(
-            1, static_cast<DurationNs>(
-                   static_cast<double>(gap) *
-                   std::pow(static_cast<double>(c + 1), config.zipf_alpha)));
-      sim.spawn(client_stream(sim, *clients.back(),
-                              ArrivalParams{gap, spec.poisson_arrivals},
-                              Rng(seed ^ 0xa1),
-                              result.clients.back().records));
-    }
-  }
+  // The router places the session; the client binds directly to its home
+  // server (the router is control plane only — no data-path hop).
+  bed.add_clients(
+      [&router](const core::GraphCostProfile& profile) {
+        const std::uint64_t session = router.open_session(profile);
+        return serve::Testbed::Placement{
+            &router.server(router.binding(session).server), session};
+      },
+      no_faults, config.zipf_alpha);
 
   // Redirect hook: cluster session ids are assigned in client-creation
-  // order, so the session id indexes `clients` directly.
-  router.set_redirect([&clients, &router](std::uint64_t session,
-                                          std::size_t server) {
-    clients[session]->rebind(router.server(server), session);
+  // order, so the session id is the client index.
+  router.set_redirect([&bed, &router](std::uint64_t session,
+                                      std::size_t server) {
+    bed.client(session).rebind(router.server(server), session);
   });
   if (config.degrade_to_local)
-    router.set_on_degrade([&clients](bool degraded) {
-      for (auto& client : clients) client->force_local(degraded);
+    router.set_on_degrade([&bed](bool degraded) {
+      for (std::size_t i = 0; i < bed.clients(); ++i)
+        bed.client(i).force_local(degraded);
     });
   router.start();
 
-  if (config.on_audit) {
-    LP_CHECK(config.audit_period > 0);
-    sim.spawn(
-        audit_driver(sim, router, config.on_audit, config.audit_period));
-  }
-
-  sim.run_until(config.duration);
-  if (config.on_audit) config.on_audit(router, sim.now());
+  std::function<void(TimeNs)> audit;
+  if (config.on_audit)
+    audit = [&](TimeNs now) { config.on_audit(router, now); };
+  bed.run(audit);
 
   result.servers.reserve(config.servers);
   for (std::size_t i = 0; i < config.servers; ++i)
@@ -195,17 +72,7 @@ ClusterResult run_cluster(const ClusterConfig& config,
   for (const serve::LoadSnapshot& s : result.servers)
     result.fenced_jobs += s.fenced_jobs;
   result.death_events = router.detector().death_events();
-
-  if (config.telemetry != nullptr) {
-    auto& metrics = config.telemetry->metrics();
-    for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-      std::string prefix = "cluster.t";
-      prefix += std::to_string(t);
-      prefix += '.';
-      prefix += result.tenant_names[t];
-      result.summarize(static_cast<int>(t)).publish(metrics, prefix);
-    }
-  }
+  bed.publish("cluster");
   return result;
 }
 

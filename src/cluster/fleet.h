@@ -1,21 +1,18 @@
 // run_cluster(): the multi-server testbed — N edge servers, one
 // ClusterRouter, and a (optionally Zipf-skewed) tenant population.
 //
-// The single-server run_fleet() wiring, scaled out: every server gets its
+// The same serve::Testbed as run_fleet(), scaled out: every server gets its
 // own GPU scheduler and EdgeServerFrontend; each client opens a cluster
 // session through the router (which places it per the configured policy)
 // and binds directly to its home server; the router's heartbeat loop then
 // reroutes sessions off crashed servers and, when rebalancing is enabled,
-// live-migrates hot sessions toward cold servers. Client traces reuse the
-// serve layer's ClientTrace/TenantSummary accounting verbatim, so fleet
-// and cluster results summarize identically.
+// live-migrates hot sessions toward cold servers. Results carry the same
+// serve::TestbedResult traces and summaries as a fleet run.
 //
-// Zipf skew: within a tenant, client i's think time is scaled by
-// (i + 1)^zipf_alpha — client 0 is the hottest, the tail is cold. This is
-// the canonical skewed multi-tenant population that makes static
-// consistent-hash placement collide hot sessions on one server while
-// least-loaded + migration spreads them (bench/cluster_scaling measures
-// exactly that gap).
+// The Zipf-skewed population (ClusterConfig::zipf_alpha) is what makes
+// static consistent-hash placement collide hot sessions on one server
+// while least-loaded + migration spreads them (bench/cluster_scaling
+// measures exactly that gap).
 //
 // Deterministic given config.seed; two same-seed runs (with or without
 // telemetry) are byte-identical.
@@ -30,14 +27,14 @@
 
 namespace lp::cluster {
 
-struct ClusterConfig {
+/// With telemetry on, servers trace on tracks "server0", "server1", ...
+/// and the router on "cluster".
+struct ClusterConfig : serve::TestbedConfig {
   std::size_t servers = 2;
-  std::vector<serve::TenantSpec> tenants;
-  serve::FrontendParams frontend;
-  core::RuntimeParams runtime;
   RouterParams router;
 
-  /// Skew exponent for per-client request gaps (0 = homogeneous).
+  /// Skew exponent for per-client request gaps (0 = homogeneous; see
+  /// serve::Testbed::add_clients).
   double zipf_alpha = 0.0;
 
   /// Per-server fault schedules (server crashes / straggle windows),
@@ -60,30 +57,12 @@ struct ClusterConfig {
   /// control plane that can no longer reroute them.
   bool degrade_to_local = false;
 
-  DurationNs duration = seconds(90);
-  DurationNs warmup = seconds(30);
-  DurationNs profiler_period = seconds(5);
-  DurationNs watcher_period = seconds(10);
-  std::uint64_t seed = 1;
-
-  /// Telemetry for the whole testbed: per-server trace tracks ("server0",
-  /// "server1", ...), the router's "cluster" track, per-tenant summary
-  /// metrics. Null = off, byte-identical to an uninstrumented run.
-  obs::Telemetry* telemetry = nullptr;
-
   /// Invariant hook (check::ClusterAuditor arms it): runs against the live
   /// router every audit_period of sim time and once after the run.
   std::function<void(const ClusterRouter&, TimeNs)> on_audit;
-  DurationNs audit_period = seconds(1);
 };
 
-struct ClusterResult {
-  std::vector<serve::ClientTrace> clients;
-  std::vector<std::string> tenant_names;
-  std::vector<double> tenant_slo_sec;
-  DurationNs warmup = 0;
-  DurationNs duration = 0;
-
+struct ClusterResult : serve::TestbedResult {
   /// Final per-server load/conservation snapshots.
   std::vector<serve::LoadSnapshot> servers;
 
@@ -107,14 +86,6 @@ struct ClusterResult {
   /// (server, sim time) per kDead declaration — time-to-detect against a
   /// known crash schedule.
   std::vector<std::pair<std::size_t, TimeNs>> death_events;
-
-  std::vector<const core::InferenceRecord*> steady(int tenant = -1) const {
-    return serve::steady_records(clients, warmup, tenant);
-  }
-  serve::TenantSummary summarize(int tenant = -1) const {
-    return serve::summarize_traces(clients, tenant_names, tenant_slo_sec,
-                                   warmup, duration, tenant);
-  }
 };
 
 /// Runs the cluster; deterministic given config.seed.

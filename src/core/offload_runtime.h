@@ -61,9 +61,9 @@ struct RuntimeParams {
 
   /// Load predictor behind every LoadSignal this runtime publishes
   /// (src/predict/): the default "last-value" kind reproduces the reactive
-  /// behavior bit-identically; swap `predictor.kind` for "ewma",
-  /// "decay-diff", "holt" or "llsp" to forecast k and the queue backlog
-  /// at the consumer's horizon instead.
+  /// behavior bit-identically; swap `predictor.kind` for "ewma" or "holt"
+  /// to forecast k and the queue backlog at the consumer's horizon
+  /// instead.
   predict::PredictorParams predictor;
 
   /// Extension: execute server partitions with framework operator fusion
@@ -222,13 +222,6 @@ class SuffixService {
   /// and the cluster router's placement/rebalancing.
   virtual LoadSignal load_signal(std::uint64_t session,
                                  DurationNs horizon) const = 0;
-
-  /// DEPRECATED thin shim over load_signal(session, 0).k_now, kept so
-  /// legacy call sites and tests read the reactive k through the same
-  /// signal path. Scheduled for removal (DESIGN.md §16).
-  double session_k(std::uint64_t session) const {
-    return load_signal(session, 0).k_now;
-  }
 
   /// False while the service is crashed: control-plane fetches (the
   /// profiler's k handshake) are skipped until it restarts.

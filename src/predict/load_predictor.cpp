@@ -11,10 +11,7 @@ namespace lp::predict {
 
 std::int64_t state_wire_bytes(const PredictorState& state) {
   constexpr std::int64_t kSampleBytes = 8;
-  return kSampleBytes *
-         static_cast<std::int64_t>(state.scalars.size() +
-                                   state.window.size() +
-                                   state.window_times_sec.size());
+  return kSampleBytes * static_cast<std::int64_t>(state.scalars.size());
 }
 
 double LoadPredictor::observe(TimeNs now, double value) {
@@ -119,7 +116,7 @@ class LastValuePredictor final : public LoadPredictor {
   void reset_model() override {}
   void pack(PredictorState* /*state*/) const override {}
   void unpack(const PredictorState& state) override {
-    LP_CHECK_MSG(state.scalars.empty() && state.window.empty(),
+    LP_CHECK_MSG(state.scalars.empty(),
                  "last-value import from a different predictor kind");
   }
 };
@@ -146,36 +143,6 @@ class EwmaPredictor final : public LoadPredictor {
   }
 
   double level_ = 0.0;
-};
-
-/// Smoothed first difference, extrapolated per observation step off the
-/// latest value: v + d * steps. The decay keeps a single spike from being
-/// read as a lasting trend.
-class DecayDiffPredictor final : public LoadPredictor {
- public:
-  using LoadPredictor::LoadPredictor;
-  const char* name() const override { return "decay-diff"; }
-
- private:
-  void update(TimeNs /*now*/, double value) override {
-    if (samples() == 0) return;
-    const double d = params().decay;
-    diff_ = d * diff_ + (1.0 - d) * (value - last_value());
-  }
-  double project(double horizon_sec) const override {
-    return last_value() + diff_ * horizon_steps(horizon_sec);
-  }
-  void reset_model() override { diff_ = 0.0; }
-  void pack(PredictorState* state) const override {
-    state->scalars = {diff_};
-  }
-  void unpack(const PredictorState& state) override {
-    LP_CHECK_MSG(state.scalars.size() == 1,
-                 "decay-diff import from a different predictor kind");
-    diff_ = state.scalars[0];
-  }
-
-  double diff_ = 0.0;
 };
 
 /// Holt double-exponential smoothing: a level and a per-step trend.
@@ -218,67 +185,6 @@ class HoltPredictor final : public LoadPredictor {
   double trend_ = 0.0;
 };
 
-/// Sliding-window linear least squares over (time, value): fit a line to
-/// the last llsp_window observations and read it `horizon` past the newest
-/// one (the atlas-rt llsp shape). Falls back to the last value while the
-/// window holds fewer than two points or has no time spread.
-class LlspPredictor final : public LoadPredictor {
- public:
-  using LoadPredictor::LoadPredictor;
-  const char* name() const override { return "llsp"; }
-
- private:
-  void update(TimeNs now, double value) override {
-    times_sec_.push_back(to_seconds(now));
-    values_.push_back(value);
-    if (times_sec_.size() > params().llsp_window) {
-      times_sec_.erase(times_sec_.begin());
-      values_.erase(values_.begin());
-    }
-  }
-  double project(double horizon_sec) const override {
-    const std::size_t n = times_sec_.size();
-    if (n < 2) return last_value();
-    // Center times at the newest sample: xs are small non-positive
-    // numbers, so the normal equations stay well conditioned however far
-    // the sim clock has run.
-    const double t_last = times_sec_.back();
-    double mean_x = 0.0, mean_y = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      mean_x += times_sec_[i] - t_last;
-      mean_y += values_[i];
-    }
-    mean_x /= static_cast<double>(n);
-    mean_y /= static_cast<double>(n);
-    double sxx = 0.0, sxy = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double dx = times_sec_[i] - t_last - mean_x;
-      sxx += dx * dx;
-      sxy += dx * (values_[i] - mean_y);
-    }
-    if (sxx <= 0.0) return last_value();
-    const double slope = sxy / sxx;
-    return mean_y + slope * (horizon_sec - mean_x);
-  }
-  void reset_model() override {
-    times_sec_.clear();
-    values_.clear();
-  }
-  void pack(PredictorState* state) const override {
-    state->window = values_;
-    state->window_times_sec = times_sec_;
-  }
-  void unpack(const PredictorState& state) override {
-    LP_CHECK_MSG(state.window.size() == state.window_times_sec.size(),
-                 "llsp import from a different predictor kind");
-    values_ = state.window;
-    times_sec_ = state.window_times_sec;
-  }
-
-  std::vector<double> times_sec_;
-  std::vector<double> values_;
-};
-
 using Registry = std::map<std::string, PredictorFactory>;
 
 template <typename P>
@@ -293,9 +199,7 @@ Registry& registry() {
     auto* m = new Registry;
     (*m)["last-value"] = factory_of<LastValuePredictor>();
     (*m)["ewma"] = factory_of<EwmaPredictor>();
-    (*m)["decay-diff"] = factory_of<DecayDiffPredictor>();
     (*m)["holt"] = factory_of<HoltPredictor>();
-    (*m)["llsp"] = factory_of<LlspPredictor>();
     return m;
   }();
   return *r;

@@ -10,11 +10,13 @@
 //   * last-value — forecast == the latest observation at any horizon. The
 //     default: it reproduces today's reactive behavior bit-identically.
 //   * ewma       — exponentially weighted level, flat extrapolation.
-//   * decay-diff — smoothed first difference extrapolated per step (the
-//     Ceph adsl predictor family's shape).
 //   * holt       — double-exponential smoothing (level + trend).
-//   * llsp      — sliding-window linear least squares over (time, value)
-//     pairs, extrapolated along the fitted line (the atlas-rt shape).
+//
+// Other forecasters plug in through register_predictor. Two earlier
+// built-ins lost their own ablation (bench/predictor_ablation) and were
+// dropped: a smoothed-first-difference model had a worse p90 than
+// last-value on both workloads, and windowed linear least squares lost to
+// ewma and holt on every bursty-fleet metric.
 //
 // Every predictor scores itself: each observation is first compared against
 // what the predictor forecast for this instant, accumulating MAE/bias the
@@ -40,10 +42,8 @@ struct PredictorParams {
   std::string kind = "last-value";
 
   double ewma_alpha = 0.3;  ///< level smoothing (ewma)
-  double decay = 0.6;       ///< first-difference smoothing (decay-diff)
   double holt_alpha = 0.4;  ///< level smoothing (holt)
   double holt_beta = 0.2;   ///< trend smoothing (holt)
-  std::size_t llsp_window = 12;  ///< (time, value) pairs kept (llsp)
 
   /// Trend extrapolation is capped at this many observation gaps: a load
   /// series sampled every few hundred ms must not be extrapolated linearly
@@ -58,9 +58,8 @@ struct PredictorParams {
 
 /// The exact serialized state of a predictor (live session migration).
 /// The fixed fields are the base class's accounting; derived predictors
-/// pack their smoothing state into `scalars` and, for windowed models,
-/// `window` / `window_times_sec`. import_state into a predictor of the
-/// same kind and params is bit-identical; a kind mismatch throws.
+/// pack their model state into `scalars`. import_state into a predictor of
+/// the same kind and params is bit-identical; a kind mismatch throws.
 struct PredictorState {
   TimeNs last_observed = 0;
   double last_value = 0.0;
@@ -70,15 +69,13 @@ struct PredictorState {
   double err_sum = 0.0;
   std::uint64_t scored = 0;
   std::vector<double> scalars;
-  std::vector<double> window;
-  std::vector<double> window_times_sec;
 };
 
 /// Modeled wire size of a state for session migration: 8 bytes per packed
-/// vector element. The fixed fields ride the export header the serving
-/// layer already charges, so the default last-value predictor (all vectors
-/// empty) adds zero bytes — migration timing stays bit-identical to runs
-/// that predate the predictor.
+/// scalar. The fixed fields ride the export header the serving layer
+/// already charges, so the default last-value predictor (no scalars) adds
+/// zero bytes — migration timing stays bit-identical to runs that predate
+/// the predictor.
 std::int64_t state_wire_bytes(const PredictorState& state);
 
 class LoadPredictor {
@@ -158,7 +155,7 @@ using PredictorFactory =
     std::function<std::unique_ptr<LoadPredictor>(const PredictorParams&)>;
 
 /// Registers (or replaces) a factory under `name`; make_predictor resolves
-/// PredictorParams::kind against this registry. The five built-ins are
+/// PredictorParams::kind against this registry. The three built-ins are
 /// pre-registered.
 void register_predictor(const std::string& name, PredictorFactory factory);
 

@@ -1,6 +1,7 @@
 #include "serve/fleet.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "common/check.h"
@@ -11,45 +12,37 @@ namespace lp::serve {
 
 namespace {
 
-struct ArrivalParams {
-  DurationNs gap = 0;
-  bool poisson = false;
-  // Markov-modulated burst state (burst_gap == 0 disables it and draws no
-  // extra randomness — legacy traces stay bit-identical).
-  DurationNs burst_gap = 0;
-  double burst_enter_prob = 0.0;
-  double burst_exit_prob = 0.0;
-};
-
+/// One client's closed loop: infer, record, think. `gap` is the tenant's
+/// request_gap after Zipf scaling; the Markov burst state (burst_gap == 0
+/// disables it and draws no randomness) and Poisson draws come from `spec`.
 sim::Task client_stream(sim::Simulator& sim, core::OffloadClient& client,
-                        ArrivalParams arrivals, Rng rng,
+                        const TenantSpec& spec, DurationNs gap, Rng rng,
                         std::vector<core::InferenceRecord>& out) {
   bool bursting = false;
   for (;;) {
     core::InferenceRecord rec;
     co_await client.infer(&rec);
     out.push_back(rec);
-    DurationNs gap = arrivals.gap;
-    if (arrivals.burst_gap > 0) {
-      bursting = bursting ? !rng.bernoulli(arrivals.burst_exit_prob)
-                          : rng.bernoulli(arrivals.burst_enter_prob);
-      if (bursting) gap = arrivals.burst_gap;
+    DurationNs next = gap;
+    if (spec.burst_gap > 0) {
+      bursting = bursting ? !rng.bernoulli(spec.burst_exit_prob)
+                          : rng.bernoulli(spec.burst_enter_prob);
+      if (bursting) next = spec.burst_gap;
     }
-    if (arrivals.poisson && gap > 0)
-      gap = std::max<DurationNs>(
+    if (spec.poisson_arrivals && next > 0)
+      next = std::max<DurationNs>(
           1, static_cast<DurationNs>(
-                 rng.exponential(static_cast<double>(gap))));
-    if (gap > 0) co_await sim.delay(gap);
+                 rng.exponential(static_cast<double>(next))));
+    if (next > 0) co_await sim.delay(next);
   }
 }
 
-sim::Task audit_driver(
-    sim::Simulator& sim, const EdgeServerFrontend& fe,
-    const std::function<void(const EdgeServerFrontend&, TimeNs)>& on_audit,
-    DurationNs period) {
+sim::Task audit_driver(sim::Simulator& sim,
+                       std::function<void(TimeNs)> audit,
+                       DurationNs period) {
   for (;;) {
     co_await sim.delay(period);
-    on_audit(fe, sim.now());
+    audit(sim.now());
   }
 }
 
@@ -67,23 +60,12 @@ std::vector<const core::InferenceRecord*> steady_records(
   return out;
 }
 
-std::vector<const core::InferenceRecord*> FleetResult::steady(
+std::vector<const core::InferenceRecord*> TestbedResult::steady(
     int tenant) const {
   return steady_records(clients, warmup, tenant);
 }
 
-double FleetResult::requests_per_sec() const {
-  const auto rs = steady();
-  const double window = to_seconds(duration - warmup);
-  if (window <= 0.0) return 0.0;
-  return static_cast<double>(rs.size()) / window;
-}
-
-TenantSummary summarize_traces(const std::vector<ClientTrace>& clients,
-                               const std::vector<std::string>& tenant_names,
-                               const std::vector<double>& tenant_slo_sec,
-                               DurationNs warmup, DurationNs duration,
-                               int tenant) {
+TenantSummary TestbedResult::summarize(int tenant) const {
   TenantSummary s;
   s.name = tenant < 0 ? "fleet"
                       : tenant_names[static_cast<std::size_t>(tenant)];
@@ -153,11 +135,6 @@ TenantSummary summarize_traces(const std::vector<ClientTrace>& clients,
   return s;
 }
 
-TenantSummary FleetResult::summarize(int tenant) const {
-  return summarize_traces(clients, tenant_names, tenant_slo_sec, warmup,
-                          duration, tenant);
-}
-
 std::vector<std::string> TenantSummary::table_row(int latency_digits) const {
   return {name,
           std::to_string(requests()),
@@ -184,73 +161,85 @@ void TenantSummary::publish(obs::MetricsRegistry& registry,
   registry.gauge(prefix + ".requests_per_sec").set(requests_per_sec);
 }
 
-FleetResult run_fleet(const FleetConfig& config,
-                      const core::PredictorBundle& predictors) {
+struct Testbed::Tenant {
+  graph::Graph model;
+  std::unique_ptr<core::GraphCostProfile> profile;
+};
+
+Testbed::Testbed(const TestbedConfig& config,
+                 const core::PredictorBundle& predictors,
+                 TestbedResult* result)
+    : config_(&config), predictors_(&predictors), result_(result) {
   LP_CHECK(!config.tenants.empty());
   LP_CHECK(config.duration > 0);
-
-  sim::Simulator sim;
-  const hw::CpuModel cpu;
-  const hw::GpuModel gpu;
-  hw::GpuScheduler scheduler(sim);
-  EdgeServerFrontend frontend(sim, scheduler, gpu, config.frontend,
-                              config.runtime, config.seed ^ 0xf00d);
-  if (config.telemetry != nullptr) frontend.set_telemetry(config.telemetry);
-  frontend.start_gpu_watcher(config.watcher_period);
-  const bool faulty = !config.faults.empty();
-  if (faulty) frontend.attach_fault_plan(&config.faults);
-
-  struct TenantState {
-    graph::Graph model;
-    std::unique_ptr<core::GraphCostProfile> profile;
-  };
-  std::vector<std::unique_ptr<TenantState>> tenants;
-  std::vector<std::unique_ptr<net::Link>> links;
-  std::vector<std::unique_ptr<core::OffloadClient>> clients;
-
-  FleetResult result;
-  result.warmup = config.warmup;
-  result.duration = config.duration;
+  result->warmup = config.warmup;
+  result->duration = config.duration;
   std::size_t total_clients = 0;
   for (const TenantSpec& spec : config.tenants) {
     LP_CHECK(spec.clients > 0);
     total_clients += static_cast<std::size_t>(spec.clients);
+    result->tenant_names.push_back(spec.model);
+    result->tenant_slo_sec.push_back(spec.slo_sec);
   }
-  // Reserve up front: the spawned streams hold references into the traces.
-  result.clients.reserve(total_clients);
+  // Sized up front: the spawned streams hold references into the traces.
+  result->clients.reserve(total_clients);
+  for (std::size_t t = 0; t < config.tenants.size(); ++t)
+    for (int c = 0; c < config.tenants[t].clients; ++c)
+      result->clients.push_back(ClientTrace{t, {}});
+}
 
-  std::uint64_t index = 0;
+Testbed::~Testbed() = default;
+
+EdgeServerFrontend& Testbed::add_server(std::uint64_t seed,
+                                        const std::string& track,
+                                        const fault::FaultPlan& faults) {
+  schedulers_.push_back(std::make_unique<hw::GpuScheduler>(sim_));
+  servers_.push_back(std::make_unique<EdgeServerFrontend>(
+      sim_, *schedulers_.back(), gpu_, config_->frontend, config_->runtime,
+      seed));
+  EdgeServerFrontend& server = *servers_.back();
+  if (config_->telemetry != nullptr)
+    server.set_telemetry(config_->telemetry, track);
+  server.start_gpu_watcher(config_->watcher_period);
+  if (!faults.empty()) server.attach_fault_plan(&faults);
+  server_ptrs_.push_back(&server);
+  return server;
+}
+
+void Testbed::add_clients(
+    const std::function<Placement(const core::GraphCostProfile&)>& place,
+    const fault::FaultPlan& link_faults, double zipf_alpha) {
+  LP_CHECK(zipf_alpha >= 0.0);
+  const TestbedConfig& config = *config_;
+  const bool faulty = !link_faults.empty();
+  std::size_t index = 0;
   for (std::size_t t = 0; t < config.tenants.size(); ++t) {
     const TenantSpec& spec = config.tenants[t];
-    result.tenant_names.push_back(spec.model);
-    result.tenant_slo_sec.push_back(spec.slo_sec);
-    auto state = std::unique_ptr<TenantState>(
-        new TenantState{models::make_model(spec.model), nullptr});
-    state->profile =
-        std::make_unique<core::GraphCostProfile>(state->model, predictors);
-    const core::GraphCostProfile& profile = *state->profile;
-    tenants.push_back(std::move(state));
+    tenants_.push_back(std::unique_ptr<Tenant>(
+        new Tenant{models::make_model(spec.model), nullptr}));
+    tenants_.back()->profile = std::make_unique<core::GraphCostProfile>(
+        tenants_.back()->model, *predictors_);
+    const core::GraphCostProfile& profile = *tenants_.back()->profile;
 
     core::RuntimeParams runtime = config.runtime;
     runtime.slo_sec = spec.slo_sec;
-    for (int c = 0; c < spec.clients; ++c) {
-      ++index;
+    for (int c = 0; c < spec.clients; ++c, ++index) {
       const std::uint64_t seed =
-          config.seed ^ (0x9e3779b97f4a7c15ull * (index + 1));
+          config.seed ^ (0x9e3779b97f4a7c15ull * (index + 2));
       // Link faults splice into every tenant trace: a blackout window
       // hits the whole radio environment, not one client.
-      links.push_back(std::make_unique<net::Link>(
-          sim,
-          faulty ? net::apply_link_faults(spec.upload, config.faults)
+      links_.push_back(std::make_unique<net::Link>(
+          sim_,
+          faulty ? net::apply_link_faults(spec.upload, link_faults)
                  : spec.upload,
-          faulty ? net::apply_link_faults(spec.download, config.faults)
+          faulty ? net::apply_link_faults(spec.download, link_faults)
                  : spec.download,
           spec.rtt, seed ^ 0x71));
-      if (faulty) links.back()->attach_faults(&config.faults);
-      const std::uint64_t session = frontend.open_session(profile);
-      clients.push_back(std::make_unique<core::OffloadClient>(
-          sim, cpu, profile, *links.back(), frontend, spec.policy, runtime,
-          seed ^ 0xc1, session));
+      if (faulty) links_.back()->attach_faults(&link_faults);
+      const Placement home = place(profile);
+      clients_.push_back(std::make_unique<core::OffloadClient>(
+          sim_, cpu_, profile, *links_.back(), *home.service, spec.policy,
+          runtime, seed ^ 0xc1, home.session));
       if (config.telemetry != nullptr) {
         // Client and link share one track so transfer spans nest under
         // the client's request spans.
@@ -260,43 +249,66 @@ FleetResult run_fleet(const FleetConfig& config,
         track += spec.model;
         track += '#';
         track += std::to_string(c);
-        links.back()->set_telemetry(config.telemetry, track);
-        clients.back()->set_telemetry(config.telemetry, track);
+        links_.back()->set_telemetry(config.telemetry, track);
+        clients_.back()->set_telemetry(config.telemetry, track);
       }
-      clients.back()->start_runtime_profiler(config.profiler_period);
-      result.clients.push_back(ClientTrace{t, {}});
-      sim.spawn(client_stream(
-          sim, *clients.back(),
-          ArrivalParams{spec.request_gap, spec.poisson_arrivals,
-                        spec.burst_gap, spec.burst_enter_prob,
-                        spec.burst_exit_prob},
-          Rng(seed ^ 0xa1), result.clients.back().records));
+      clients_.back()->start_runtime_profiler(config.profiler_period);
+
+      DurationNs gap = spec.request_gap;
+      if (zipf_alpha > 0.0 && gap > 0)
+        gap = std::max<DurationNs>(
+            1, static_cast<DurationNs>(
+                   static_cast<double>(gap) *
+                   std::pow(static_cast<double>(c + 1), zipf_alpha)));
+      sim_.spawn(client_stream(sim_, *clients_.back(), spec, gap,
+                               Rng(seed ^ 0xa1),
+                               result_->clients[index].records));
     }
   }
+}
 
-  if (config.on_audit) {
-    LP_CHECK(config.audit_period > 0);
-    sim.spawn(audit_driver(sim, frontend, config.on_audit,
-                           config.audit_period));
+void Testbed::run(const std::function<void(TimeNs)>& audit) {
+  if (audit) {
+    LP_CHECK(config_->audit_period > 0);
+    sim_.spawn(audit_driver(sim_, audit, config_->audit_period));
   }
+  sim_.run_until(config_->duration);
+  if (audit) audit(sim_.now());
+}
 
-  sim.run_until(config.duration);
-  if (config.on_audit) config.on_audit(frontend, sim.now());
+void Testbed::publish(const std::string& prefix) const {
+  if (config_->telemetry == nullptr) return;
+  // One registry export then carries the whole experiment.
+  auto& metrics = config_->telemetry->metrics();
+  for (const EdgeServerFrontend* server : server_ptrs_)
+    server->counters().publish(metrics, "serve");
+  for (std::size_t t = 0; t < config_->tenants.size(); ++t) {
+    std::string name = prefix;
+    name += ".t";
+    name += std::to_string(t);
+    name += '.';
+    name += result_->tenant_names[t];
+    result_->summarize(static_cast<int>(t)).publish(metrics, name);
+  }
+}
 
+FleetResult run_fleet(const FleetConfig& config,
+                      const core::PredictorBundle& predictors) {
+  FleetResult result;
+  Testbed bed(config, predictors, &result);
+  EdgeServerFrontend& frontend =
+      bed.add_server(config.seed ^ 0xf00d, "frontend", config.faults);
+  bed.add_clients(
+      [&frontend](const core::GraphCostProfile& profile) {
+        return Testbed::Placement{&frontend, frontend.open_session(profile)};
+      },
+      config.faults, /*zipf_alpha=*/0.0);
+  std::function<void(TimeNs)> audit;
+  if (config.on_audit)
+    audit = [&](TimeNs now) { config.on_audit(frontend, now); };
+  bed.run(audit);
   result.frontend = frontend.load_snapshot();
-
-  // Per-tenant steady-state summaries land in the registry so one snapshot
-  // export carries the whole experiment.
-  if (config.telemetry != nullptr) {
-    auto& metrics = config.telemetry->metrics();
-    for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-      std::string prefix = "fleet.t";
-      prefix += std::to_string(t);
-      prefix += '.';
-      prefix += result.tenant_names[t];
-      result.summarize(static_cast<int>(t)).publish(metrics, prefix);
-    }
-  }
+  bed.publish("fleet");
   return result;
 }
 

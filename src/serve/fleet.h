@@ -1,12 +1,14 @@
 // FleetDriver: spawns a heterogeneous fleet of offloading clients against
 // one EdgeServerFrontend and collects per-request records.
 //
-// This replaces the ad-hoc "ClientRig" wiring the multi-client benches used
-// to copy-paste: each tenant describes a model, a client count, a link, an
-// arrival process and an SLO; run_fleet() builds the simulated testbed
-// (shared GPU scheduler, one frontend, per-client links and sessions), runs
-// it for the configured duration, and returns every InferenceRecord plus
-// frontend-level counters. Deterministic given config.seed.
+// Each tenant describes a model, a client count, a link, an arrival process
+// and an SLO. A Testbed builds the simulated population from them: cost
+// profiles, per-client links, clients and their request streams. It is
+// the one testbed under both entry points. run_fleet() puts a single
+// frontend behind it; cluster::run_cluster() puts N frontends and a router.
+// Either runs for the configured duration and returns every
+// InferenceRecord plus the servers' counters. Deterministic given
+// config.seed.
 #pragma once
 
 #include <functional>
@@ -48,26 +50,35 @@ struct TenantSpec {
   double slo_sec = 0.0;
 };
 
-struct FleetConfig {
+/// What every testbed shares, whether one frontend serves it (FleetConfig)
+/// or a routed cluster of them (cluster::ClusterConfig).
+struct TestbedConfig {
   std::vector<TenantSpec> tenants;
-  FrontendParams frontend;
+  FrontendParams frontend;  ///< every server's
   core::RuntimeParams runtime;
-  /// Fault schedule for the whole testbed: link faults apply to every
-  /// tenant link, server crashes and straggle windows to the frontend.
-  /// Empty (default) = the legacy no-failure universe, bit-identical to
-  /// runs that predate fault injection.
-  fault::FaultPlan faults;
   DurationNs duration = seconds(90);
   DurationNs warmup = seconds(30);  ///< excluded from summaries
   DurationNs profiler_period = seconds(5);
   DurationNs watcher_period = seconds(10);
   std::uint64_t seed = 1;
 
-  /// Telemetry sink wired through the whole testbed (frontend, links,
-  /// clients); per-tenant summaries are published into its registry after
-  /// the run. Null (default) = fully off: the run is bit-identical to one
-  /// without telemetry. Must outlive run_fleet().
+  /// Telemetry sink wired through the whole testbed (servers, links,
+  /// clients); the servers' counters and per-tenant summaries are
+  /// published into its registry after the run. Null (default) = fully
+  /// off: the run is bit-identical to one without telemetry. Must outlive
+  /// the run.
   obs::Telemetry* telemetry = nullptr;
+
+  /// Period of the entry point's on_audit hook, in sim time.
+  DurationNs audit_period = seconds(1);
+};
+
+struct FleetConfig : TestbedConfig {
+  /// Fault schedule for the whole testbed: link faults apply to every
+  /// tenant link, server crashes and straggle windows to the frontend.
+  /// Empty (default) = the legacy no-failure universe, bit-identical to
+  /// runs that predate fault injection.
+  fault::FaultPlan faults;
 
   /// Invariant auditing hook (the check subsystem arms it): when set, the
   /// callback runs against the live frontend every audit_period of sim
@@ -76,7 +87,6 @@ struct FleetConfig {
   /// purely observational; with it unset the run is bit-identical to
   /// before the hook existed.
   std::function<void(const EdgeServerFrontend&, TimeNs)> on_audit;
-  DurationNs audit_period = seconds(1);
 };
 
 /// The record stream of one client, tagged with its tenant index.
@@ -134,37 +144,100 @@ struct TenantSummary {
                const std::string& prefix) const;
 };
 
-/// Steady-state records across traces (tenant -1 = all); shared by
-/// FleetResult and the cluster layer's ClusterResult.
+/// Steady-state records across traces (tenant -1 = all).
 std::vector<const core::InferenceRecord*> steady_records(
     const std::vector<ClientTrace>& clients, DurationNs warmup,
     int tenant = -1);
 
-/// Summarizes client traces into a TenantSummary (tenant -1 = everything).
-/// The workhorse behind FleetResult::summarize, exposed so multi-server
-/// results can reuse the identical accounting.
-TenantSummary summarize_traces(const std::vector<ClientTrace>& clients,
-                               const std::vector<std::string>& tenant_names,
-                               const std::vector<double>& tenant_slo_sec,
-                               DurationNs warmup, DurationNs duration,
-                               int tenant = -1);
-
-struct FleetResult {
+/// The client traces every testbed run returns, with the per-tenant
+/// accounting over them.
+struct TestbedResult {
   std::vector<ClientTrace> clients;
   std::vector<std::string> tenant_names;
   std::vector<double> tenant_slo_sec;
   DurationNs warmup = 0;
   DurationNs duration = 0;
 
-  /// Frontend load/conservation counters at the end of the run — one
-  /// coherent snapshot instead of the ten scalars this used to copy.
-  LoadSnapshot frontend;
-
   /// Steady-state records of one tenant, or of every tenant (-1).
   std::vector<const core::InferenceRecord*> steady(int tenant = -1) const;
   TenantSummary summarize(int tenant = -1) const;
-  /// Completed requests per second of steady-state time.
-  double requests_per_sec() const;
+};
+
+struct FleetResult : TestbedResult {
+  /// Frontend load/conservation counters at the end of the run.
+  LoadSnapshot frontend;
+};
+
+/// The simulated testbed under run_fleet and cluster::run_cluster: one
+/// simulator, the servers (a GPU scheduler and an EdgeServerFrontend each)
+/// and the tenant population. The entry points differ only in how many
+/// servers they add and in who places a client's session. Construction
+/// order is spawn order, so call add_server for every server, then
+/// add_clients, then run.
+class Testbed {
+ public:
+  /// Fills `result` (which must outlive the testbed) with one empty trace
+  /// per client, in client order, plus the tenant names and SLOs.
+  Testbed(const TestbedConfig& config,
+          const core::PredictorBundle& predictors, TestbedResult* result);
+  ~Testbed();
+  // Spawned coroutines hold the testbed's address.
+  Testbed(const Testbed&) = delete;
+  Testbed& operator=(const Testbed&) = delete;
+
+  sim::Simulator& sim() { return sim_; }
+
+  /// Adds a server with its own GPU scheduler, seeded `seed`: telemetry on
+  /// trace track `track`, the GPU watcher, and `faults` (crashes and
+  /// straggle windows) unless it is empty.
+  EdgeServerFrontend& add_server(std::uint64_t seed, const std::string& track,
+                                 const fault::FaultPlan& faults);
+  const std::vector<EdgeServerFrontend*>& servers() const {
+    return server_ptrs_;
+  }
+
+  /// Where a new client submits, and its session id there.
+  struct Placement {
+    core::SuffixService* service;
+    std::uint64_t session;
+  };
+
+  /// Builds every tenant's clients and spawns their request streams.
+  /// `place` opens each client's session, once per client in client order
+  /// (so the i-th call is client i). Non-empty `link_faults` splice into
+  /// every client link. With zipf_alpha > 0, client c of a tenant thinks
+  /// (c + 1)^zipf_alpha times longer than request_gap: a hot head, a cold
+  /// tail.
+  void add_clients(
+      const std::function<Placement(const core::GraphCostProfile&)>& place,
+      const fault::FaultPlan& link_faults, double zipf_alpha);
+
+  core::OffloadClient& client(std::size_t i) { return *clients_[i]; }
+  std::size_t clients() const { return clients_.size(); }
+
+  /// Runs until config.duration. A set `audit` runs every audit_period of
+  /// sim time and once more after the run.
+  void run(const std::function<void(TimeNs)>& audit);
+
+  /// With telemetry on: publishes the servers' summed counters as serve.*
+  /// and each tenant's steady-state summary as "<prefix>.t<i>.<model>.*".
+  void publish(const std::string& prefix) const;
+
+ private:
+  struct Tenant;
+
+  const TestbedConfig* config_;
+  const core::PredictorBundle* predictors_;
+  TestbedResult* result_;
+  sim::Simulator sim_;
+  const hw::CpuModel cpu_;
+  const hw::GpuModel gpu_;
+  std::vector<std::unique_ptr<hw::GpuScheduler>> schedulers_;
+  std::vector<std::unique_ptr<EdgeServerFrontend>> servers_;
+  std::vector<EdgeServerFrontend*> server_ptrs_;
+  std::vector<std::unique_ptr<Tenant>> tenants_;
+  std::vector<std::unique_ptr<net::Link>> links_;
+  std::vector<std::unique_ptr<core::OffloadClient>> clients_;
 };
 
 /// Runs the fleet; deterministic given config.seed.

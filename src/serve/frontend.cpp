@@ -16,6 +16,30 @@ double jitter_scale(Rng& rng, double frac) {
 }
 }  // namespace
 
+void FrontendCounters::publish(obs::MetricsRegistry& registry,
+                               const std::string& prefix) const {
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"submitted", submitted},
+      {"admitted", admitted},
+      {"shed", shed},
+      {"refused", refused},
+      {"served", served},
+      {"failed_jobs", failed_jobs},
+      {"dispatches", dispatches},
+      {"batched_dispatches", batched_dispatches},
+      {"batched_jobs", batched_jobs},
+      {"crashes", crashes},
+      {"migrated_in", migrated_in},
+      {"migrated_out", migrated_out},
+      {"fenced_jobs", fenced_jobs},
+      {"deadline_shed", deadline_shed},
+      {"deadline_shed_admission", deadline_shed_admission},
+      {"rejected_imports", rejected_imports},
+  };
+  for (const auto& [name, count] : counts)
+    registry.counter(prefix + "." + name).add(std::int64_t(count));
+}
+
 EdgeServerFrontend::EdgeServerFrontend(sim::Simulator& sim,
                                        hw::GpuScheduler& scheduler,
                                        const hw::GpuModel& gpu,
@@ -151,46 +175,25 @@ double EdgeServerFrontend::predicted_queue_delay_sec() const {
 
 LoadSnapshot EdgeServerFrontend::load_snapshot(DurationNs horizon) const {
   LoadSnapshot s;
+  static_cast<FrontendCounters&>(s) = counters_;
   s.alive = !down_;
-  s.sessions = sessions_.size();
   s.queue_depth = queue_.size();
   s.inflight_jobs = inflight_jobs();
-  s.predicted_backlog_sec = queue_.predicted_backlog_sec();
   s.predicted_delay_sec = predicted_queue_delay_sec();
   s.signal = load_signal(horizon);
-  // Same per-session sum as the signal's mean, so the two fields agree
-  // bitwise (mean_k predates the LoadSignal API and is kept for readers
-  // not yet ported).
-  s.mean_k = s.signal.k_now;
   if (predict_scored_ > 0) {
     const double n = static_cast<double>(predict_scored_);
     s.predict_mae = predict_abs_err_ / n;
     s.predict_bias = predict_err_ / n;
   }
   s.predict_scored = predict_scored_;
-  s.submitted = submitted_;
-  s.admitted = admitted_;
-  s.shed = shed_;
-  s.refused = refused_;
-  s.served = served_;
-  s.failed_jobs = failed_jobs_;
-  s.dispatches = dispatches_;
-  s.batched_dispatches = batched_dispatches_;
-  s.batched_jobs = batched_jobs_;
-  s.crashes = crashes_;
-  s.migrated_in = migrated_in_;
-  s.migrated_out = migrated_out_;
-  s.fenced_jobs = fenced_jobs_;
-  s.deadline_shed = deadline_shed_;
-  s.deadline_shed_admission = deadline_shed_admission_;
   return s;
 }
 
 EdgeServerFrontend::SessionStats EdgeServerFrontend::session_stats(
     std::uint64_t session) const {
   LP_CHECK(session < sessions_.size());
-  const Session& s = sessions_[session];
-  return SessionStats{s.submitted, s.admitted, s.shed};
+  return sessions_[session].stats;
 }
 
 namespace {
@@ -220,7 +223,7 @@ SessionExport EdgeServerFrontend::export_session(std::uint64_t session) {
   s.predictor->reset();
 
   ex.jobs = queue_.take_session(session);
-  migrated_out_ += ex.jobs.size();
+  counters_.migrated_out += ex.jobs.size();
 
   ex.bytes = kExportHeaderBytes +
              kSampleBytes * static_cast<std::int64_t>(
@@ -232,20 +235,17 @@ SessionExport EdgeServerFrontend::export_session(std::uint64_t session) {
              kJobHeaderBytes * static_cast<std::int64_t>(ex.jobs.size()) +
              predict::state_wire_bytes(ex.state.predictor);
 
-  if (telemetry_ != nullptr) {
-    migrated_out_counter_->add(std::int64_t(ex.jobs.size()));
-    if (auto* tr = trace()) {
-      // The exported jobs' queue-wait intervals close here; the importer
-      // opens fresh ones on its own track.
-      for (const QueuedJob& job : ex.jobs)
-        tr->async_end(track_, "queue-wait", job.seq, sim_->now());
-      tr->instant(track_, "export-session", sim_->now(),
-                  obs::TraceArgs()
-                      .arg("session", session)
-                      .arg("jobs", ex.jobs.size())
-                      .arg("bytes", ex.bytes));
-      observe_queue_depth();
-    }
+  if (auto* tr = trace()) {
+    // The exported jobs' queue-wait intervals close here; the importer
+    // opens fresh ones on its own track.
+    for (const QueuedJob& job : ex.jobs)
+      tr->async_end(track_, "queue-wait", job.seq, sim_->now());
+    tr->instant(track_, "export-session", sim_->now(),
+                obs::TraceArgs()
+                    .arg("session", session)
+                    .arg("jobs", ex.jobs.size())
+                    .arg("bytes", ex.bytes));
+    observe_queue_depth();
   }
   return ex;
 }
@@ -257,7 +257,7 @@ bool EdgeServerFrontend::import_session(std::uint64_t session,
     // Zombie payload: a newer fence already superseded this transfer (the
     // migration was aborted or the session re-homed). The caller keeps
     // ownership of the jobs; nothing here is touched.
-    ++rejected_imports_;
+    ++counters_.rejected_imports;
     if (auto* tr = trace())
       tr->instant(track_, "import-rejected", sim_->now(),
                   obs::TraceArgs()
@@ -278,11 +278,11 @@ bool EdgeServerFrontend::import_session(std::uint64_t session,
     job.session = session;
     job.seq = next_seq_++;
     job.epoch = ex.epoch;
-    ++migrated_in_;
+    ++counters_.migrated_in;
     if (down_) {
       // Fail-stop target: the job must not hang in limbo. It counts as
       // migrated-in then failed, so conservation holds on both servers.
-      ++failed_jobs_;
+      ++counters_.failed_jobs;
       if (job.status != nullptr)
         *job.status = core::SuffixStatus::kServerDown;
       if (!job.done->triggered()) job.done->trigger();
@@ -291,22 +291,17 @@ bool EdgeServerFrontend::import_session(std::uint64_t session,
     // The original admission timestamp rides along: the measured queue
     // wait honestly spans the migration.
     queue_.push_migrated(job);
-    if (telemetry_ != nullptr) {
-      if (auto* tr = trace())
-        tr->async_begin(track_, "queue-wait", job.seq, sim_->now(),
-                        obs::TraceArgs()
-                            .arg("session", job.session)
-                            .arg("p", job.p)
-                            .arg("migrated", true));
-    }
+    if (auto* tr = trace())
+      tr->async_begin(track_, "queue-wait", job.seq, sim_->now(),
+                      obs::TraceArgs()
+                          .arg("session", job.session)
+                          .arg("p", job.p)
+                          .arg("migrated", true));
   }
-  if (telemetry_ != nullptr) {
-    migrated_in_counter_->add(std::int64_t(jobs));
-    if (auto* tr = trace()) {
-      tr->instant(track_, "import-session", sim_->now(),
-                  obs::TraceArgs().arg("session", session).arg("jobs", jobs));
-      observe_queue_depth();
-    }
+  if (auto* tr = trace()) {
+    tr->instant(track_, "import-session", sim_->now(),
+                obs::TraceArgs().arg("session", session).arg("jobs", jobs));
+    observe_queue_depth();
   }
   if (!down_ && jobs > 0) work_arrived_.trigger();
   return true;
@@ -330,8 +325,8 @@ std::size_t EdgeServerFrontend::fence_session(std::uint64_t session,
       continue;
     }
     ++fenced;
-    ++failed_jobs_;
-    ++fenced_jobs_;
+    ++counters_.failed_jobs;
+    ++counters_.fenced_jobs;
     if (job.status != nullptr) *job.status = core::SuffixStatus::kFenced;
     if (auto* tr = trace())
       tr->async_end(track_, "queue-wait", job.seq, sim_->now());
@@ -346,16 +341,13 @@ std::size_t EdgeServerFrontend::fence_session(std::uint64_t session,
   s.cache.reset_stats();
   s.bandwidth = net::BandwidthEstimator(runtime_.bandwidth_window);
   s.predictor->reset();
-  if (telemetry_ != nullptr) {
-    if (fenced > 0) failed_counter_->add(std::int64_t(fenced));
-    if (auto* tr = trace()) {
-      tr->instant(track_, "fence-session", sim_->now(),
-                  obs::TraceArgs()
-                      .arg("session", session)
-                      .arg("epoch", epoch)
-                      .arg("fenced_jobs", fenced));
-      observe_queue_depth();
-    }
+  if (auto* tr = trace()) {
+    tr->instant(track_, "fence-session", sim_->now(),
+                obs::TraceArgs()
+                    .arg("session", session)
+                    .arg("epoch", epoch)
+                    .arg("fenced_jobs", fenced));
+    observe_queue_depth();
   }
   return fenced;
 }
@@ -370,14 +362,6 @@ void EdgeServerFrontend::set_telemetry(obs::Telemetry* telemetry,
   telemetry_ = telemetry;
   if (telemetry_ == nullptr) return;
   auto& metrics = telemetry_->metrics();
-  admitted_counter_ = &metrics.counter("serve.admitted");
-  shed_counter_ = &metrics.counter("serve.shed");
-  refused_counter_ = &metrics.counter("serve.refused");
-  served_counter_ = &metrics.counter("serve.served");
-  failed_counter_ = &metrics.counter("serve.failed_jobs");
-  crash_counter_ = &metrics.counter("serve.crashes");
-  migrated_in_counter_ = &metrics.counter("serve.migrated_in");
-  migrated_out_counter_ = &metrics.counter("serve.migrated_out");
   batch_occupancy_ = &metrics.histogram("serve.batch_occupancy", 0.0, 32.0,
                                         32);
   queue_wait_ms_ = &metrics.histogram("serve.queue_wait_ms", 0.0, 500.0, 100);
@@ -399,17 +383,14 @@ core::SubmitStatus EdgeServerFrontend::submit(core::SuffixRequest request) {
   Session& session = sessions_[request.session];
   LP_CHECK_MSG(request.p < session.profile->n(),
                "nothing to execute on the server at p = n");
-  ++submitted_;
-  ++session.submitted;
+  ++counters_.submitted;
+  ++session.stats.submitted;
   if (down_) {
     // Connection refused: a crashed server cannot even shed politely.
-    ++refused_;
-    if (telemetry_ != nullptr) {
-      refused_counter_->add();
-      if (auto* tr = trace())
-        tr->instant(track_, "refuse", sim_->now(),
-                    obs::TraceArgs().arg("session", request.session));
-    }
+    ++counters_.refused;
+    if (auto* tr = trace())
+      tr->instant(track_, "refuse", sim_->now(),
+                  obs::TraceArgs().arg("session", request.session));
     return core::SubmitStatus::kDown;
   }
   if (request.bandwidth_bps > 0.0)
@@ -441,21 +422,17 @@ core::SubmitStatus EdgeServerFrontend::submit(core::SuffixRequest request) {
                     eta_sec * 1e9;
   }
   if (queue_.full() || over_budget || over_deadline) {
-    ++shed_;
-    ++session.shed;
-    if (over_deadline) ++deadline_shed_admission_;
-    if (telemetry_ != nullptr) {
-      shed_counter_->add();
-      if (auto* tr = trace()) {
-        obs::TraceArgs args;
-        args.arg("session", request.session)
-            .arg("queue_full", queue_.full());
-        // Only stamped when deadline admission is on, so legacy traces
-        // stay byte-identical.
-        if (params_.deadline_admission) args.arg("will_miss", over_deadline);
-        args.arg("predicted_delay_sec", predicted_queue_delay_sec());
-        tr->instant(track_, "shed", sim_->now(), args);
-      }
+    ++counters_.shed;
+    ++session.stats.shed;
+    if (over_deadline) ++counters_.deadline_shed_admission;
+    if (auto* tr = trace()) {
+      obs::TraceArgs args;
+      args.arg("session", request.session).arg("queue_full", queue_.full());
+      // Only stamped when deadline admission is on, so legacy traces stay
+      // byte-identical.
+      if (params_.deadline_admission) args.arg("will_miss", over_deadline);
+      args.arg("predicted_delay_sec", predicted_queue_delay_sec());
+      tr->instant(track_, "shed", sim_->now(), args);
     }
     return core::SubmitStatus::kRejected;
   }
@@ -477,17 +454,14 @@ core::SubmitStatus EdgeServerFrontend::submit(core::SuffixRequest request) {
   job.keepalive = request.keepalive;
   job.epoch = session.fence;
   LP_CHECK(queue_.push(job));
-  ++admitted_;
-  ++session.admitted;
-  if (telemetry_ != nullptr) {
-    admitted_counter_->add();
-    if (auto* tr = trace()) {
-      tr->async_begin(track_, "queue-wait", job.seq, sim_->now(),
-                      obs::TraceArgs()
-                          .arg("session", job.session)
-                          .arg("p", job.p));
-      observe_queue_depth();
-    }
+  ++counters_.admitted;
+  ++session.stats.admitted;
+  if (auto* tr = trace()) {
+    tr->async_begin(track_, "queue-wait", job.seq, sim_->now(),
+                    obs::TraceArgs()
+                        .arg("session", job.session)
+                        .arg("p", job.p));
+    observe_queue_depth();
   }
   // The queue delay just changed; the delay forecaster only ever learns at
   // mutation points, so const readers never perturb it.
@@ -616,7 +590,7 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
   const double exec = to_seconds(sim_->now() - begin);
   const TimeNs finished = sim_->now();
 
-  ++dispatches_;
+  ++counters_.dispatches;
   const double predicted = profile.suffix_g(p);
   std::size_t served_now = 0;
   for (const QueuedJob& job : batch) {
@@ -626,8 +600,8 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
     // from a superseded placement and must not count as served or feed the
     // (reset) k window.
     if (job.epoch < sessions_[job.session].fence) {
-      ++failed_jobs_;
-      ++fenced_jobs_;
+      ++counters_.failed_jobs;
+      ++counters_.fenced_jobs;
       if (job.status != nullptr) *job.status = core::SuffixStatus::kFenced;
       if (!job.done->triggered()) job.done->trigger();
       continue;
@@ -657,22 +631,17 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
       job.done->trigger();
     }
   }
-  served_ += served_now;
+  counters_.served += served_now;
   if (batch.size() > 1) {
-    ++batched_dispatches_;
-    batched_jobs_ += served_now;
+    ++counters_.batched_dispatches;
+    counters_.batched_jobs += served_now;
   }
-  if (telemetry_ != nullptr) {
-    served_counter_->add(std::int64_t(served_now));
-    if (served_now < batch.size())
-      failed_counter_->add(std::int64_t(batch.size() - served_now));
-    if (auto* tr = trace())
-      tr->span(track_, "suffix-exec", begin, finished,
-               obs::TraceArgs()
-                   .arg("batch", batch.size())
-                   .arg("p", p)
-                   .arg("exec_ms", exec * 1e3));
-  }
+  if (auto* tr = trace())
+    tr->span(track_, "suffix-exec", begin, finished,
+             obs::TraceArgs()
+                 .arg("batch", batch.size())
+                 .arg("p", p)
+                 .arg("exec_ms", exec * 1e3));
   in_flight_sec_ = 0.0;
   inflight_ = nullptr;
   delay_predictor_->observe(finished, predicted_queue_delay_sec());
@@ -683,23 +652,20 @@ void EdgeServerFrontend::shed_expired_jobs() {
   const std::vector<QueuedJob> expired = queue_.take_expired(now);
   if (expired.empty()) return;
   for (const QueuedJob& job : expired) {
-    ++failed_jobs_;
-    ++deadline_shed_;
+    ++counters_.failed_jobs;
+    ++counters_.deadline_shed;
     if (job.status != nullptr)
       *job.status = core::SuffixStatus::kDeadlineShed;
     if (!job.done->triggered()) job.done->trigger();
   }
   // The backlog shrank without a dispatch; teach the delay forecaster.
   delay_predictor_->observe(now, predicted_queue_delay_sec());
-  if (telemetry_ != nullptr) {
-    failed_counter_->add(std::int64_t(expired.size()));
-    if (auto* tr = trace()) {
-      for (const QueuedJob& job : expired)
-        tr->async_end(track_, "queue-wait", job.seq, now);
-      tr->instant(track_, "deadline-shed", now,
-                  obs::TraceArgs().arg("jobs", expired.size()));
-      observe_queue_depth();
-    }
+  if (auto* tr = trace()) {
+    for (const QueuedJob& job : expired)
+      tr->async_end(track_, "queue-wait", job.seq, now);
+    tr->instant(track_, "deadline-shed", now,
+                obs::TraceArgs().arg("jobs", expired.size()));
+    observe_queue_depth();
   }
 }
 
@@ -723,7 +689,7 @@ sim::Task EdgeServerFrontend::crash_driver() {
 void EdgeServerFrontend::crash() {
   if (down_) return;
   down_ = true;
-  ++crashes_;
+  ++counters_.crashes;
   ++epoch_;  // orphans any execute_batch parked on a suspension point
 
   // Fail-stop: every queued and in-flight job terminates with server-down
@@ -738,20 +704,16 @@ void EdgeServerFrontend::crash() {
     inflight_ = nullptr;
   }
   for (const QueuedJob& job : casualties) {
-    ++failed_jobs_;
+    ++counters_.failed_jobs;
     if (job.status != nullptr) *job.status = core::SuffixStatus::kServerDown;
     if (!job.done->triggered()) job.done->trigger();
   }
-  if (telemetry_ != nullptr) {
-    crash_counter_->add();
-    failed_counter_->add(std::int64_t(casualties.size()));
-    if (auto* tr = trace()) {
-      for (std::size_t i = 0; i < queued_casualties; ++i)
-        tr->async_end(track_, "queue-wait", casualties[i].seq, sim_->now());
-      tr->instant(track_, "crash", sim_->now(),
-                  obs::TraceArgs().arg("failed_jobs", casualties.size()));
-      observe_queue_depth();
-    }
+  if (auto* tr = trace()) {
+    for (std::size_t i = 0; i < queued_casualties; ++i)
+      tr->async_end(track_, "queue-wait", casualties[i].seq, sim_->now());
+    tr->instant(track_, "crash", sim_->now(),
+                obs::TraceArgs().arg("failed_jobs", casualties.size()));
+    observe_queue_depth();
   }
 
   // Volatile state dies with the process: partition caches (entries AND

@@ -21,6 +21,11 @@
 // the load signal a client feels is queueing at the frontend, not kernel
 // interleaving, so k folds the queue in and the LoADPart feedback loop
 // (k up -> partition retreats -> load drops) closes through the queue.
+// This is the one semantic difference from core::OffloadServer, which
+// measures k against kernel execution alone. Even one FIFO session with no
+// admission control and batch 1 therefore differs there: a partition-cache
+// miss puts its preparation delay into the frontend's k sample, never into
+// the OffloadServer's. The paper's figures keep the OffloadServer.
 #pragma once
 
 #include <cstdint>
@@ -70,26 +75,25 @@ struct FrontendParams {
   bool shed_will_miss = false;
 };
 
-/// One coherent read of a frontend's load and conservation counters — the
-/// payload of a cluster heartbeat and the single accessor the invariant
-/// layer and the benches read instead of ad-hoc field-by-field getters.
-struct LoadSnapshot {
-  bool alive = true;
-  std::size_t sessions = 0;
-  std::size_t queue_depth = 0;
-  std::size_t inflight_jobs = 0;
-  double predicted_backlog_sec = 0.0;  ///< queued k-adjusted predictions
-  double predicted_delay_sec = 0.0;    ///< backlog + in-flight dispatch
-  double mean_k = 1.0;                 ///< mean published k across sessions
+/// Every event count a frontend keeps, and the only place it keeps them:
+/// EdgeServerFrontend::counters() returns this struct, LoadSnapshot carries
+/// a copy of it, and publish() is the registry export.
+struct FrontendCounters {
   std::uint64_t submitted = 0;
   std::uint64_t admitted = 0;
   std::uint64_t shed = 0;
+  /// Submissions refused (kDown) while the server was crashed.
   std::uint64_t refused = 0;
   std::uint64_t served = 0;
+  /// Queued or in-flight jobs failed: crash casualties, fenced jobs and
+  /// will-miss sheds.
   std::uint64_t failed_jobs = 0;
   std::uint64_t dispatches = 0;
+  /// Dispatches that coalesced more than one job.
   std::uint64_t batched_dispatches = 0;
+  /// Jobs served through coalesced dispatches.
   std::uint64_t batched_jobs = 0;
+  /// Fail-stop crashes taken so far.
   std::uint64_t crashes = 0;
   std::uint64_t migrated_in = 0;   ///< jobs imported via session migration
   std::uint64_t migrated_out = 0;  ///< jobs exported via session migration
@@ -100,9 +104,28 @@ struct LoadSnapshot {
   /// Submissions shed because deadline admission predicted a miss (subset
   /// of shed).
   std::uint64_t deadline_shed_admission = 0;
+  /// Stale session imports rejected by the epoch fence.
+  std::uint64_t rejected_imports = 0;
+
+  /// Adds every count to `registry` as the counter "<prefix>.<field>".
+  /// Several frontends publishing under one prefix sum there.
+  void publish(obs::MetricsRegistry& registry,
+               const std::string& prefix) const;
+};
+
+/// One coherent read of a frontend's load and conservation counters — the
+/// payload of a cluster heartbeat and the single accessor the invariant
+/// layer and the benches read instead of ad-hoc field-by-field getters.
+struct LoadSnapshot : FrontendCounters {
+  bool alive = true;
+  std::size_t queue_depth = 0;
+  std::size_t inflight_jobs = 0;
+  /// Queued k-adjusted predictions plus the in-flight dispatch.
+  double predicted_delay_sec = 0.0;
   /// The frontend-level LoadSignal at the snapshot's horizon: placement and
   /// rebalancing read signal.backlog_sec / signal.k_forecast instead of the
-  /// raw predicted_delay_sec / mean_k fields above.
+  /// raw predicted_delay_sec field above; signal.k_now is the mean
+  /// published k across sessions.
   core::LoadSignal signal;
   double predict_mae = 0.0;         ///< mean |forecast error| of session k
   double predict_bias = 0.0;        ///< mean signed forecast error
@@ -188,35 +211,7 @@ class EdgeServerFrontend : public core::SuffixService {
 
   std::size_t sessions() const { return sessions_.size(); }
   std::size_t queue_depth() const { return queue_.size(); }
-  std::uint64_t submitted() const { return submitted_; }
-  std::uint64_t admitted() const { return admitted_; }
-  std::uint64_t shed() const { return shed_; }
-  std::uint64_t served() const { return served_; }
-  std::uint64_t dispatches() const { return dispatches_; }
-  /// Dispatches that coalesced more than one job.
-  std::uint64_t batched_dispatches() const { return batched_dispatches_; }
-  /// Jobs served through coalesced dispatches.
-  std::uint64_t batched_jobs() const { return batched_jobs_; }
-  /// Fail-stop crashes taken so far.
-  std::uint64_t crashes() const { return crashes_; }
-  /// Queued or in-flight jobs failed with server-down by crashes.
-  std::uint64_t failed_jobs() const { return failed_jobs_; }
-  /// Submissions refused (kDown) while the server was crashed.
-  std::uint64_t refused() const { return refused_; }
-  /// Jobs that arrived through import_session (migrated in).
-  std::uint64_t migrated_in() const { return migrated_in_; }
-  /// Jobs handed over through export_session (migrated out).
-  std::uint64_t migrated_out() const { return migrated_out_; }
-  /// Zombie jobs killed by the epoch fence (subset of failed_jobs).
-  std::uint64_t fenced_jobs() const { return fenced_jobs_; }
-  /// Queued jobs failed by the will-miss shedder (subset of failed_jobs).
-  std::uint64_t deadline_shed() const { return deadline_shed_; }
-  /// Submissions shed by deadline admission (subset of shed()).
-  std::uint64_t deadline_shed_admission() const {
-    return deadline_shed_admission_;
-  }
-  /// Stale session imports rejected by the epoch fence.
-  std::uint64_t rejected_imports() const { return rejected_imports_; }
+  const FrontendCounters& counters() const { return counters_; }
 
   /// One coherent snapshot of load and conservation counters: the cluster
   /// heartbeat payload and the invariant layer's single read. `horizon`
@@ -282,8 +277,9 @@ class EdgeServerFrontend : public core::SuffixService {
   /// counter series, per-job "queue-wait" async intervals keyed by the job
   /// sequence number (closed at dispatch — or at crash() for casualties),
   /// "batch" spans tagged with occupancy, and crash/restart instants; plus
-  /// serve.* registry counters mirroring the accessor set above and batch
-  /// occupancy / queue-wait histograms. Purely observational. `track` names
+  /// batch occupancy / queue-wait histograms. The counters are not mirrored
+  /// live: the owner publishes counters() once the run is over. Purely
+  /// observational. `track` names
   /// the trace track (a cluster gives each server its own, e.g. "server0";
   /// the default keeps single-server traces byte-identical to before).
   void set_telemetry(obs::Telemetry* telemetry,
@@ -299,9 +295,7 @@ class EdgeServerFrontend : public core::SuffixService {
     /// tracker mutation (so the last-value default forecasts exactly the
     /// reactive k), reset wherever the tracker is reconstructed.
     std::unique_ptr<predict::LoadPredictor> predictor;
-    std::uint64_t submitted = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t shed = 0;
+    SessionStats stats = {};
     /// Fencing epoch: raised by fence_session / accepted imports; jobs
     /// carry the fence at admission and die (kFenced) when it moves on.
     std::uint64_t fence = 0;
@@ -338,13 +332,7 @@ class EdgeServerFrontend : public core::SuffixService {
   Rng rng_;
   std::uint64_t next_seq_ = 0;
   double in_flight_sec_ = 0.0;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t admitted_ = 0;
-  std::uint64_t shed_ = 0;
-  std::uint64_t served_ = 0;
-  std::uint64_t dispatches_ = 0;
-  std::uint64_t batched_dispatches_ = 0;
-  std::uint64_t batched_jobs_ = 0;
+  FrontendCounters counters_;
   DurationNs watcher_busy_mark_ = 0;
   TimeNs watcher_time_mark_ = 0;
   // Fault state. `epoch_` bumps on every crash; execute_batch re-checks it
@@ -354,15 +342,6 @@ class EdgeServerFrontend : public core::SuffixService {
   bool down_ = false;
   std::uint64_t epoch_ = 0;
   std::vector<QueuedJob>* inflight_ = nullptr;
-  std::uint64_t crashes_ = 0;
-  std::uint64_t failed_jobs_ = 0;
-  std::uint64_t refused_ = 0;
-  std::uint64_t migrated_in_ = 0;
-  std::uint64_t migrated_out_ = 0;
-  std::uint64_t fenced_jobs_ = 0;
-  std::uint64_t rejected_imports_ = 0;
-  std::uint64_t deadline_shed_ = 0;
-  std::uint64_t deadline_shed_admission_ = 0;
 
   // Queue-delay forecaster (frontend-wide, not per session): observed only
   // where the delay actually mutates (admission, dispatch, batch drain) so
@@ -383,14 +362,6 @@ class EdgeServerFrontend : public core::SuffixService {
   void observe_queue_depth();
   obs::Telemetry* telemetry_ = nullptr;
   obs::TrackId track_ = 0;
-  obs::Counter* admitted_counter_ = nullptr;
-  obs::Counter* shed_counter_ = nullptr;
-  obs::Counter* refused_counter_ = nullptr;
-  obs::Counter* served_counter_ = nullptr;
-  obs::Counter* failed_counter_ = nullptr;
-  obs::Counter* crash_counter_ = nullptr;
-  obs::Counter* migrated_in_counter_ = nullptr;
-  obs::Counter* migrated_out_counter_ = nullptr;
   obs::Histogram* batch_occupancy_ = nullptr;
   obs::Histogram* queue_wait_ms_ = nullptr;
   obs::Gauge* predict_mae_gauge_ = nullptr;

@@ -222,9 +222,9 @@ TEST(EpochFencing, FenceDropsQueuedJobsAndZombieCompletionsTyped) {
     EXPECT_TRUE(r->done.triggered());
     EXPECT_EQ(r->suffix_status, core::SuffixStatus::kFenced);
   }
-  EXPECT_EQ(h.a.served(), 0u);
-  EXPECT_EQ(h.a.fenced_jobs(), 5u);
-  EXPECT_EQ(h.a.failed_jobs(), 5u);
+  EXPECT_EQ(h.a.counters().served, 0u);
+  EXPECT_EQ(h.a.counters().fenced_jobs, 5u);
+  EXPECT_EQ(h.a.counters().failed_jobs, 5u);
   check::audit(h.a);
 
   // Fences only rise; a stale fence call is a no-op.
@@ -242,15 +242,15 @@ TEST(EpochFencing, StaleImportIsRejectedWithoutTouchingCounters) {
   ex.epoch = 1;
   h.b.fence_session(s, 2);
   EXPECT_FALSE(h.b.import_session(s, std::move(ex)));
-  EXPECT_EQ(h.b.rejected_imports(), 1u);
-  EXPECT_EQ(h.b.migrated_in(), 0u);
+  EXPECT_EQ(h.b.counters().rejected_imports, 1u);
+  EXPECT_EQ(h.b.counters().migrated_in, 0u);
   EXPECT_EQ(h.b.queue().size(), 0u);
 
   // At the fence itself the same payload is current, not a zombie.
   copy.epoch = 2;
   const std::size_t jobs = copy.jobs.size();
   EXPECT_TRUE(h.b.import_session(s, std::move(copy)));
-  EXPECT_EQ(h.b.migrated_in(), jobs);
+  EXPECT_EQ(h.b.counters().migrated_in, jobs);
   h.sim.run_until(seconds(30));
   for (const auto& r : reqs) EXPECT_TRUE(r->done.triggered());
 }
@@ -285,7 +285,7 @@ TEST(MigrationLedger, TimeoutRetriesThenCommits) {
   ASSERT_EQ(h.router.ledger().size(), 1u);
   EXPECT_EQ(h.router.ledger()[0].state, MigrationRecord::State::kCommitted);
   EXPECT_EQ(h.router.ledger()[0].attempts, 3);
-  EXPECT_GT(h.b.served(), 0u);
+  EXPECT_GT(h.b.counters().served, 0u);
   check::audit(h.router);
 }
 
@@ -315,7 +315,7 @@ TEST(MigrationLedger, SpentRetryBudgetAbortsBackToTheSource) {
   EXPECT_EQ(h.router.in_transit_jobs(), 0u);
   ASSERT_EQ(h.router.ledger().size(), 1u);
   EXPECT_EQ(h.router.ledger()[0].state, MigrationRecord::State::kAborted);
-  EXPECT_EQ(h.b.served(), 0u);
+  EXPECT_EQ(h.b.counters().served, 0u);
   check::audit(h.router);
 }
 
@@ -337,8 +337,8 @@ TEST(MigrationLedger, LateZombieCopyBouncesOffTheFence) {
   EXPECT_EQ(h.router.migrations_aborted(), 1u);
   EXPECT_EQ(h.router.late_imports_rejected(), 1u);
   EXPECT_EQ(h.router.zombie_imports(), 0u);
-  EXPECT_EQ(h.b.rejected_imports(), 1u);
-  EXPECT_EQ(h.b.served(), 0u);
+  EXPECT_EQ(h.b.counters().rejected_imports, 1u);
+  EXPECT_EQ(h.b.counters().served, 0u);
   EXPECT_EQ(h.b.queue().size(), 0u);
   for (const auto& r : reqs) {
     EXPECT_TRUE(r->done.triggered());
@@ -371,8 +371,8 @@ TEST(MigrationLedger, NaiveDropStrandsAndAbsorbsTheZombie) {
   EXPECT_EQ(h.router.ledger()[0].state, MigrationRecord::State::kDropped);
   // The zombie re-materialized the jobs at the target, which served them —
   // late, after the client had written them off.
-  EXPECT_EQ(h.b.migrated_in(), 4u);
-  EXPECT_GT(h.b.served(), 0u);
+  EXPECT_EQ(h.b.counters().migrated_in, 4u);
+  EXPECT_GT(h.b.counters().served, 0u);
   check::audit(h.router);
 }
 

@@ -161,7 +161,7 @@ TEST(SessionMigration, RoundTripStateIsBitIdentical) {
               core::SubmitStatus::kAccepted);
   }
   h.sim.run_until(seconds(30));
-  ASSERT_EQ(h.a.served(), 6u);
+  ASSERT_EQ(h.a.counters().served, 6u);
   ASSERT_GT(h.a.session_tracker(s).window_size(), 0u);
   ASSERT_GT(h.a.session_cache(s).size(), 0u);
 
@@ -173,7 +173,7 @@ TEST(SessionMigration, RoundTripStateIsBitIdentical) {
   // The source session reset to fresh.
   EXPECT_EQ(h.a.session_tracker(s).window_size(), 0u);
   EXPECT_EQ(h.a.session_cache(s).size(), 0u);
-  EXPECT_DOUBLE_EQ(h.a.session_k(s), 1.0);
+  EXPECT_DOUBLE_EQ(h.a.session_tracker(s).k(), 1.0);
 
   h.b.import_session(s, std::move(ex));
 
@@ -251,10 +251,10 @@ TEST(SessionMigration, MovesQueuedJobsWithoutLosingAny) {
   EXPECT_EQ(h.router.migrations(), 1u);
   EXPECT_GT(h.router.migrated_jobs(), 0u);
   EXPECT_EQ(h.router.in_transit_jobs(), 0u);
-  EXPECT_EQ(h.a.migrated_out(), h.router.migrated_jobs());
-  EXPECT_EQ(h.b.migrated_in(), h.router.migrated_jobs());
-  EXPECT_GT(h.b.served(), 0u);
-  EXPECT_EQ(h.a.served() + h.b.served(), 6u);
+  EXPECT_EQ(h.a.counters().migrated_out, h.router.migrated_jobs());
+  EXPECT_EQ(h.b.counters().migrated_in, h.router.migrated_jobs());
+  EXPECT_GT(h.b.counters().served, 0u);
+  EXPECT_EQ(h.a.counters().served + h.b.counters().served, 6u);
   check::audit(h.router);
 }
 
@@ -317,7 +317,7 @@ TEST(SessionMigration, CrashTargetMidTransferRehomesAndSettles) {
   EXPECT_FALSE(h.router.binding(s).migrating);
   EXPECT_EQ(h.router.in_transit_jobs(), 0u);
   EXPECT_EQ(h.router.migrations_aborted(), 1u);
-  EXPECT_EQ(h.b.served(), 0u);
+  EXPECT_EQ(h.b.counters().served, 0u);
   check::audit(h.router);
 }
 
@@ -451,6 +451,38 @@ TEST(RunCluster, RebalancerMigratesUnderSkewAndConserves) {
     settled += s.served + s.failed_jobs + s.queue_depth + s.inflight_jobs;
   }
   EXPECT_EQ(admitted, settled);
+}
+
+TEST(RunCluster, PublishesServeCountersSummedOverServers) {
+  obs::Telemetry telemetry(/*tracing=*/false);
+  ClusterConfig config = base_config(5);
+  config.telemetry = &telemetry;
+  const auto result = run_cluster(config, bundle());
+  std::uint64_t submitted = 0, served = 0;
+  for (const auto& s : result.servers) {
+    submitted += s.submitted;
+    served += s.served;
+  }
+  const auto& reg = telemetry.metrics();
+  ASSERT_NE(reg.find_counter("serve.submitted"), nullptr);
+  EXPECT_GT(served, 0u);
+  EXPECT_EQ(reg.find_counter("serve.submitted")->value(),
+            std::int64_t(submitted));
+  EXPECT_EQ(reg.find_counter("serve.served")->value(), std::int64_t(served));
+  EXPECT_NE(reg.find_counter("cluster.t0.alexnet.requests"), nullptr);
+}
+
+TEST(RunCluster, HonoursMarkovBurstsLikeRunFleet) {
+  // One testbed under both entry points: a bursty tenant issues more
+  // requests than the same tenant with bursts off, in a cluster too.
+  ClusterConfig calm = base_config(9);
+  calm.tenants[0].request_gap = milliseconds(200);
+  ClusterConfig bursty = calm;
+  bursty.tenants[0].burst_gap = milliseconds(5);
+  bursty.tenants[0].burst_enter_prob = 0.5;
+  const auto a = run_cluster(calm, bundle());
+  const auto b = run_cluster(bursty, bundle());
+  EXPECT_GT(b.summarize().requests(), a.summarize().requests());
 }
 
 TEST(RunCluster, CrashRerouteKeepsSessionsServedElsewhere) {

@@ -480,5 +480,29 @@ TEST(Telemetry, FleetRunPopulatesTheSharedTaxonomy) {
   EXPECT_TRUE(JsonChecker(reg.to_json()).valid());
 }
 
+TEST(Telemetry, ServeCountersInTheRegistryEqualTheSnapshot) {
+  // The registry export is derived from the frontend's one counters
+  // struct, so the two reads can never disagree.
+  Telemetry telemetry(/*tracing=*/false);
+  serve::FleetConfig config = tiny_fleet(5);
+  config.telemetry = &telemetry;
+  const auto result = serve::run_fleet(config, bundle());
+  const auto& reg = telemetry.metrics();
+  auto count = [&](const char* name) {
+    const Counter* c = reg.find_counter(std::string("serve.") + name);
+    EXPECT_NE(c, nullptr) << name;
+    return c == nullptr ? -1 : c->value();
+  };
+  const serve::LoadSnapshot& s = result.frontend;
+  EXPECT_GT(s.admitted, 0u);
+  EXPECT_EQ(count("submitted"), std::int64_t(s.submitted));
+  EXPECT_EQ(count("admitted"), std::int64_t(s.admitted));
+  EXPECT_EQ(count("shed"), std::int64_t(s.shed));
+  EXPECT_EQ(count("served"), std::int64_t(s.served));
+  EXPECT_EQ(count("dispatches"), std::int64_t(s.dispatches));
+  EXPECT_EQ(count("batched_jobs"), std::int64_t(s.batched_jobs));
+  EXPECT_EQ(count("failed_jobs"), std::int64_t(s.failed_jobs));
+}
+
 }  // namespace
 }  // namespace lp::obs

@@ -21,9 +21,8 @@ PredictorParams params_of(const std::string& kind) {
   return params;
 }
 
-TEST(PredictorRegistry, ListsTheFiveBuiltinsSorted) {
-  const std::vector<std::string> expected = {"decay-diff", "ewma",
-                                             "holt", "last-value", "llsp"};
+TEST(PredictorRegistry, ListsTheThreeBuiltinsSorted) {
+  const std::vector<std::string> expected = {"ewma", "holt", "last-value"};
   EXPECT_EQ(registered_predictors(), expected);
 }
 
@@ -61,21 +60,6 @@ TEST(Ewma, SmoothsBetweenLevelAndObservation) {
   EXPECT_DOUBLE_EQ(p->forecast(seconds(10)), 1.6);
 }
 
-TEST(DecayDiff, ExtrapolatesTheSmoothedDifference) {
-  const auto p = make_predictor(params_of("decay-diff"));
-  TimeNs now = 0;
-  double v = 1.0;
-  for (int i = 0; i < 20; ++i) {
-    now += seconds(1);
-    v += 0.5;
-    p->observe(now, v);
-  }
-  // A steady ramp: the forecast moves in the ramp's direction, one
-  // smoothed step (~0.5) per observation gap (1s).
-  EXPECT_GT(p->forecast(seconds(1)), p->last_value());
-  EXPECT_NEAR(p->forecast(seconds(1)), p->last_value() + 0.5, 0.05);
-}
-
 TEST(Holt, TracksALinearTrend) {
   const auto p = make_predictor(params_of("holt"));
   TimeNs now = 0;
@@ -104,31 +88,12 @@ TEST(Holt, TrendExtrapolationIsCapped) {
   EXPECT_NEAR(p->forecast(seconds(100)), v + 4.0, 0.2);
 }
 
-TEST(Llsp, IsExactOnALinearSeries) {
-  const auto p = make_predictor(params_of("llsp"));
-  TimeNs now = 0;
-  for (int i = 0; i < 12; ++i) {
-    now += milliseconds(100);
-    p->observe(now, 1.0 + 0.25 * static_cast<double>(i));
-  }
-  // Least squares through exactly-linear points reproduces the line:
-  // slope 0.25 per 100ms = 2.5/s, read 1s past the newest sample.
-  const double expected = 1.0 + 0.25 * 11.0 + 2.5;
-  EXPECT_NEAR(p->forecast(seconds(1)), expected, 1e-9);
-}
-
-TEST(Llsp, FallsBackToLastValueWithoutTimeSpread) {
-  const auto p = make_predictor(params_of("llsp"));
-  p->observe(seconds(1), 5.0);
-  EXPECT_EQ(p->forecast(seconds(9)), 5.0);  // one point: no line to fit
-}
-
 TEST(Forecast, ClampsRunawayExtrapolation) {
-  PredictorParams params = params_of("llsp");
+  PredictorParams params = params_of("holt");
   params.max_abs_forecast = 10.0;
   const auto p = make_predictor(params);
   p->observe(milliseconds(1), 1.0);
-  p->observe(milliseconds(2), 100.0);  // slope 99,000/s
+  p->observe(milliseconds(2), 100.0);  // level 40.6, trend +7.9 per step
   EXPECT_EQ(p->forecast(seconds(60)), 10.0);
 }
 

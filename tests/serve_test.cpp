@@ -274,10 +274,10 @@ TEST(EdgeServerFrontend, BatchesOnlyIdenticalCuts) {
   EXPECT_EQ(r1.status, core::SubmitStatus::kAccepted);
   EXPECT_TRUE(r1.done.triggered());
   EXPECT_TRUE(r4.done.triggered());
-  EXPECT_EQ(h.frontend.served(), 4u);
-  EXPECT_EQ(h.frontend.dispatches(), 2u);
-  EXPECT_EQ(h.frontend.batched_dispatches(), 1u);
-  EXPECT_EQ(h.frontend.batched_jobs(), 3u);
+  EXPECT_EQ(h.frontend.counters().served, 4u);
+  EXPECT_EQ(h.frontend.counters().dispatches, 2u);
+  EXPECT_EQ(h.frontend.counters().batched_dispatches, 1u);
+  EXPECT_EQ(h.frontend.counters().batched_jobs, 3u);
   EXPECT_EQ(h.scheduler.coalesced_jobs(), 3u);
   // Batch-mates finish together and report the same contended time.
   EXPECT_DOUBLE_EQ(r1.exec, r2.exec);
@@ -298,7 +298,7 @@ TEST(EdgeServerFrontend, ShedsWhenQueueFullOrOverBudget) {
   // Queue holds 2: the third arrival before any dispatch is shed.
   EXPECT_EQ(h.frontend.submit(r3.request(s, 5)),
             core::SubmitStatus::kRejected);
-  EXPECT_EQ(h.frontend.shed(), 1u);
+  EXPECT_EQ(h.frontend.counters().shed, 1u);
 
   // Admission control with a zero budget sheds even with queue space.
   FrontendParams strict;
@@ -333,9 +333,9 @@ TEST(EdgeServerFrontend, WillMissSheddingFailsExpiredJobsTyped) {
   EXPECT_EQ(r1.suffix_status, core::SuffixStatus::kServed);
   EXPECT_TRUE(r2.done.triggered());
   EXPECT_EQ(r2.suffix_status, core::SuffixStatus::kDeadlineShed);
-  EXPECT_EQ(h.frontend.served(), 1u);
-  EXPECT_EQ(h.frontend.deadline_shed(), 1u);
-  EXPECT_EQ(h.frontend.failed_jobs(), 1u);
+  EXPECT_EQ(h.frontend.counters().served, 1u);
+  EXPECT_EQ(h.frontend.counters().deadline_shed, 1u);
+  EXPECT_EQ(h.frontend.counters().failed_jobs, 1u);
   EXPECT_EQ(h.frontend.queue_depth(), 0u);
 }
 
@@ -351,8 +351,8 @@ TEST(EdgeServerFrontend, WillMissSheddingOffLetsExpiredJobsRun) {
             core::SubmitStatus::kAccepted);
   h.sim.run_until(seconds(30));
   EXPECT_EQ(r2.suffix_status, core::SuffixStatus::kServed);
-  EXPECT_EQ(h.frontend.served(), 2u);
-  EXPECT_EQ(h.frontend.deadline_shed(), 0u);
+  EXPECT_EQ(h.frontend.counters().served, 2u);
+  EXPECT_EQ(h.frontend.counters().deadline_shed, 0u);
 }
 
 TEST(EdgeServerFrontend, DeadlineAdmissionShedsHopelessSubmissions) {
@@ -370,8 +370,8 @@ TEST(EdgeServerFrontend, DeadlineAdmissionShedsHopelessSubmissions) {
   PendingRequest r2(h.sim);
   EXPECT_EQ(h.frontend.submit(r2.request(s, 5, 1)),
             core::SubmitStatus::kRejected);
-  EXPECT_EQ(h.frontend.shed(), 1u);
-  EXPECT_EQ(h.frontend.deadline_shed_admission(), 1u);
+  EXPECT_EQ(h.frontend.counters().shed, 1u);
+  EXPECT_EQ(h.frontend.counters().deadline_shed_admission, 1u);
   // Deadline-free requests are never tested against the deadline check.
   PendingRequest r3(h.sim);
   EXPECT_EQ(h.frontend.submit(r3.request(s, 5)),
@@ -394,8 +394,8 @@ TEST(EdgeServerFrontend, SessionsTrackKIndependently) {
   }
   h.sim.run_until(seconds(60));
 
-  EXPECT_GT(h.frontend.session_k(busy), 1.5);
-  EXPECT_DOUBLE_EQ(h.frontend.session_k(idle), 1.0);
+  EXPECT_GT(h.frontend.session_tracker(busy).k(), 1.5);
+  EXPECT_DOUBLE_EQ(h.frontend.session_tracker(idle).k(), 1.0);
   // And the per-session partition caches are isolated too.
   EXPECT_EQ(h.frontend.session_cache(busy).size(), 1u);
   EXPECT_EQ(h.frontend.session_cache(idle).size(), 0u);
@@ -435,11 +435,11 @@ TEST(EdgeServerFrontend, CrashFailsInFlightAndQueuedWithServerDown) {
   EXPECT_TRUE(r2.done.triggered());
   EXPECT_EQ(r1.suffix_status, core::SuffixStatus::kServerDown);
   EXPECT_EQ(r2.suffix_status, core::SuffixStatus::kServerDown);
-  EXPECT_EQ(h.frontend.failed_jobs(), 2u);
-  EXPECT_EQ(h.frontend.served(), 0u);  // the abandoned batch never counts
+  EXPECT_EQ(h.frontend.counters().failed_jobs, 2u);
+  EXPECT_EQ(h.frontend.counters().served, 0u);  // the abandoned batch never counts
   EXPECT_EQ(h.frontend.queue_depth(), 0u);
   EXPECT_FALSE(h.frontend.alive());
-  EXPECT_EQ(h.frontend.crashes(), 1u);
+  EXPECT_EQ(h.frontend.counters().crashes, 1u);
 }
 
 TEST(EdgeServerFrontend, CrashedServerRefusesSubmissionsUntilRestart) {
@@ -448,7 +448,7 @@ TEST(EdgeServerFrontend, CrashedServerRefusesSubmissionsUntilRestart) {
   h.frontend.crash();
   PendingRequest r(h.sim);
   EXPECT_EQ(h.frontend.submit(r.request(s, 5)), core::SubmitStatus::kDown);
-  EXPECT_EQ(h.frontend.refused(), 1u);
+  EXPECT_EQ(h.frontend.counters().refused, 1u);
   EXPECT_FALSE(r.done.triggered());  // nothing was enqueued
 
   h.frontend.restart();
@@ -459,7 +459,7 @@ TEST(EdgeServerFrontend, CrashedServerRefusesSubmissionsUntilRestart) {
   h.sim.run_until(seconds(30));
   EXPECT_TRUE(r2.done.triggered());
   EXPECT_EQ(r2.suffix_status, core::SuffixStatus::kServed);
-  EXPECT_EQ(h.frontend.served(), 1u);
+  EXPECT_EQ(h.frontend.counters().served, 1u);
 }
 
 TEST(EdgeServerFrontend, CrashWipesPartitionCacheAndKWindow) {
@@ -476,13 +476,13 @@ TEST(EdgeServerFrontend, CrashWipesPartitionCacheAndKWindow) {
               core::SubmitStatus::kAccepted);
   }
   h.sim.run_until(seconds(60));
-  ASSERT_GT(h.frontend.session_k(s), 1.5);
+  ASSERT_GT(h.frontend.session_tracker(s).k(), 1.5);
   ASSERT_EQ(h.frontend.session_cache(s).size(), 1u);
 
   // The crash wipes both: cold cache, idle k, empty queue.
   h.frontend.crash();
   EXPECT_EQ(h.frontend.session_cache(s).size(), 0u);
-  EXPECT_DOUBLE_EQ(h.frontend.session_k(s), 1.0);
+  EXPECT_DOUBLE_EQ(h.frontend.session_tracker(s).k(), 1.0);
   EXPECT_EQ(h.frontend.queue_depth(), 0u);
 
   // After restart the first request re-pays the partition overhead.
