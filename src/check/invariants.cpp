@@ -108,11 +108,9 @@ void audit(const serve::EdgeServerFrontend& frontend) {
                  "crashed frontend still holds work");
   }
 
-  // The frontend-level signal is a well-formed forecast of the same queue.
-  LP_CHECK(std::isfinite(s.signal.k_forecast) && s.signal.k_forecast >= 1.0);
-  LP_CHECK(std::isfinite(s.signal.backlog_sec) && s.signal.backlog_sec >= 0.0);
-  LP_CHECK(s.signal.confidence >= 0.0 && s.signal.confidence <= 1.0);
-  LP_CHECK(s.signal.age_ns >= 0);
+  // The forecast delay placement reads is a well-formed projection of the
+  // same queue.
+  LP_CHECK(std::isfinite(s.forecast_delay_sec) && s.forecast_delay_sec >= 0.0);
 
   audit(frontend.queue());
   for (std::uint64_t s = 0; s < frontend.sessions(); ++s) {
@@ -128,6 +126,7 @@ void audit(const serve::EdgeServerFrontend& frontend) {
     LP_CHECK(std::isfinite(sig.k_forecast) && sig.k_forecast >= 1.0);
     LP_CHECK(std::isfinite(sig.backlog_sec) && sig.backlog_sec >= 0.0);
     LP_CHECK(sig.confidence >= 0.0 && sig.confidence <= 1.0);
+    LP_CHECK(sig.age_ns >= 0);
     const predict::LoadPredictor& predictor = frontend.session_predictor(s);
     if (predictor.scored() > 0)
       LP_CHECK(std::isfinite(predictor.mae()) &&

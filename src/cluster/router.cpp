@@ -136,7 +136,7 @@ void ClusterRouter::collect_heartbeat() {
       const std::string prefix = "cluster.s" + std::to_string(i);
       metrics.gauge(prefix + ".predicted_delay_sec")
           .set(s.predicted_delay_sec);
-      metrics.gauge(prefix + ".forecast_delay_sec").set(s.signal.backlog_sec);
+      metrics.gauge(prefix + ".forecast_delay_sec").set(s.forecast_delay_sec);
       metrics.gauge(prefix + ".queue_depth")
           .set(static_cast<double>(s.queue_depth));
       if (auto* tr = telemetry_->trace())
@@ -200,8 +200,8 @@ std::size_t ClusterRouter::least_loaded_server(
     // Forecast delay, not the instantaneous one: placement pays off over
     // the coming heartbeat period. The last-value default makes this the
     // reactive reading, bit for bit.
-    const double di = loads[i].signal.backlog_sec;
-    const double db = loads[best].signal.backlog_sec;
+    const double di = loads[i].forecast_delay_sec;
+    const double db = loads[best].forecast_delay_sec;
     if (di != db) {
       if (di < db) best = i;
       continue;
@@ -296,17 +296,17 @@ void ClusterRouter::maybe_rebalance() {
     for (std::size_t i = 0; i < last_heartbeat_.size(); ++i) {
       if (!last_heartbeat_[i].alive || !detector_.usable(i)) continue;
       if (hot == last_heartbeat_.size() ||
-          last_heartbeat_[i].signal.backlog_sec >
-              last_heartbeat_[hot].signal.backlog_sec)
+          last_heartbeat_[i].forecast_delay_sec >
+              last_heartbeat_[hot].forecast_delay_sec)
         hot = i;
       if (cold == last_heartbeat_.size() ||
-          last_heartbeat_[i].signal.backlog_sec <
-              last_heartbeat_[cold].signal.backlog_sec)
+          last_heartbeat_[i].forecast_delay_sec <
+              last_heartbeat_[cold].forecast_delay_sec)
         cold = i;
     }
     if (hot == cold) return;
-    const double skew = last_heartbeat_[hot].signal.backlog_sec -
-                        last_heartbeat_[cold].signal.backlog_sec;
+    const double skew = last_heartbeat_[hot].forecast_delay_sec -
+                        last_heartbeat_[cold].forecast_delay_sec;
     if (skew <= params_.skew_threshold_sec) return;
 
     // Victim: the session contributing the most queued work on the hot

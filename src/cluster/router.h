@@ -8,7 +8,8 @@
 //   * placement — a new session lands on a server chosen by the configured
 //     policy: a consistent-hash ring over the cluster session id
 //     (deterministic, join-order independent, minimal movement), or
-//     least-loaded by predicted queue delay (heartbeat-driven);
+//     least-loaded by forecast queue delay (a live O(1) snapshot per server
+//     at session open, the stored heartbeat on crash reroute);
 //   * heartbeats — every heartbeat_period the router *sends itself* one
 //     serve::LoadSnapshot per server over a per-server ControlLink that can
 //     drop or delay it (fault::FaultPlan loss/blackout windows). The router

@@ -1,12 +1,13 @@
 // LoadSignal: the one typed view of a service's load.
 //
-// Every load consumer — the client's decide() path, the frontend's
-// admission control, the cluster router's least-loaded placement and
-// rebalancer — used to read its own ad-hoc scalar (session_k(), raw
-// LoadSnapshot fields). They all read this struct now, produced by the
-// predictor layer (src/predict/), so swapping the reactive value for a
-// forecast needs no per-consumer surgery: the producer fills k_forecast
-// and backlog_sec for the caller's horizon and the consumers are done.
+// Every per-session load consumer — the client's decide() path and the
+// frontend's admission control — used to read its own ad-hoc scalar
+// (session_k(), raw LoadSnapshot fields). They all read this struct now,
+// produced by the predictor layer (src/predict/), so swapping the reactive
+// value for a forecast needs no per-consumer surgery: the producer fills
+// k_forecast and backlog_sec for the caller's horizon and the consumers are
+// done. The cluster router reads only the server-wide backlog forecast,
+// which serve::LoadSnapshot carries as forecast_delay_sec.
 #pragma once
 
 #include "common/units.h"

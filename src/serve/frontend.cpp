@@ -86,50 +86,20 @@ core::LoadSignal EdgeServerFrontend::load_signal(std::uint64_t session,
     sig.age_ns = sim_->now() - s.predictor->last_observed();
     sig.confidence = s.predictor->confidence();
   }
-  apply_delay_drift(horizon, &sig);
+  sig.backlog_sec = forecast_queue_delay_sec(horizon);
   return sig;
 }
 
-core::LoadSignal EdgeServerFrontend::load_signal(DurationNs horizon) const {
-  core::LoadSignal sig;
-  if (!sessions_.empty()) {
-    double k_now = 0.0;
-    double k_forecast = 0.0;
-    double confidence = 0.0;
-    TimeNs newest = 0;
-    bool observed = false;
-    for (const Session& s : sessions_) {
-      k_now += s.k.k();
-      double forecast = s.k.k();
-      if (s.predictor->samples() > 0) {
-        forecast = std::max(1.0, s.predictor->forecast(horizon));
-        confidence += s.predictor->confidence();
-        newest = std::max(newest, s.predictor->last_observed());
-        observed = true;
-      }
-      k_forecast += forecast;
-    }
-    const double n = static_cast<double>(sessions_.size());
-    sig.k_now = k_now / n;
-    sig.k_forecast = k_forecast / n;
-    sig.confidence = confidence / n;
-    if (observed) sig.age_ns = sim_->now() - newest;
-  }
-  apply_delay_drift(horizon, &sig);
-  return sig;
-}
-
-void EdgeServerFrontend::apply_delay_drift(DurationNs horizon,
-                                           core::LoadSignal* sig) const {
-  sig->backlog_sec = predicted_queue_delay_sec();
-  if (delay_predictor_->samples() == 0) return;
+double EdgeServerFrontend::forecast_queue_delay_sec(DurationNs horizon) const {
+  const double live = predicted_queue_delay_sec();
+  if (delay_predictor_->samples() == 0) return live;
   // Anchored drift: the live delay plus the forecast's movement relative
   // to the last observation. The last-value default forecasts its last
-  // observation, so its drift is exactly zero and the published backlog
-  // stays the reactive reading.
+  // observation, so its drift is exactly zero and the forecast stays the
+  // reactive reading.
   const double drift = delay_predictor_->forecast(horizon) -
                        delay_predictor_->last_value();
-  sig->backlog_sec = std::max(0.0, sig->backlog_sec + drift);
+  return std::max(0.0, live + drift);
 }
 
 void EdgeServerFrontend::note_forecast_error(double err) {
@@ -180,7 +150,7 @@ LoadSnapshot EdgeServerFrontend::load_snapshot(DurationNs horizon) const {
   s.queue_depth = queue_.size();
   s.inflight_jobs = inflight_jobs();
   s.predicted_delay_sec = predicted_queue_delay_sec();
-  s.signal = load_signal(horizon);
+  s.forecast_delay_sec = forecast_queue_delay_sec(horizon);
   if (predict_scored_ > 0) {
     const double n = static_cast<double>(predict_scored_);
     s.predict_mae = predict_abs_err_ / n;
@@ -544,7 +514,7 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
   for (const QueuedJob& job : batch)
     if (sessions_[job.session].cache.find(p) == nullptr) miss = true;
   if (miss) {
-    auto plan = partition::partition_at(g, p);
+    const partition::PartitionPlan plan = partition::partition_at(g, p);
     const std::size_t nodes =
         plan.server_part ? plan.server_part->backbone().size() : 0;
     overhead = runtime_.server_partition_base_sec +
@@ -558,8 +528,7 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
                obs::TraceArgs().arg("p", p).arg("nodes", nodes));
     for (const QueuedJob& job : batch) {
       Session& session = sessions_[job.session];
-      if (session.cache.find(p) == nullptr)
-        session.cache.insert(partition::partition_at(g, p));
+      if (session.cache.find(p) == nullptr) session.cache.insert(plan);
     }
   }
   for (const QueuedJob& job : batch)

@@ -122,11 +122,11 @@ struct LoadSnapshot : FrontendCounters {
   std::size_t inflight_jobs = 0;
   /// Queued k-adjusted predictions plus the in-flight dispatch.
   double predicted_delay_sec = 0.0;
-  /// The frontend-level LoadSignal at the snapshot's horizon: placement and
-  /// rebalancing read signal.backlog_sec / signal.k_forecast instead of the
-  /// raw predicted_delay_sec field above; signal.k_now is the mean
-  /// published k across sessions.
-  core::LoadSignal signal;
+  /// predicted_delay_sec projected to the snapshot's horizon: the live
+  /// delay plus the delay predictor's drift, clamped >= 0 (equal to
+  /// predicted_delay_sec under the last-value default). Placement, the
+  /// rebalancer and crash reroute read this field.
+  double forecast_delay_sec = 0.0;
   double predict_mae = 0.0;         ///< mean |forecast error| of session k
   double predict_bias = 0.0;        ///< mean signed forecast error
   std::uint64_t predict_scored = 0; ///< forecast errors scored so far
@@ -195,11 +195,6 @@ class EdgeServerFrontend : public core::SuffixService {
   core::LoadSignal load_signal(std::uint64_t session,
                                DurationNs horizon) const override;
 
-  /// Frontend-level signal: mean k / k-forecast / confidence across
-  /// sessions plus the projected queue delay — the heartbeat and placement
-  /// read. With no sessions, the neutral signal (k = 1).
-  core::LoadSignal load_signal(DurationNs horizon) const;
-
   /// Spawns the GPU-utilization watcher: when utilization over a period
   /// falls below the threshold, every session's k resets to its idle
   /// baseline (Section IV, per session).
@@ -215,8 +210,8 @@ class EdgeServerFrontend : public core::SuffixService {
 
   /// One coherent snapshot of load and conservation counters: the cluster
   /// heartbeat payload and the invariant layer's single read. `horizon`
-  /// sets how far ahead the embedded LoadSignal forecasts (heartbeat
-  /// consumers pass their refresh period; 0 keeps it reactive).
+  /// sets how far ahead forecast_delay_sec projects (heartbeat consumers
+  /// pass their refresh period; 0 keeps it reactive). O(1) in sessions.
   LoadSnapshot load_snapshot(DurationNs horizon = 0) const;
 
   /// Per-session admission counters (router victim selection and tests).
@@ -314,11 +309,10 @@ class EdgeServerFrontend : public core::SuffixService {
   /// Folds a session-k forecast error into the frontend-wide predict.*
   /// aggregate (skips the unscored first sample).
   void note_forecast_error(double err);
-  /// Adds the queue-delay forecast drift at `horizon` to sig->backlog_sec:
-  /// live delay + (forecast - last observation), clamped >= 0. Anchoring on
-  /// the live value keeps the last-value default drift-free (bit-identical
-  /// to the reactive reading).
-  void apply_delay_drift(DurationNs horizon, core::LoadSignal* sig) const;
+  /// Queue delay forecast at `horizon`: live delay + (forecast - last
+  /// observation), clamped >= 0. Anchoring on the live value keeps the
+  /// last-value default drift-free (bit-identical to the reactive reading).
+  double forecast_queue_delay_sec(DurationNs horizon) const;
 
   sim::Simulator* sim_;
   hw::GpuScheduler* scheduler_;

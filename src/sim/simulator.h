@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -31,7 +32,9 @@ class Simulator {
   /// Registers a detached root process; it starts when the clock next runs.
   void spawn(Task task);
 
-  /// Schedules a plain callback after `delay` (>= 0).
+  /// Schedules a plain callback after `delay` (>= 0). The callback waits
+  /// in a side table, not in the event heap; its slot is freed before it
+  /// runs, so a callback that schedules another one reuses it.
   void call_after(DurationNs delay, std::function<void()> fn);
 
   /// Awaitable that resumes the caller after `delay` (>= 0) of virtual time.
@@ -64,16 +67,23 @@ class Simulator {
   /// True if no future work is scheduled.
   bool idle() const { return queue_.empty(); }
 
+  /// Size of the callback table: the peak number of callbacks pending at
+  /// once so far (freed slots are reused, never released).
+  std::size_t callback_slots() const { return callbacks_.size(); }
+
   // -- internal, used by awaitables in this module --
   void schedule_handle(TimeNs t, std::coroutine_handle<> h);
 
  private:
+  // Trivially copyable, so the heap moves 32-byte PODs and never a
+  // std::function.
   struct Entry {
     TimeNs time;
     std::uint64_t seq;  // FIFO tie-break for equal timestamps
     std::coroutine_handle<> handle;
-    std::function<void()> fn;  // used when handle is null
+    std::size_t slot;  // callbacks_ index; used when handle is null
   };
+  static_assert(std::is_trivially_copyable_v<Entry>);
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -81,12 +91,16 @@ class Simulator {
     }
   };
 
-  void step(Entry e);
+  void step(const Entry& e);
 
   TimeNs now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  // Pending call_after callbacks, indexed by Entry::slot; free_slots_ holds
+  // the indices whose callback has already run.
+  std::vector<std::function<void()>> callbacks_;
+  std::vector<std::size_t> free_slots_;
   std::vector<std::coroutine_handle<Task::promise_type>> roots_;
 };
 

@@ -321,6 +321,36 @@ TEST(SessionMigration, CrashTargetMidTransferRehomesAndSettles) {
   check::audit(h.router);
 }
 
+TEST(Placement, LeastLoadedPlacesOnTheSmallerForecastDelay) {
+  RouterParams params;
+  params.placement = Placement::kLeastLoaded;
+  ClusterHarness h(params);
+  // Cold start: round-robin, so each server homes one session.
+  const std::uint64_t first = h.router.open_session(h.profile);
+  EXPECT_EQ(h.router.binding(first).server, 0u);
+  EXPECT_EQ(h.router.binding(h.router.open_session(h.profile)).server, 1u);
+
+  // Queue work on server 0. The tie-break (fewer homes, then the lower
+  // index) would pick server 0, so only the forecast delay can move the
+  // next session to server 1.
+  std::vector<std::unique_ptr<PendingRequest>> reqs;
+  for (int i = 0; i < 3; ++i) {
+    reqs.push_back(std::make_unique<PendingRequest>(h.sim));
+    ASSERT_EQ(h.a.submit(reqs.back()->request(first, 5)),
+              core::SubmitStatus::kAccepted);
+  }
+  const DurationNs horizon = params.heartbeat_period;
+  ASSERT_GT(h.a.load_snapshot(horizon).forecast_delay_sec,
+            h.b.load_snapshot(horizon).forecast_delay_sec);
+  EXPECT_EQ(h.router.binding(h.router.open_session(h.profile)).server, 1u);
+
+  // Once server 0 drains, the tie-break is back in charge.
+  h.sim.run_until(seconds(30));
+  ASSERT_EQ(h.a.load_snapshot(horizon).forecast_delay_sec, 0.0);
+  EXPECT_EQ(h.router.binding(h.router.open_session(h.profile)).server, 0u);
+  check::audit(h.router);
+}
+
 sim::Task oscillating_load(ClusterHarness& h, std::uint64_t session,
                            std::vector<std::unique_ptr<PendingRequest>>& reqs,
                            DurationNs period) {

@@ -401,6 +401,38 @@ TEST(EdgeServerFrontend, SessionsTrackKIndependently) {
   EXPECT_EQ(h.frontend.session_cache(idle).size(), 0u);
 }
 
+TEST(EdgeServerFrontend, SnapshotForecastDelayProjectsThePredictedDelay) {
+  for (const char* kind : {"last-value", "ewma"}) {
+    SCOPED_TRACE(kind);
+    core::RuntimeParams runtime;
+    runtime.predictor.kind = kind;
+    FrontendHarness h(FrontendParams{}, runtime);
+    const auto s = h.frontend.open_session(h.profile);
+    std::vector<std::unique_ptr<PendingRequest>> requests;
+    for (int i = 0; i < 8; ++i) {
+      requests.push_back(std::make_unique<PendingRequest>(h.sim));
+      ASSERT_EQ(h.frontend.submit(requests.back()->request(s, 5)),
+                core::SubmitStatus::kAccepted);
+    }
+    // Sample while the queue drains, so the delay series moves.
+    std::size_t drifted = 0;
+    for (TimeNs t = 0; t <= seconds(3); t += milliseconds(20)) {
+      h.sim.run_until(t);
+      const LoadSnapshot snap = h.frontend.load_snapshot(milliseconds(500));
+      EXPECT_TRUE(std::isfinite(snap.forecast_delay_sec));
+      EXPECT_GE(snap.forecast_delay_sec, 0.0);
+      if (snap.forecast_delay_sec != snap.predicted_delay_sec) ++drifted;
+    }
+    // The last-value default forecasts no drift: every sample is bit for
+    // bit the live predicted delay. ewma projects the draining queue.
+    if (runtime.predictor.kind == "last-value") {
+      EXPECT_EQ(drifted, 0u);
+    } else {
+      EXPECT_GT(drifted, 0u);
+    }
+  }
+}
+
 TEST(EdgeServerFrontend, RejectsMalformedRequests) {
   FrontendHarness h(FrontendParams{});
   const auto s = h.frontend.open_session(h.profile);

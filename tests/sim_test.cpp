@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -278,6 +279,56 @@ TEST(Simulator, ExecutedEventsCount) {
   for (int i = 0; i < 10; ++i) sim.call_after(i, [] {});
   sim.run();
   EXPECT_EQ(sim.executed_events(), 10u);
+}
+
+Task tagger(Simulator& sim, std::vector<char>& order, char tag) {
+  co_await sim.delay(milliseconds(1));
+  order.push_back(tag);
+}
+
+TEST(Simulator, EqualTimestampsFifoAcrossResumesAndCallbacks) {
+  // Resumes wait in the heap and callbacks in a side table, but both draw
+  // from one sequence: at equal timestamps, scheduling order decides.
+  Simulator sim;
+  std::vector<char> order;
+  sim.spawn(tagger(sim, order, 'A'));
+  sim.call_after(milliseconds(1), [&] { order.push_back('B'); });
+  sim.call_after(0, [&] {
+    sim.call_after(milliseconds(1), [&] { order.push_back('D'); });
+  });
+  sim.spawn(tagger(sim, order, 'C'));
+  sim.run();
+  // All four fire at 1 ms in the order they were scheduled: B during
+  // set-up, then A's resume, D and C's resume while the clock ran at 0.
+  EXPECT_EQ(order, (std::vector<char>{'B', 'A', 'D', 'C'}));
+  EXPECT_EQ(sim.now(), milliseconds(1));
+}
+
+TEST(Simulator, CallbackSchedulingACallbackReusesItsSlot) {
+  Simulator sim;
+  std::vector<int> fired;
+  sim.call_after(seconds(1), [&] {
+    fired.push_back(1);
+    sim.call_after(seconds(1), [&] { fired.push_back(2); });
+  });
+  EXPECT_EQ(sim.callback_slots(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  // The first callback's slot was freed before it ran, so the second one
+  // took it instead of growing the table.
+  EXPECT_EQ(sim.callback_slots(), 1u);
+}
+
+TEST(Simulator, TeardownDestroysPendingCallbackCaptures) {
+  auto payload = std::make_shared<int>(7);
+  {
+    Simulator sim;
+    sim.call_after(seconds(1), [payload] {});
+    sim.call_after(seconds(2), [payload] {});
+    sim.run_until(seconds(1));
+    EXPECT_EQ(payload.use_count(), 2);  // the fired capture is gone
+  }
+  EXPECT_EQ(payload.use_count(), 1);
 }
 
 TEST(Simulator, TeardownWithSuspendedProcessesDoesNotCrash) {
