@@ -51,17 +51,13 @@ struct CellStats {
   double served_per_sec = 0.0;
   std::size_t failed = 0;
   std::size_t recovered_local = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t aborted = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t stranded = 0;
-  std::uint64_t zombies = 0;
-  std::uint64_t fenced = 0;
-  std::uint64_t false_reroutes = 0;
-  std::uint64_t degrade_transitions = 0;
-  double detect_ms = -1.0;  ///< time-to-detect the crash; -1 = n/a
+  cluster::RouterCounters router;
+  std::uint64_t fenced = 0;  ///< summed over the servers
+  double detect_ms = -1.0;   ///< time-to-detect the crash; -1 = n/a
 
-  std::uint64_t lost() const { return stranded + zombies; }
+  std::uint64_t lost() const {
+    return router.stranded_jobs + router.zombie_imports;
+  }
 };
 
 /// Shared testbed: 3 servers, a Zipf(1.2)-skewed AlexNet population hot
@@ -154,14 +150,9 @@ CellStats run_cell(const cluster::ClusterConfig& base, bool robust,
   const auto summary = result.summarize();
   stats.failed = summary.failed();
   stats.recovered_local = summary.recovered();
-  stats.migrations = result.migrations;
-  stats.aborted = result.aborted_migrations;
-  stats.retries = result.migration_retries;
-  stats.stranded = result.stranded_jobs;
-  stats.zombies = result.zombie_imports;
-  stats.fenced = result.fenced_jobs;
-  stats.false_reroutes = result.false_reroutes;
-  stats.degrade_transitions = result.degrade_transitions;
+  stats.router = result;
+  for (const serve::LoadSnapshot& s : result.servers)
+    stats.fenced += s.fenced_jobs;
   if (cell.crash)
     for (const auto& [server, at] : result.death_events)
       if (server == 0 && at >= crash_at) {
@@ -295,27 +286,28 @@ int main(int argc, char** argv) {
           naive_lost_total += stats.lost();
           if (crash && loss == 0.2) naive_lost_at_20 = stats.lost();
         }
+        const cluster::RouterCounters& r = stats.router;
         table.add_row(
             {Table::num(loss * 100.0, 0) + "%", robust ? "robust" : "naive",
-             std::to_string(stats.lost()), std::to_string(stats.stranded),
-             std::to_string(stats.zombies), std::to_string(stats.failed),
+             std::to_string(stats.lost()), std::to_string(r.stranded_jobs),
+             std::to_string(r.zombie_imports), std::to_string(stats.failed),
              std::to_string(stats.recovered_local),
-             std::to_string(stats.migrations), std::to_string(stats.aborted),
-             std::to_string(stats.fenced),
-             std::to_string(stats.false_reroutes),
+             std::to_string(r.migrations),
+             std::to_string(r.aborted_migrations),
+             std::to_string(stats.fenced), std::to_string(r.false_reroutes),
              stats.detect_ms < 0.0 ? "-" : Table::num(stats.detect_ms),
              Table::num(stats.p90_ms)});
         section.add_row({loss, crash, robust ? "robust" : "naive",
                          static_cast<std::size_t>(stats.lost()),
-                         static_cast<std::size_t>(stats.stranded),
-                         static_cast<std::size_t>(stats.zombies),
+                         static_cast<std::size_t>(r.stranded_jobs),
+                         static_cast<std::size_t>(r.zombie_imports),
                          stats.failed, stats.recovered_local,
-                         static_cast<std::size_t>(stats.migrations),
-                         static_cast<std::size_t>(stats.aborted),
-                         static_cast<std::size_t>(stats.retries),
+                         static_cast<std::size_t>(r.migrations),
+                         static_cast<std::size_t>(r.aborted_migrations),
+                         static_cast<std::size_t>(r.migration_retries),
                          static_cast<std::size_t>(stats.fenced),
-                         static_cast<std::size_t>(stats.false_reroutes),
-                         static_cast<std::size_t>(stats.degrade_transitions),
+                         static_cast<std::size_t>(r.false_reroutes),
+                         static_cast<std::size_t>(r.degrade_transitions),
                          stats.detect_ms, stats.p90_ms,
                          stats.served_per_sec});
       }

@@ -40,8 +40,7 @@ struct RunStats {
   double p99_ms = 0.0;
   double served_per_sec = 0.0;
   double shed_rate = 0.0;
-  std::uint64_t migrations = 0;
-  std::uint64_t migrated_jobs = 0;
+  cluster::RouterCounters router;
   std::size_t failed = 0;
 };
 
@@ -99,8 +98,7 @@ RunStats run_policy(const cluster::ClusterConfig& base,
   const auto summary = result.summarize();
   stats.shed_rate = summary.shed_rate;
   stats.failed = summary.failed();
-  stats.migrations = result.migrations;
-  stats.migrated_jobs = result.migrated_jobs;
+  stats.router = result;
   return stats;
 }
 
@@ -214,17 +212,17 @@ int main(int argc, char** argv) {
         hash_stats = stats;
       if (policy.rebalance) {
         mig_stats = stats;
-        total_migrations += stats.migrations;
+        total_migrations += stats.router.migrations;
         migrating_failed += stats.failed;
       }
       table.add_row({policy.name, Table::num(stats.p50_ms),
                      Table::num(stats.p90_ms), Table::num(stats.p99_ms),
                      Table::num(stats.served_per_sec, 1),
                      Table::num(stats.shed_rate * 100.0, 1) + "%",
-                     std::to_string(stats.migrations)});
+                     std::to_string(stats.router.migrations)});
       section.add_row({servers, policy.name, stats.p50_ms, stats.p90_ms,
                        stats.p99_ms, stats.served_per_sec, stats.shed_rate,
-                       static_cast<std::size_t>(stats.migrations)});
+                       static_cast<std::size_t>(stats.router.migrations)});
     }
     table.print();
     if (mig_stats.p90_ms < hash_stats.p90_ms) ++p90_wins;

@@ -156,9 +156,9 @@ void audit(const cluster::ClusterRouter& router) {
   // With fencing armed, stranded and zombie imports are both zero and
   // this is plain conservation — it must hold even when lossy heartbeats
   // make the detector falsely suspect a healthy server.
-  const std::uint64_t slack =
-      router.stranded_jobs() - router.zombie_imports();
-  LP_CHECK_MSG(router.zombie_imports() <= router.stranded_jobs(),
+  const cluster::RouterCounters counts = router.counters();
+  const std::uint64_t slack = counts.stranded_jobs - counts.zombie_imports;
+  LP_CHECK_MSG(counts.zombie_imports <= counts.stranded_jobs,
                "zombie imports cannot exceed the jobs ever stranded");
   LP_CHECK_MSG(admitted == settled + router.in_transit_jobs() + slack,
                "cluster conservation: sum(admitted) != "

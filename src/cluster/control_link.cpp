@@ -5,7 +5,6 @@
 namespace lp::cluster {
 
 bool ControlLink::send(const serve::LoadSnapshot& snapshot, Deliver deliver) {
-  ++sent_;
   if (faults_ != nullptr) {
     const TimeNs now = sim_->now();
     if (faults_->link_down(now)) {

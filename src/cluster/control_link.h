@@ -43,7 +43,7 @@ class ControlLink {
   /// or after the control-plane delay.
   bool send(const serve::LoadSnapshot& snapshot, Deliver deliver);
 
-  std::uint64_t sent() const { return sent_; }
+  std::uint64_t sent() const { return dropped_ + delivered_; }
   std::uint64_t dropped() const { return dropped_; }
   std::uint64_t delivered() const { return delivered_; }
 
@@ -52,7 +52,6 @@ class ControlLink {
   DurationNs delay_;
   const fault::FaultPlan* faults_ = nullptr;
   Rng rng_;
-  std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t delivered_ = 0;
 };

@@ -4,18 +4,6 @@
 
 namespace lp::cluster {
 
-std::string health_name(Health health) {
-  switch (health) {
-    case Health::kAlive:
-      return "alive";
-    case Health::kSuspect:
-      return "suspect";
-    case Health::kDead:
-      return "dead";
-  }
-  return "unknown";
-}
-
 std::string detector_mode_name(DetectorParams::Mode mode) {
   switch (mode) {
     case DetectorParams::Mode::kOracle:
@@ -28,6 +16,11 @@ std::string detector_mode_name(DetectorParams::Mode mode) {
   return "unknown";
 }
 
+namespace {
+/// kPhi: sliding window of observed heartbeat inter-arrivals.
+constexpr std::size_t kInterarrivalWindow = 8;
+}  // namespace
+
 FailureDetector::FailureDetector(std::size_t servers, DetectorParams params,
                                  DurationNs heartbeat_period)
     : params_(params), period_(heartbeat_period), views_(servers) {
@@ -37,7 +30,6 @@ FailureDetector::FailureDetector(std::size_t servers, DetectorParams params,
   LP_CHECK(params_.dead_misses >= params_.suspect_misses);
   LP_CHECK(params_.suspect_phi > 0.0);
   LP_CHECK(params_.dead_phi >= params_.suspect_phi);
-  LP_CHECK(params_.interarrival_window >= 1);
   for (ServerView& view : views_) {
     // Seed the phi window with the nominal period so the very first gap is
     // judged against a sane baseline rather than dividing by zero.
@@ -63,12 +55,11 @@ void FailureDetector::heartbeat(std::size_t server, TimeNs now,
   view.reported_dead = false;
   if (params_.mode == DetectorParams::Mode::kPhi && now > view.last_seen) {
     const double interval = to_seconds(now - view.last_seen);
-    if (view.intervals_sec.size() < params_.interarrival_window) {
+    if (view.intervals_sec.size() < kInterarrivalWindow) {
       view.intervals_sec.push_back(interval);
     } else {
       view.intervals_sec[view.next_interval] = interval;
-      view.next_interval =
-          (view.next_interval + 1) % params_.interarrival_window;
+      view.next_interval = (view.next_interval + 1) % kInterarrivalWindow;
     }
   }
   view.last_seen = now;
@@ -105,11 +96,6 @@ Health FailureDetector::health(std::size_t server) const {
   return views_[server].health;
 }
 
-TimeNs FailureDetector::last_seen(std::size_t server) const {
-  LP_CHECK(server < views_.size());
-  return views_[server].last_seen;
-}
-
 double FailureDetector::phi(std::size_t server, TimeNs now) const {
   LP_CHECK(server < views_.size());
   const ServerView& view = views_[server];
@@ -123,11 +109,7 @@ double FailureDetector::phi(std::size_t server, TimeNs now) const {
 
 void FailureDetector::transition(std::size_t server, Health to, TimeNs now) {
   views_[server].health = to;
-  if (to == Health::kSuspect) ++suspicions_;
-  if (to == Health::kDead) {
-    ++deaths_;
-    death_events_.emplace_back(server, now);
-  }
+  if (to == Health::kDead) death_events_.emplace_back(server, now);
 }
 
 double FailureDetector::mean_interval_sec(const ServerView& view) const {

@@ -37,8 +37,6 @@ namespace lp::cluster {
 
 enum class Health : std::uint8_t { kAlive, kSuspect, kDead };
 
-std::string health_name(Health health);
-
 struct DetectorParams {
   enum class Mode : std::uint8_t { kOracle, kDeadline, kPhi };
   Mode mode = Mode::kOracle;
@@ -49,12 +47,10 @@ struct DetectorParams {
   int dead_misses = 4;
 
   /// kPhi: suspicion thresholds. phi = 1 is a gap of ~2.3x the mean
-  /// inter-arrival, phi = 2 is ~4.6x.
+  /// inter-arrival (over the last 8 observed inter-arrivals), phi = 2 is
+  /// ~4.6x.
   double suspect_phi = 1.0;
   double dead_phi = 2.0;
-
-  /// kPhi: sliding window of observed heartbeat inter-arrivals.
-  std::size_t interarrival_window = 8;
 };
 
 std::string detector_mode_name(DetectorParams::Mode mode);
@@ -87,17 +83,11 @@ class FailureDetector {
     return health(server) == Health::kDead;
   }
 
-  TimeNs last_seen(std::size_t server) const;
-
   /// Current phi-accrual suspicion level (kPhi mode; 0 when just heard).
   double phi(std::size_t server, TimeNs now) const;
 
-  std::size_t servers() const { return views_.size(); }
-  const DetectorParams& params() const { return params_; }
-
-  /// Transitions into kSuspect / kDead since construction.
-  std::uint64_t suspicions() const { return suspicions_; }
-  std::uint64_t deaths() const { return deaths_; }
+  /// Transitions into kDead since construction.
+  std::uint64_t deaths() const { return death_events_.size(); }
 
   /// Every transition into kDead as (server, time) — the chaos bench
   /// subtracts the scripted crash instants to report time-to-detect.
@@ -120,8 +110,6 @@ class FailureDetector {
   DetectorParams params_;
   DurationNs period_;
   std::vector<ServerView> views_;
-  std::uint64_t suspicions_ = 0;
-  std::uint64_t deaths_ = 0;
   std::vector<std::pair<std::size_t, TimeNs>> death_events_;
 };
 

@@ -58,21 +58,11 @@ ClusterResult run_cluster(const ClusterConfig& config,
   result.servers.reserve(config.servers);
   for (std::size_t i = 0; i < config.servers; ++i)
     result.servers.push_back(router.server(i).load_snapshot());
-  result.heartbeats = router.heartbeats();
-  result.migrations = router.migrations();
-  result.migrated_jobs = router.migrated_jobs();
-  result.reroutes = router.reroutes();
-  result.aborted_migrations = router.migrations_aborted();
-  result.migration_retries = router.migration_retries();
-  result.late_imports_rejected = router.late_imports_rejected();
-  result.zombie_imports = router.zombie_imports();
-  result.stranded_jobs = router.stranded_jobs();
-  result.false_reroutes = router.false_reroutes();
-  result.degrade_transitions = router.degrade_transitions();
-  for (const serve::LoadSnapshot& s : result.servers)
-    result.fenced_jobs += s.fenced_jobs;
+  static_cast<RouterCounters&>(result) = router.counters();
   result.death_events = router.detector().death_events();
   bed.publish("cluster");
+  if (config.telemetry != nullptr)
+    result.publish(config.telemetry->metrics(), "cluster");
   return result;
 }
 

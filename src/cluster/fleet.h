@@ -62,26 +62,10 @@ struct ClusterConfig : serve::TestbedConfig {
   std::function<void(const ClusterRouter&, TimeNs)> on_audit;
 };
 
-struct ClusterResult : serve::TestbedResult {
+/// The router's counters at the end of the run, plus the testbed traces.
+struct ClusterResult : serve::TestbedResult, RouterCounters {
   /// Final per-server load/conservation snapshots.
   std::vector<serve::LoadSnapshot> servers;
-
-  // Router counters at the end of the run.
-  std::uint64_t heartbeats = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t migrated_jobs = 0;
-  std::uint64_t reroutes = 0;
-  std::uint64_t aborted_migrations = 0;
-  std::uint64_t migration_retries = 0;
-  std::uint64_t late_imports_rejected = 0;
-  std::uint64_t zombie_imports = 0;
-  std::uint64_t stranded_jobs = 0;
-  std::uint64_t false_reroutes = 0;
-  std::uint64_t degrade_transitions = 0;
-
-  /// Sum of the servers' fenced-job counters (zombie completions and
-  /// queued jobs dropped by an epoch fence — a subset of failed jobs).
-  std::uint64_t fenced_jobs = 0;
 
   /// (server, sim time) per kDead declaration — time-to-detect against a
   /// known crash schedule.

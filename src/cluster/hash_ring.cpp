@@ -36,7 +36,6 @@ void HashRing::add_server(std::size_t server) {
     if (a.hash != b.hash) return a.hash < b.hash;
     return a.server < b.server;  // ties deterministic (astronomically rare)
   });
-  ++servers_;
 }
 
 void HashRing::remove_server(std::size_t server) {
@@ -46,7 +45,6 @@ void HashRing::remove_server(std::size_t server) {
                                  return p.server == server;
                                }),
                 points_.end());
-  --servers_;
 }
 
 bool HashRing::contains(std::size_t server) const {

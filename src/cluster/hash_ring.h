@@ -35,9 +35,6 @@ class HashRing {
   void remove_server(std::size_t server);
 
   bool contains(std::size_t server) const;
-  std::size_t servers() const { return servers_; }
-  std::size_t vnodes() const { return vnodes_; }
-  bool empty() const { return points_.empty(); }
 
   /// The server owning `key`: first vnode clockwise from hash(key).
   /// Requires a non-empty ring.
@@ -59,7 +56,6 @@ class HashRing {
   std::size_t successor(std::uint64_t hash) const;
 
   std::size_t vnodes_;
-  std::size_t servers_ = 0;
   std::vector<Point> points_;  ///< sorted by hash (ties: by server)
 };
 

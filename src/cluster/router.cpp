@@ -7,14 +7,28 @@
 
 namespace lp::cluster {
 
-std::string placement_name(Placement placement) {
-  switch (placement) {
-    case Placement::kConsistentHash:
-      return "consistent-hash";
-    case Placement::kLeastLoaded:
-      return "least-loaded";
-  }
-  return "?";
+namespace {
+/// Fixed round trip of every migration transfer on the interconnect.
+constexpr DurationNs kMigrationRtt = milliseconds(1);
+}  // namespace
+
+void RouterCounters::publish(obs::MetricsRegistry& registry,
+                             const std::string& prefix) const {
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"heartbeats", heartbeats},
+      {"migrations", migrations},
+      {"migrated_jobs", migrated_jobs},
+      {"reroutes", reroutes},
+      {"aborted_migrations", aborted_migrations},
+      {"migration_retries", migration_retries},
+      {"late_imports_rejected", late_imports_rejected},
+      {"zombie_imports", zombie_imports},
+      {"stranded_jobs", stranded_jobs},
+      {"false_reroutes", false_reroutes},
+      {"degrade_transitions", degrade_transitions},
+  };
+  for (const auto& [name, count] : counts)
+    registry.counter(prefix + "." + name).add(std::int64_t(count));
 }
 
 ClusterRouter::ClusterRouter(sim::Simulator& sim,
@@ -23,7 +37,6 @@ ClusterRouter::ClusterRouter(sim::Simulator& sim,
     : sim_(&sim),
       servers_(std::move(servers)),
       params_(params),
-      ring_(params.vnodes),
       homed_(servers_.size(), 0),
       detector_(servers_.size(), params.detector, params.heartbeat_period),
       rng_(params.control_seed) {
@@ -51,11 +64,6 @@ void ClusterRouter::attach_interconnect_faults(const fault::FaultPlan* plan) {
   interconnect_faults_ = plan;
 }
 
-const ControlLink& ClusterRouter::control_link(std::size_t server) const {
-  LP_CHECK(server < links_.size());
-  return links_[server];
-}
-
 std::uint64_t ClusterRouter::open_session(
     const core::GraphCostProfile& profile) {
   const std::uint64_t session = bindings_.size();
@@ -67,24 +75,15 @@ std::uint64_t ClusterRouter::open_session(
     LP_CHECK(local == session);
   }
 
-  std::size_t home = 0;
-  switch (params_.placement) {
-    case Placement::kConsistentHash:
-      home = ring_.place(session);
-      break;
-    case Placement::kLeastLoaded: {
-      // Live snapshots: placement happens at setup time, before the first
-      // heartbeat. Every server carries the same registrations, so the
-      // tie-break is the count of sessions *homed* here, which makes the
-      // cold start round-robin.
-      std::vector<serve::LoadSnapshot> loads;
-      loads.reserve(servers_.size());
-      for (const serve::EdgeServerFrontend* server : servers_)
-        loads.push_back(server->load_snapshot(params_.heartbeat_period));
-      home = least_loaded_server(loads);
-      break;
-    }
-  }
+  // Live snapshots: placement happens at setup time, before the first
+  // heartbeat. Every server carries the same registrations, so the
+  // least-loaded tie-break is the count of sessions *homed* here, which
+  // makes the cold start round-robin.
+  std::vector<serve::LoadSnapshot> loads;
+  loads.reserve(servers_.size());
+  for (const serve::EdgeServerFrontend* server : servers_)
+    loads.push_back(server->load_snapshot(params_.heartbeat_period));
+  const std::size_t home = place(session, loads);
   bindings_.push_back(SessionBinding{home, false, 0, 0});
   ++homed_[home];
   return session;
@@ -93,6 +92,19 @@ std::uint64_t ClusterRouter::open_session(
 const SessionBinding& ClusterRouter::binding(std::uint64_t session) const {
   LP_CHECK(session < bindings_.size());
   return bindings_[session];
+}
+
+RouterCounters ClusterRouter::counters() const {
+  RouterCounters c = counters_;
+  for (const MigrationRecord& m : ledger_) {
+    ++c.migrations;
+    c.migrated_jobs += m.jobs;
+    if (m.state == MigrationRecord::State::kAborted ||
+        m.state == MigrationRecord::State::kDropped)
+      ++c.aborted_migrations;
+    if (m.state == MigrationRecord::State::kDropped) c.stranded_jobs += m.jobs;
+  }
+  return c;
 }
 
 void ClusterRouter::start() {
@@ -126,10 +138,9 @@ void ClusterRouter::collect_heartbeat() {
                    [this, i](const serve::LoadSnapshot& snapshot) {
                      on_heartbeat(i, snapshot);
                    });
-  ++heartbeats_;
+  ++counters_.heartbeats;
   detector_.tick(sim_->now());
   if (telemetry_ != nullptr) {
-    heartbeat_counter_->add(1);
     auto& metrics = telemetry_->metrics();
     for (std::size_t i = 0; i < last_heartbeat_.size(); ++i) {
       const serve::LoadSnapshot& s = last_heartbeat_[i];
@@ -172,7 +183,7 @@ void ClusterRouter::update_membership() {
   const bool degraded = visible * 2 < servers_.size();
   if (degraded == degraded_) return;
   degraded_ = degraded;
-  ++degrade_transitions_;
+  ++counters_.degrade_transitions;
   if (telemetry_ != nullptr) {
     if (auto* tr = telemetry_->trace())
       tr->instant(track_, degraded ? "degrade" : "recover", sim_->now(),
@@ -186,6 +197,15 @@ std::size_t ClusterRouter::usable_count() const {
   for (std::size_t i = 0; i < servers_.size(); ++i)
     if (detector_.usable(i)) ++usable;
   return usable;
+}
+
+std::size_t ClusterRouter::place(
+    std::uint64_t session,
+    const std::vector<serve::LoadSnapshot>& loads) const {
+  if (params_.placement == Placement::kConsistentHash)
+    return ring_.place_if(
+        session, [this](std::size_t s) { return detector_.usable(s); });
+  return least_loaded_server(loads);
 }
 
 std::size_t ClusterRouter::least_loaded_server(
@@ -216,12 +236,6 @@ void ClusterRouter::redirect(std::uint64_t session, std::size_t server) {
   if (redirect_) redirect_(session, server);
 }
 
-MigrationRecord* ClusterRouter::find_migration(std::uint64_t id) {
-  for (auto it = ledger_.rbegin(); it != ledger_.rend(); ++it)
-    if (it->id == id) return &*it;
-  return nullptr;
-}
-
 const MigrationRecord* ClusterRouter::active_migration(
     std::uint64_t session) const {
   for (auto it = ledger_.rbegin(); it != ledger_.rend(); ++it)
@@ -233,9 +247,6 @@ const MigrationRecord* ClusterRouter::active_migration(
 
 void ClusterRouter::reroute_dead_sessions() {
   if (usable_count() == 0) return;  // nowhere to go: wait for daylight
-  const auto target_ok = [this](std::size_t s) {
-    return detector_.usable(s);
-  };
   for (std::uint64_t session = 0; session < bindings_.size(); ++session) {
     SessionBinding& b = bindings_[session];
     if (b.migrating) {
@@ -251,28 +262,19 @@ void ClusterRouter::reroute_dead_sessions() {
     if (!detector_.dead(b.server)) continue;
     // Ground-truth instrumentation only: a falsely-suspected home makes
     // this reroute unnecessary, never incorrect (fencing keeps it safe).
-    if (servers_[b.server]->alive()) ++false_reroutes_;
+    if (servers_[b.server]->alive()) ++counters_.false_reroutes;
     // The crash wiped the session state, so there is nothing to carry:
     // re-home per the placement policy and redirect the client. The new
     // server starts the session cold, exactly as a restart would. The
     // epoch bump fences whatever the abandoned placement still holds.
     ++b.epoch;
-    std::size_t target = 0;
-    switch (params_.placement) {
-      case Placement::kConsistentHash:
-        target = ring_.place_if(session, target_ok);
-        break;
-      case Placement::kLeastLoaded:
-        target = least_loaded_server(last_heartbeat_);
-        break;
-    }
+    const std::size_t target = place(session, last_heartbeat_);
     --homed_[b.server];
     b.server = target;
     b.last_move = sim_->now();
     ++homed_[target];
-    ++reroutes_;
+    ++counters_.reroutes;
     if (telemetry_ != nullptr) {
-      reroute_counter_->add(1);
       if (auto* tr = telemetry_->trace())
         tr->instant(track_, "reroute", sim_->now(),
                     obs::TraceArgs()
@@ -285,61 +287,54 @@ void ClusterRouter::reroute_dead_sessions() {
 
 void ClusterRouter::maybe_rebalance() {
   if (usable_count() < 2) return;
-  std::size_t started = 0;
-  while (started < params_.max_migrations_per_round) {
-    // Hot and cold by predicted queue delay, usable servers only. Reading
-    // the stored heartbeat keeps every decision a pure function of the
-    // snapshot (determinism), at the price of acting on slightly stale
-    // load — the same trade the Ceph MDS balancer makes.
-    std::size_t hot = last_heartbeat_.size();
-    std::size_t cold = last_heartbeat_.size();
-    for (std::size_t i = 0; i < last_heartbeat_.size(); ++i) {
-      if (!last_heartbeat_[i].alive || !detector_.usable(i)) continue;
-      if (hot == last_heartbeat_.size() ||
-          last_heartbeat_[i].forecast_delay_sec >
-              last_heartbeat_[hot].forecast_delay_sec)
-        hot = i;
-      if (cold == last_heartbeat_.size() ||
-          last_heartbeat_[i].forecast_delay_sec <
-              last_heartbeat_[cold].forecast_delay_sec)
-        cold = i;
-    }
-    if (hot == cold) return;
-    const double skew = last_heartbeat_[hot].forecast_delay_sec -
-                        last_heartbeat_[cold].forecast_delay_sec;
-    if (skew <= params_.skew_threshold_sec) return;
-
-    // Victim: the session contributing the most queued work on the hot
-    // server (ties: more submissions, then the lower id — deterministic).
-    std::vector<std::size_t> queued(bindings_.size(), 0);
-    for (const serve::QueuedJob& job : servers_[hot]->queue().jobs())
-      ++queued[job.session];
-    std::uint64_t victim = bindings_.size();
-    for (std::uint64_t s = 0; s < bindings_.size(); ++s) {
-      const SessionBinding& b = bindings_[s];
-      if (b.server != hot || b.migrating) continue;
-      if (sim_->now() - b.last_move < params_.min_dwell && b.last_move > 0)
-        continue;
-      if (queued[s] == 0) continue;  // nothing to move, nothing to gain
-      if (victim == bindings_.size()) {
-        victim = s;
-        continue;
-      }
-      if (queued[s] != queued[victim]) {
-        if (queued[s] > queued[victim]) victim = s;
-        continue;
-      }
-      if (servers_[hot]->session_stats(s).submitted >
-          servers_[hot]->session_stats(victim).submitted)
-        victim = s;
-    }
-    if (victim == bindings_.size()) return;
-    sim_->spawn(migrate(victim, cold));
-    ++started;
-    // A further round against the same (stale) snapshot picks the same
-    // hot/cold pair but skips the now-migrating victim, so a larger
-    // max_migrations_per_round moves the next-busiest sessions.
+  // Hot and cold by predicted queue delay, usable servers only. Reading
+  // the stored heartbeat keeps every decision a pure function of the
+  // snapshot (determinism), at the price of acting on slightly stale
+  // load — the same trade the Ceph MDS balancer makes.
+  std::size_t hot = last_heartbeat_.size();
+  std::size_t cold = last_heartbeat_.size();
+  for (std::size_t i = 0; i < last_heartbeat_.size(); ++i) {
+    if (!last_heartbeat_[i].alive || !detector_.usable(i)) continue;
+    if (hot == last_heartbeat_.size() ||
+        last_heartbeat_[i].forecast_delay_sec >
+            last_heartbeat_[hot].forecast_delay_sec)
+      hot = i;
+    if (cold == last_heartbeat_.size() ||
+        last_heartbeat_[i].forecast_delay_sec <
+            last_heartbeat_[cold].forecast_delay_sec)
+      cold = i;
   }
+  if (hot == cold) return;
+  const double skew = last_heartbeat_[hot].forecast_delay_sec -
+                      last_heartbeat_[cold].forecast_delay_sec;
+  if (skew <= params_.skew_threshold_sec) return;
+
+  // Victim: the session contributing the most queued work on the hot
+  // server (ties: more submissions, then the lower id — deterministic).
+  std::vector<std::size_t> queued(bindings_.size(), 0);
+  for (const serve::QueuedJob& job : servers_[hot]->queue().jobs())
+    ++queued[job.session];
+  std::uint64_t victim = bindings_.size();
+  for (std::uint64_t s = 0; s < bindings_.size(); ++s) {
+    const SessionBinding& b = bindings_[s];
+    if (b.server != hot || b.migrating) continue;
+    if (sim_->now() - b.last_move < params_.min_dwell && b.last_move > 0)
+      continue;
+    if (queued[s] == 0) continue;  // nothing to move, nothing to gain
+    if (victim == bindings_.size()) {
+      victim = s;
+      continue;
+    }
+    if (queued[s] != queued[victim]) {
+      if (queued[s] > queued[victim]) victim = s;
+      continue;
+    }
+    if (servers_[hot]->session_stats(s).submitted >
+        servers_[hot]->session_stats(victim).submitted)
+      victim = s;
+  }
+  if (victim == bindings_.size()) return;
+  sim_->spawn(migrate(victim, cold));
 }
 
 sim::Task ClusterRouter::migrate(std::uint64_t session, std::size_t target) {
@@ -361,14 +356,10 @@ sim::Task ClusterRouter::migrate(std::uint64_t session, std::size_t target) {
   ex.epoch = epoch;
   const std::size_t jobs = ex.jobs.size();
   in_transit_jobs_ += jobs;
-  ++migrations_;
-  migrated_jobs_ += jobs;
-  const std::uint64_t id = next_migration_id_++;
+  const std::uint64_t id = ledger_.size();
   ledger_.push_back(MigrationRecord{id, session, epoch, source, target, jobs,
                                     MigrationRecord::State::kInFlight, 0});
   if (telemetry_ != nullptr) {
-    migration_counter_->add(1);
-    migrated_jobs_counter_->add(static_cast<std::int64_t>(jobs));
     if (auto* tr = telemetry_->trace())
       tr->instant(track_, "migrate-begin", sim_->now(),
                   obs::TraceArgs()
@@ -381,7 +372,7 @@ sim::Task ClusterRouter::migrate(std::uint64_t session, std::size_t target) {
 
   bool arrived = false;
   for (int attempt = 0;; ++attempt) {
-    find_migration(id)->attempts = attempt + 1;
+    ledger_[id].attempts = attempt + 1;
     // Sample the interconnect at the send instant: a blackout or sampled
     // loss silently eats the payload, and the router only learns at the
     // transfer timeout (attach_interconnect_faults requires one).
@@ -395,8 +386,7 @@ sim::Task ClusterRouter::migrate(std::uint64_t session, std::size_t target) {
       }
     }
     const DurationNs wire =
-        params_.migration_rtt +
-        transfer_time(ex.bytes, params_.migration_bandwidth);
+        kMigrationRtt + transfer_time(ex.bytes, params_.migration_bandwidth);
     const bool late =
         params_.migration_timeout > 0 && wire > params_.migration_timeout;
     if (!lost && !late) {
@@ -417,7 +407,7 @@ sim::Task ClusterRouter::migrate(std::uint64_t session, std::size_t target) {
     co_await sim_->delay(params_.migration_timeout);
     if (b.epoch != epoch) break;
     if (attempt >= params_.migration_max_retries) break;
-    ++migration_retries_;
+    ++counters_.migration_retries;
     co_await sim_->delay(params_.migration_backoff.delay(attempt + 1, rng_));
     if (b.epoch != epoch) break;
   }
@@ -429,7 +419,7 @@ sim::Task ClusterRouter::migrate(std::uint64_t session, std::size_t target) {
     // observable time.
     if (servers_[target]->import_session(session, std::move(ex))) {
       in_transit_jobs_ -= jobs;
-      find_migration(id)->state = MigrationRecord::State::kCommitted;
+      ledger_[id].state = MigrationRecord::State::kCommitted;
       --homed_[source];
       b.server = target;
       b.last_move = sim_->now();
@@ -456,10 +446,8 @@ sim::Task ClusterRouter::migrate(std::uint64_t session, std::size_t target) {
     LP_CHECK_MSG(false, "import rejected an epoch the router never fenced");
   }
 
-  ++migrations_aborted_;
-  MigrationRecord* m = find_migration(id);
   if (params_.return_to_source) {
-    m->state = MigrationRecord::State::kAborted;
+    ledger_[id].state = MigrationRecord::State::kAborted;
     // Fence the target at a fresh epoch so any late copy of this transfer
     // bounces on arrival, then settle the jobs back at the source. A dead
     // source fails them typed (kServerDown) — the clients' retry/fallback
@@ -482,9 +470,8 @@ sim::Task ClusterRouter::migrate(std::uint64_t session, std::size_t target) {
     // Naive baseline: the payload is simply gone. Its jobs are stranded —
     // admitted but never settled — which is exactly the loss the chaos
     // bench measures the fencing path against.
-    m->state = MigrationRecord::State::kDropped;
+    ledger_[id].state = MigrationRecord::State::kDropped;
     in_transit_jobs_ -= jobs;
-    stranded_jobs_ += jobs;
     b.migrating = false;
   }
 }
@@ -497,16 +484,16 @@ sim::Task ClusterRouter::late_delivery(std::uint64_t id,
   // The slow copy is still on the wire: it lands at the full transfer
   // time, long after the router wrote the attempt off.
   co_await sim_->delay(wire);
-  const MigrationRecord* m = find_migration(id);
+  const MigrationRecord::State state = ledger_[id].state;
   const std::size_t jobs = ex.jobs.size();
-  if (m->state == MigrationRecord::State::kAborted ||
-      m->state == MigrationRecord::State::kDropped) {
+  if (state == MigrationRecord::State::kAborted ||
+      state == MigrationRecord::State::kDropped) {
     // Robust mode fenced the target when it aborted, so the zombie bounces
     // off the epoch check. The naive baseline fences nothing — the target
     // absorbs a duplicate of jobs the clients already recovered, the
     // double execution the bench reports.
     if (servers_[target]->import_session(session, std::move(ex))) {
-      zombie_imports_ += jobs;
+      counters_.zombie_imports += jobs;
       if (telemetry_ != nullptr) {
         if (auto* tr = telemetry_->trace())
           tr->instant(track_, "zombie-import", sim_->now(),
@@ -515,24 +502,19 @@ sim::Task ClusterRouter::late_delivery(std::uint64_t id,
                           .arg("jobs", jobs));
       }
     } else {
-      ++late_imports_rejected_;
+      ++counters_.late_imports_rejected;
     }
     co_return;
   }
   // A retry of the same migration is still in flight — or already
   // committed — under the same epoch; the frontend fence cannot tell the
   // copies apart, so the ledger dedups at the router.
-  ++late_imports_rejected_;
+  ++counters_.late_imports_rejected;
 }
 
 void ClusterRouter::set_telemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
   if (telemetry_ == nullptr) return;
-  auto& metrics = telemetry_->metrics();
-  heartbeat_counter_ = &metrics.counter("cluster.heartbeats");
-  migration_counter_ = &metrics.counter("cluster.migrations");
-  migrated_jobs_counter_ = &metrics.counter("cluster.migrated_jobs");
-  reroute_counter_ = &metrics.counter("cluster.reroutes");
   if (auto* tr = telemetry_->trace()) track_ = tr->track("cluster");
 }
 

@@ -68,8 +68,6 @@ enum class Placement {
   kLeastLoaded,     ///< dynamic: min predicted queue delay at open time
 };
 
-std::string placement_name(Placement placement);
-
 struct RouterParams {
   Placement placement = Placement::kLeastLoaded;
 
@@ -82,22 +80,16 @@ struct RouterParams {
   bool rebalance = false;
 
   /// Trigger: hottest-minus-coldest predicted queue delay (seconds) that
-  /// arms a migration round.
+  /// starts a migration. A heartbeat round starts at most one: one careful
+  /// move, then the next heartbeat shows its effect.
   double skew_threshold_sec = 0.2;
-
-  /// Migrations started per heartbeat round (1 = one careful move, then
-  /// observe the effect on the next heartbeat).
-  std::size_t max_migrations_per_round = 1;
 
   /// A session that just moved is pinned for this long (anti-thrash).
   DurationNs min_dwell = seconds(2);
 
-  /// Modeled cluster interconnect for the migration payload.
+  /// Modeled cluster interconnect for the migration payload (plus a fixed
+  /// 1 ms round trip per transfer).
   BitsPerSec migration_bandwidth = mbps(400);
-  DurationNs migration_rtt = milliseconds(1);
-
-  /// Virtual nodes per server on the consistent-hash ring.
-  std::size_t vnodes = 64;
 
   /// Failure detection. The default (kOracle) trusts each delivered
   /// snapshot's alive flag verbatim — exact on a lossless control plane.
@@ -129,6 +121,40 @@ struct RouterParams {
   std::uint64_t control_seed = 0xc0117201;
 };
 
+/// Every event count the router keeps, and the only place it keeps them:
+/// ClusterRouter::counters() returns this struct, ClusterResult extends it,
+/// and publish() is the cluster.* registry export after the run. The four
+/// migration-outcome counts are folded from the ledger, not kept beside it.
+struct RouterCounters {
+  std::uint64_t heartbeats = 0;     ///< heartbeat rounds sent
+  std::uint64_t migrations = 0;     ///< ledger entries (migrations started)
+  std::uint64_t migrated_jobs = 0;  ///< queued jobs carried by migrations
+  std::uint64_t reroutes = 0;       ///< sessions re-homed off dead servers
+  /// Migrations that ended kAborted or kDropped (lost / timed out past the
+  /// retry budget / cancelled because the target died mid-flight).
+  std::uint64_t aborted_migrations = 0;
+  /// Re-sends of a migration payload after a transfer timeout.
+  std::uint64_t migration_retries = 0;
+  /// Late transfer copies rejected (by the target's fence or the ledger).
+  std::uint64_t late_imports_rejected = 0;
+  /// Late copies the target absorbed because nothing fenced them — only
+  /// possible in the naive baseline; a double execution each.
+  std::uint64_t zombie_imports = 0;
+  /// Jobs abandoned by dropped transfers (naive baseline only; always 0
+  /// with return_to_source).
+  std::uint64_t stranded_jobs = 0;
+  /// Reroutes of sessions whose server was in fact alive (ground-truth
+  /// instrumentation of false suspicion; the run stays correct, the
+  /// reroute was merely unnecessary).
+  std::uint64_t false_reroutes = 0;
+  /// Transitions into / out of the degraded (quorum-lost) state.
+  std::uint64_t degrade_transitions = 0;
+
+  /// Adds every count to `registry` as the counter "<prefix>.<field>".
+  void publish(obs::MetricsRegistry& registry,
+               const std::string& prefix) const;
+};
+
 /// Where a cluster session currently lives. The local session id equals
 /// the cluster session id on every server (the router opens the session on
 /// all of them in lock-step), so an export/import pair never renumbers.
@@ -144,11 +170,11 @@ struct SessionBinding {
   std::uint64_t epoch = 0;
 };
 
-/// One migration in the exactly-once ledger. kInFlight entries' jobs sum
-/// to in_transit_jobs() at every instant (audited); a terminal entry is
-/// either committed at the target or aborted back to the source — the
-/// naive baseline (return_to_source = false) instead drops the payload
-/// (kDropped) and strands its jobs.
+/// One migration in the exactly-once ledger; its id is its ledger index.
+/// kInFlight entries' jobs sum to in_transit_jobs() at every instant
+/// (audited); a terminal entry is either committed at the target or
+/// aborted back to the source — the naive baseline (return_to_source =
+/// false) instead drops the payload (kDropped) and strands its jobs.
 struct MigrationRecord {
   std::uint64_t id = 0;
   std::uint64_t session = 0;
@@ -215,59 +241,29 @@ class ClusterRouter {
   }
   std::size_t sessions() const { return bindings_.size(); }
   const SessionBinding& binding(std::uint64_t session) const;
-  const RouterParams& params() const { return params_; }
-  const HashRing& ring() const { return ring_; }
-
-  /// The last snapshot that *arrived* per server (default-constructed
-  /// before the first delivery; empty before the first heartbeat round).
-  /// Decisions and the cluster audit read these — under heartbeat loss
-  /// they are stale, which is the point.
-  const std::vector<serve::LoadSnapshot>& last_heartbeat() const {
-    return last_heartbeat_;
-  }
 
   const FailureDetector& detector() const { return detector_; }
-  const ControlLink& control_link(std::size_t server) const;
 
   /// The migration ledger, append-only in start order.
   const std::vector<MigrationRecord>& ledger() const { return ledger_; }
 
-  std::uint64_t heartbeats() const { return heartbeats_; }
-  std::uint64_t migrations() const { return migrations_; }
-  std::uint64_t migrated_jobs() const { return migrated_jobs_; }
-  std::uint64_t reroutes() const { return reroutes_; }
-  /// Migrations that ended kAborted or kDropped (lost / timed out past the
-  /// retry budget / cancelled because the target died mid-flight).
-  std::uint64_t migrations_aborted() const { return migrations_aborted_; }
-  /// Re-sends of a migration payload after a transfer timeout.
-  std::uint64_t migration_retries() const { return migration_retries_; }
-  /// Late transfer copies rejected (by the target's fence or the ledger).
-  std::uint64_t late_imports_rejected() const {
-    return late_imports_rejected_;
-  }
-  /// Late copies the target absorbed because nothing fenced them — only
-  /// possible in the naive baseline; a double execution each.
-  std::uint64_t zombie_imports() const { return zombie_imports_; }
-  /// Jobs abandoned by dropped transfers (naive baseline only; always 0
-  /// with return_to_source).
-  std::uint64_t stranded_jobs() const { return stranded_jobs_; }
-  /// Reroutes of sessions whose server was in fact alive (ground-truth
-  /// instrumentation of false suspicion; the run stays correct, the
-  /// reroute was merely unnecessary).
-  std::uint64_t false_reroutes() const { return false_reroutes_; }
-  /// Transitions into / out of the degraded (quorum-lost) state.
-  std::uint64_t degrade_transitions() const { return degrade_transitions_; }
-  bool degraded() const { return degraded_; }
+  /// Every count at this instant (the migration outcomes folded from the
+  /// ledger).
+  RouterCounters counters() const;
+  /// One-field reads of counters().
+  std::uint64_t heartbeats() const { return counters_.heartbeats; }
+  std::uint64_t migrations() const { return ledger_.size(); }
+  std::uint64_t reroutes() const { return counters_.reroutes; }
 
   /// Queued jobs currently riding a migration transfer between servers —
   /// exported (counted migrated-out) but not yet imported. The cluster
   /// conservation audit balances them explicitly.
   std::size_t in_transit_jobs() const { return in_transit_jobs_; }
 
-  /// Attaches telemetry: cluster.* counters (heartbeats, migrations,
-  /// migrated_jobs, reroutes), per-server predicted-delay and queue-depth
-  /// gauges refreshed each heartbeat, and migrate/reroute instants on a
-  /// "cluster" trace track. Purely observational.
+  /// Attaches telemetry: per-server predicted-delay and queue-depth gauges
+  /// refreshed each heartbeat, and migrate/reroute instants on a "cluster"
+  /// trace track. The counters are not mirrored live: the owner publishes
+  /// counters() once the run is over. Purely observational.
   void set_telemetry(obs::Telemetry* telemetry);
 
  private:
@@ -280,8 +276,12 @@ class ClusterRouter {
   sim::Task late_delivery(std::uint64_t id, std::uint64_t session,
                           std::size_t target, serve::SessionExport ex,
                           DurationNs wire);
-  MigrationRecord* find_migration(std::uint64_t id);
   const MigrationRecord* active_migration(std::uint64_t session) const;
+  /// Home for `session` per the placement policy: the consistent-hash arc
+  /// walked past unusable servers, or the least-loaded usable server in
+  /// `loads`.
+  std::size_t place(std::uint64_t session,
+                    const std::vector<serve::LoadSnapshot>& loads) const;
   /// Least-loaded usable server (ties: fewer homed sessions, lower index).
   std::size_t least_loaded_server(
       const std::vector<serve::LoadSnapshot>& loads) const;
@@ -291,7 +291,7 @@ class ClusterRouter {
   sim::Simulator* sim_;
   std::vector<serve::EdgeServerFrontend*> servers_;
   RouterParams params_;
-  HashRing ring_;
+  HashRing ring_;  ///< 64 vnodes per server
   std::vector<SessionBinding> bindings_;  ///< by cluster session id
   std::vector<std::size_t> homed_;        ///< sessions homed per server
   std::vector<serve::LoadSnapshot> last_heartbeat_;
@@ -305,27 +305,13 @@ class ClusterRouter {
   bool degraded_ = false;
 
   std::vector<MigrationRecord> ledger_;
-  std::uint64_t next_migration_id_ = 0;
-
-  std::uint64_t heartbeats_ = 0;
-  std::uint64_t migrations_ = 0;
-  std::uint64_t migrated_jobs_ = 0;
-  std::uint64_t reroutes_ = 0;
-  std::uint64_t migrations_aborted_ = 0;
-  std::uint64_t migration_retries_ = 0;
-  std::uint64_t late_imports_rejected_ = 0;
-  std::uint64_t zombie_imports_ = 0;
-  std::uint64_t stranded_jobs_ = 0;
-  std::uint64_t false_reroutes_ = 0;
-  std::uint64_t degrade_transitions_ = 0;
+  /// The counts the ledger does not record; its four migration-outcome
+  /// fields stay 0 here (counters() folds them).
+  RouterCounters counters_;
   std::size_t in_transit_jobs_ = 0;
 
   obs::Telemetry* telemetry_ = nullptr;
   obs::TrackId track_ = 0;
-  obs::Counter* heartbeat_counter_ = nullptr;
-  obs::Counter* migration_counter_ = nullptr;
-  obs::Counter* migrated_jobs_counter_ = nullptr;
-  obs::Counter* reroute_counter_ = nullptr;
 };
 
 }  // namespace lp::cluster

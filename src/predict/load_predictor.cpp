@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
-#include <map>
 
 #include "common/check.h"
 
@@ -185,45 +185,36 @@ class HoltPredictor final : public LoadPredictor {
   double trend_ = 0.0;
 };
 
-using Registry = std::map<std::string, PredictorFactory>;
-
 template <typename P>
-PredictorFactory factory_of() {
-  return [](const PredictorParams& params) {
-    return std::unique_ptr<LoadPredictor>(new P(params));
-  };
+std::unique_ptr<LoadPredictor> construct(const PredictorParams& params) {
+  return std::unique_ptr<LoadPredictor>(new P(params));
 }
 
-Registry& registry() {
-  static Registry* r = [] {
-    auto* m = new Registry;
-    (*m)["last-value"] = factory_of<LastValuePredictor>();
-    (*m)["ewma"] = factory_of<EwmaPredictor>();
-    (*m)["holt"] = factory_of<HoltPredictor>();
-    return m;
-  }();
-  return *r;
-}
+/// The built-in forecasters, sorted by name.
+struct Builtin {
+  const char* name;
+  std::unique_ptr<LoadPredictor> (*make)(const PredictorParams&);
+};
+constexpr Builtin kBuiltins[] = {
+    {"ewma", &construct<EwmaPredictor>},
+    {"holt", &construct<HoltPredictor>},
+    {"last-value", &construct<LastValuePredictor>},
+};
 
 }  // namespace
 
-void register_predictor(const std::string& name, PredictorFactory factory) {
-  LP_CHECK(!name.empty());
-  LP_CHECK(factory != nullptr);
-  registry()[name] = std::move(factory);
-}
-
 std::unique_ptr<LoadPredictor> make_predictor(const PredictorParams& params) {
-  const auto it = registry().find(params.kind);
-  LP_CHECK_MSG(it != registry().end(),
+  const auto it = std::find_if(
+      std::begin(kBuiltins), std::end(kBuiltins),
+      [&](const Builtin& b) { return params.kind == b.name; });
+  LP_CHECK_MSG(it != std::end(kBuiltins),
                "unknown predictor kind: " + params.kind);
-  return it->second(params);
+  return it->make(params);
 }
 
 std::vector<std::string> registered_predictors() {
   std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [name, factory] : registry()) names.push_back(name);
+  for (const Builtin& b : kBuiltins) names.emplace_back(b.name);
   return names;
 }
 

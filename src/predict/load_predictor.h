@@ -4,19 +4,20 @@
 // (the influential factor k of a session, or a frontend's predicted queue
 // delay) one observation at a time and answers horizon-aware forecasts:
 // "what will this series read `horizon` from now?". Consumers never touch
-// a concrete forecaster — they hold the interface, built by name through
-// the registry, so swapping reactive k for a forecast is a config change:
+// a concrete forecaster — they hold the interface, built by name from a
+// fixed table of built-ins, so swapping reactive k for a forecast is a
+// config change:
 //
 //   * last-value — forecast == the latest observation at any horizon. The
 //     default: it reproduces today's reactive behavior bit-identically.
 //   * ewma       — exponentially weighted level, flat extrapolation.
 //   * holt       — double-exponential smoothing (level + trend).
 //
-// Other forecasters plug in through register_predictor. Two earlier
-// built-ins lost their own ablation (bench/predictor_ablation) and were
-// dropped: a smoothed-first-difference model had a worse p90 than
-// last-value on both workloads, and windowed linear least squares lost to
-// ewma and holt on every bursty-fleet metric.
+// A new forecaster is a new entry in that table. Two earlier built-ins
+// lost their own ablation (bench/predictor_ablation) and were dropped: a
+// smoothed-first-difference model had a worse p90 than last-value on both
+// workloads, and windowed linear least squares lost to ewma and holt on
+// every bursty-fleet metric.
 //
 // Every predictor scores itself: each observation is first compared against
 // what the predictor forecast for this instant, accumulating MAE/bias the
@@ -26,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,8 +35,8 @@
 
 namespace lp::predict {
 
-/// Construction-time knobs for every registered predictor; `kind` selects
-/// the forecaster by registry name. One struct (not one per kind) so the
+/// Construction-time knobs for every built-in predictor; `kind` selects
+/// the forecaster by name. One struct (not one per kind) so the
 /// runtime config stays a plain value that rides RuntimeParams.
 struct PredictorParams {
   std::string kind = "last-value";
@@ -151,18 +151,10 @@ class LoadPredictor {
   std::uint64_t scored_ = 0;
 };
 
-using PredictorFactory =
-    std::function<std::unique_ptr<LoadPredictor>(const PredictorParams&)>;
-
-/// Registers (or replaces) a factory under `name`; make_predictor resolves
-/// PredictorParams::kind against this registry. The three built-ins are
-/// pre-registered.
-void register_predictor(const std::string& name, PredictorFactory factory);
-
 /// Builds the predictor params.kind names; throws on an unknown kind.
 std::unique_ptr<LoadPredictor> make_predictor(const PredictorParams& params);
 
-/// Registered kind names in deterministic (sorted) order.
+/// The built-in kind names in deterministic (sorted) order.
 std::vector<std::string> registered_predictors();
 
 }  // namespace lp::predict

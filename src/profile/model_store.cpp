@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "flops/features.h"
 
 namespace lp::profile {
 
@@ -34,12 +35,18 @@ NodePredictor deserialize_predictor(const std::string& text,
     fields >> kind_raw;
     LP_CHECK_MSG(kind_raw >= 0 && kind_raw < flops::kNumModelKinds,
                  "bad model kind in store");
+    const auto kind = static_cast<ModelKind>(kind_raw);
+    LP_CHECK_MSG(predictor.model(kind) == nullptr,
+                 "model kind listed twice in store");
     std::vector<double> coef;
     double c = 0.0;
     while (fields >> c) coef.push_back(c);
-    LP_CHECK_MSG(!coef.empty(), "model line without coefficients");
-    predictor.set_model(static_cast<ModelKind>(kind_raw),
-                        ml::LinearModel(std::move(coef)));
+    // Extraction stops at the first non-number; only the end of the line
+    // may stop it.
+    LP_CHECK_MSG(fields.eof(), "unparsable coefficient in store: " + line);
+    LP_CHECK_MSG(coef.size() == flops::feature_names(kind, device).size(),
+                 "coefficient count differs from the kind's feature count");
+    predictor.set_model(kind, ml::LinearModel(std::move(coef)));
   }
   return predictor;
 }

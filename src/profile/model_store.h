@@ -15,7 +15,9 @@ namespace lp::profile {
 std::string serialize_predictor(const NodePredictor& predictor);
 
 /// Parses serialize_predictor output; throws ContractError on malformed
-/// input or unknown kinds.
+/// input: an unknown or repeated kind, a line that does not parse to its
+/// end, or a coefficient count other than the kind's feature count on
+/// `device`.
 NodePredictor deserialize_predictor(const std::string& text,
                                     flops::Device device);
 

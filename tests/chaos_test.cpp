@@ -280,8 +280,8 @@ TEST(MigrationLedger, TimeoutRetriesThenCommits) {
     EXPECT_EQ(r->suffix_status, core::SuffixStatus::kServed);
   }
   EXPECT_EQ(h.router.binding(s).server, 1u);
-  EXPECT_EQ(h.router.migration_retries(), 2u);
-  EXPECT_EQ(h.router.migrations_aborted(), 0u);
+  EXPECT_EQ(h.router.counters().migration_retries, 2u);
+  EXPECT_EQ(h.router.counters().aborted_migrations, 0u);
   ASSERT_EQ(h.router.ledger().size(), 1u);
   EXPECT_EQ(h.router.ledger()[0].state, MigrationRecord::State::kCommitted);
   EXPECT_EQ(h.router.ledger()[0].attempts, 3);
@@ -310,8 +310,8 @@ TEST(MigrationLedger, SpentRetryBudgetAbortsBackToTheSource) {
     EXPECT_EQ(r->suffix_status, core::SuffixStatus::kServed);
   }
   EXPECT_EQ(h.router.binding(s).server, 0u);
-  EXPECT_EQ(h.router.migrations_aborted(), 1u);
-  EXPECT_EQ(h.router.stranded_jobs(), 0u);
+  EXPECT_EQ(h.router.counters().aborted_migrations, 1u);
+  EXPECT_EQ(h.router.counters().stranded_jobs, 0u);
   EXPECT_EQ(h.router.in_transit_jobs(), 0u);
   ASSERT_EQ(h.router.ledger().size(), 1u);
   EXPECT_EQ(h.router.ledger()[0].state, MigrationRecord::State::kAborted);
@@ -334,9 +334,10 @@ TEST(MigrationLedger, LateZombieCopyBouncesOffTheFence) {
   // The transfer was written off and aborted home; when the slow copy
   // finally landed, the target's fence rejected it — exactly once, no
   // double execution.
-  EXPECT_EQ(h.router.migrations_aborted(), 1u);
-  EXPECT_EQ(h.router.late_imports_rejected(), 1u);
-  EXPECT_EQ(h.router.zombie_imports(), 0u);
+  const RouterCounters counts = h.router.counters();
+  EXPECT_EQ(counts.aborted_migrations, 1u);
+  EXPECT_EQ(counts.late_imports_rejected, 1u);
+  EXPECT_EQ(counts.zombie_imports, 0u);
   EXPECT_EQ(h.b.counters().rejected_imports, 1u);
   EXPECT_EQ(h.b.counters().served, 0u);
   EXPECT_EQ(h.b.queue().size(), 0u);
@@ -364,15 +365,65 @@ TEST(MigrationLedger, NaiveDropStrandsAndAbsorbsTheZombie) {
   h.sim.spawn(h.router.migrate(s, 1));
   h.sim.run_until(seconds(60));
 
-  EXPECT_EQ(h.router.migrations_aborted(), 1u);
-  EXPECT_EQ(h.router.stranded_jobs(), 4u);
-  EXPECT_EQ(h.router.zombie_imports(), 4u);
+  const RouterCounters counts = h.router.counters();
+  EXPECT_EQ(counts.aborted_migrations, 1u);
+  EXPECT_EQ(counts.stranded_jobs, 4u);
+  EXPECT_EQ(counts.zombie_imports, 4u);
   ASSERT_EQ(h.router.ledger().size(), 1u);
   EXPECT_EQ(h.router.ledger()[0].state, MigrationRecord::State::kDropped);
   // The zombie re-materialized the jobs at the target, which served them —
   // late, after the client had written them off.
   EXPECT_EQ(h.b.counters().migrated_in, 4u);
   EXPECT_GT(h.b.counters().served, 0u);
+  check::audit(h.router);
+}
+
+TEST(MigrationLedger, IdsAreIndicesAndCountersFoldEveryEntry) {
+  // One session migrates twice: out while the interconnect works (commits),
+  // back after it has died (times out and aborts home). The ledger is the
+  // only record of both, so counters() must count each entry and every job
+  // it carried — the jobs the servers themselves exported.
+  RouterParams params;
+  params.migration_timeout = milliseconds(100);
+  params.migration_max_retries = 0;
+  ChaosHarness h(params);
+  fault::FaultPlan plan;
+  plan.packet_loss(seconds(1), seconds(60), 1.0);
+  h.router.attach_interconnect_faults(&plan);
+
+  const std::uint64_t s = h.router.open_session(h.profile);
+  auto reqs = h.submit(s, 5);
+  h.sim.spawn(h.router.migrate(s, 1));
+  h.sim.run_until(seconds(5));
+  ASSERT_EQ(h.router.binding(s).server, 1u);
+
+  for (int i = 0; i < 3; ++i) {
+    reqs.push_back(std::make_unique<PendingRequest>(h.sim));
+    ASSERT_EQ(h.b.submit(reqs.back()->request(s, 5)),
+              core::SubmitStatus::kAccepted);
+  }
+  h.sim.spawn(h.router.migrate(s, 0));
+  h.sim.run_until(seconds(60));
+
+  const std::vector<MigrationRecord>& ledger = h.router.ledger();
+  ASSERT_EQ(ledger.size(), 2u);
+  for (std::size_t i = 0; i < ledger.size(); ++i) EXPECT_EQ(ledger[i].id, i);
+  EXPECT_EQ(ledger[0].state, MigrationRecord::State::kCommitted);
+  EXPECT_EQ(ledger[1].state, MigrationRecord::State::kAborted);
+
+  const RouterCounters counts = h.router.counters();
+  EXPECT_EQ(counts.migrations, 2u);
+  EXPECT_EQ(h.router.migrations(), counts.migrations);
+  EXPECT_EQ(counts.migrated_jobs, 6u);  // 4 out, then 2 of the 3 queued
+  EXPECT_EQ(counts.migrated_jobs,
+            h.a.counters().migrated_out + h.b.counters().migrated_out);
+  EXPECT_EQ(counts.aborted_migrations, 1u);
+  EXPECT_EQ(counts.stranded_jobs, 0u);
+  EXPECT_EQ(h.router.binding(s).server, 1u);  // the abort brought it home
+  for (const auto& r : reqs) {
+    EXPECT_TRUE(r->done.triggered());
+    EXPECT_EQ(r->suffix_status, core::SuffixStatus::kServed);
+  }
   check::audit(h.router);
 }
 
@@ -457,7 +508,9 @@ TEST(RunCluster, ChaosRunsAreDeterministicAndAuditedEveryHeartbeat) {
   EXPECT_EQ(a.migrations, b.migrations);
   EXPECT_EQ(a.aborted_migrations, b.aborted_migrations);
   EXPECT_EQ(a.migration_retries, b.migration_retries);
-  EXPECT_EQ(a.fenced_jobs, b.fenced_jobs);
+  ASSERT_EQ(a.servers.size(), b.servers.size());
+  for (std::size_t i = 0; i < a.servers.size(); ++i)
+    EXPECT_EQ(a.servers[i].fenced_jobs, b.servers[i].fenced_jobs);
   EXPECT_EQ(a.death_events, b.death_events);
 }
 

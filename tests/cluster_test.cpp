@@ -2,6 +2,8 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check/invariants.h"
@@ -247,12 +249,13 @@ TEST(SessionMigration, MovesQueuedJobsWithoutLosingAny) {
 
   // The binding moved, jobs were counted through the migration ledgers,
   // and the cluster conserves: nothing in transit after the run.
+  const RouterCounters counts = h.router.counters();
   EXPECT_EQ(h.router.binding(s).server, 1u);
-  EXPECT_EQ(h.router.migrations(), 1u);
-  EXPECT_GT(h.router.migrated_jobs(), 0u);
+  EXPECT_EQ(counts.migrations, 1u);
+  EXPECT_GT(counts.migrated_jobs, 0u);
   EXPECT_EQ(h.router.in_transit_jobs(), 0u);
-  EXPECT_EQ(h.a.counters().migrated_out, h.router.migrated_jobs());
-  EXPECT_EQ(h.b.counters().migrated_in, h.router.migrated_jobs());
+  EXPECT_EQ(h.a.counters().migrated_out, counts.migrated_jobs);
+  EXPECT_EQ(h.b.counters().migrated_in, counts.migrated_jobs);
   EXPECT_GT(h.b.counters().served, 0u);
   EXPECT_EQ(h.a.counters().served + h.b.counters().served, 6u);
   check::audit(h.router);
@@ -316,7 +319,7 @@ TEST(SessionMigration, CrashTargetMidTransferRehomesAndSettles) {
   EXPECT_EQ(h.router.binding(s).server, 0u);
   EXPECT_FALSE(h.router.binding(s).migrating);
   EXPECT_EQ(h.router.in_transit_jobs(), 0u);
-  EXPECT_EQ(h.router.migrations_aborted(), 1u);
+  EXPECT_EQ(h.router.counters().aborted_migrations, 1u);
   EXPECT_EQ(h.b.counters().served, 0u);
   check::audit(h.router);
 }
@@ -384,8 +387,8 @@ TEST(Rebalancer, MinDwellBoundsMigrationsUnderOscillatingLoad) {
   // The skew flips back every time the session moves, so an undamped
   // rebalancer would migrate nearly every heartbeat (~100 moves). The
   // dwell pin bounds it to duration / min_dwell plus the first move.
-  EXPECT_GE(h.router.migrations(), 2u);
-  EXPECT_LE(h.router.migrations(), 6u);
+  EXPECT_GE(h.router.counters().migrations, 2u);
+  EXPECT_LE(h.router.counters().migrations, 6u);
   check::audit(h.router);
 }
 
@@ -500,6 +503,28 @@ TEST(RunCluster, PublishesServeCountersSummedOverServers) {
             std::int64_t(submitted));
   EXPECT_EQ(reg.find_counter("serve.served")->value(), std::int64_t(served));
   EXPECT_NE(reg.find_counter("cluster.t0.alexnet.requests"), nullptr);
+
+  // Every router count is exported once, as cluster.<field>.
+  const std::pair<const char*, std::uint64_t> router_counts[] = {
+      {"heartbeats", result.heartbeats},
+      {"migrations", result.migrations},
+      {"migrated_jobs", result.migrated_jobs},
+      {"reroutes", result.reroutes},
+      {"aborted_migrations", result.aborted_migrations},
+      {"migration_retries", result.migration_retries},
+      {"late_imports_rejected", result.late_imports_rejected},
+      {"zombie_imports", result.zombie_imports},
+      {"stranded_jobs", result.stranded_jobs},
+      {"false_reroutes", result.false_reroutes},
+      {"degrade_transitions", result.degrade_transitions},
+  };
+  EXPECT_GT(result.heartbeats, 0u);
+  for (const auto& [name, count] : router_counts) {
+    const obs::Counter* counter =
+        reg.find_counter(std::string("cluster.") + name);
+    ASSERT_NE(counter, nullptr) << name;
+    EXPECT_EQ(counter->value(), std::int64_t(count)) << name;
+  }
 }
 
 TEST(RunCluster, HonoursMarkovBurstsLikeRunFleet) {

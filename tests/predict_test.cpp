@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -175,29 +173,6 @@ TEST(Reset, ReturnsToTheJustConstructedState) {
     check::audit_equal(fresh, p->export_state());
     EXPECT_EQ(p->forecast(seconds(1)), 0.0) << kind;
   }
-}
-
-TEST(CustomRegistration, PluginResolvesByName) {
-  class Pessimist final : public LoadPredictor {
-   public:
-    using LoadPredictor::LoadPredictor;
-    const char* name() const override { return "pessimist"; }
-
-   private:
-    void update(TimeNs, double) override {}
-    double project(double) const override { return last_value() * 2.0; }
-    void reset_model() override {}
-    void pack(PredictorState*) const override {}
-    void unpack(const PredictorState&) override {}
-  };
-  register_predictor("pessimist", [](const PredictorParams& params) {
-    return std::unique_ptr<LoadPredictor>(new Pessimist(params));
-  });
-  const auto p = make_predictor(params_of("pessimist"));
-  p->observe(seconds(1), 3.0);
-  EXPECT_DOUBLE_EQ(p->forecast(0), 6.0);
-  const auto names = registered_predictors();
-  EXPECT_NE(std::find(names.begin(), names.end(), "pessimist"), names.end());
 }
 
 }  // namespace

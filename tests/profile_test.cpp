@@ -189,6 +189,15 @@ TEST(ModelStore, MalformedInputThrows) {
   EXPECT_THROW(deserialize_predictor("99 1.0\n", Device::kUser),
                ContractError);
   EXPECT_THROW(deserialize_predictor("0\n", Device::kUser), ContractError);
+  // Trailing garbage after the coefficients.
+  EXPECT_THROW(deserialize_predictor("8 1.5e-9 abc", Device::kUser),
+               ContractError);
+  // A decimal comma leaves one coefficient for a four-feature conv.
+  EXPECT_THROW(deserialize_predictor("0 1,5 2 3 4", Device::kUser),
+               ContractError);
+  // A kind listed twice.
+  EXPECT_THROW(deserialize_predictor("8 1e-9\n8 2e-9", Device::kUser),
+               ContractError);
 }
 
 TEST(ModelStore, MissingFileThrows) {
