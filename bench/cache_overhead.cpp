@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 
 #include "common/table.h"
 #include "core/system.h"
@@ -64,7 +65,8 @@ BENCHMARK(bm_partition_at)->Arg(0)->Arg(1);
 void bm_cache_hit(benchmark::State& state) {
   const auto model = models::alexnet();
   partition::PartitionCache cache(8);
-  cache.insert(partition::partition_at(model, 8));
+  cache.insert(std::make_shared<const partition::PartitionPlan>(
+      partition::partition_at(model, 8)));
   for (auto _ : state) {
     const auto* plan = cache.find(8);
     benchmark::DoNotOptimize(plan);

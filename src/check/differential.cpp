@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "check/generators.h"
@@ -138,7 +139,8 @@ void cache_case(std::uint64_t seed, int level) {
       case 8: {
         partition::PartitionPlan plan;
         plan.p = p;
-        cache.insert(std::move(plan));
+        cache.insert(
+            std::make_shared<const partition::PartitionPlan>(std::move(plan)));
         ref.insert(p);
         break;
       }

@@ -39,12 +39,12 @@ void audit(const partition::PartitionCache& cache) {
   LP_CHECK(cache.size() <= cache.capacity());
   const auto keys = cache.lru_keys();
   LP_CHECK_MSG(keys.size() == cache.size(),
-               "LRU list and entry map disagree on occupancy");
+               "recency order and occupancy disagree");
   std::unordered_set<std::size_t> seen;
   for (std::size_t p : keys) {
-    LP_CHECK_MSG(seen.insert(p).second, "duplicate key in LRU list");
+    LP_CHECK_MSG(seen.insert(p).second, "duplicate key in recency order");
     const partition::PartitionPlan* plan = cache.peek(p);
-    LP_CHECK_MSG(plan != nullptr, "LRU key missing from entry map");
+    LP_CHECK_MSG(plan != nullptr, "recency key has no plan");
     LP_CHECK_MSG(plan->p == p, "plan filed under the wrong partition point");
   }
 }
@@ -235,8 +235,8 @@ void audit_equal(const serve::SessionState& a, const serve::SessionState& b) {
   LP_CHECK_MSG(a.cache.plans.size() == b.cache.plans.size(),
                "cache occupancy differs");
   for (std::size_t i = 0; i < a.cache.plans.size(); ++i) {
-    const partition::PartitionPlan& pa = a.cache.plans[i];
-    const partition::PartitionPlan& pb = b.cache.plans[i];
+    const partition::PartitionPlan& pa = *a.cache.plans[i];
+    const partition::PartitionPlan& pb = *b.cache.plans[i];
     LP_CHECK_MSG(pa.p == pb.p, "cache recency order differs");
     LP_CHECK_MSG(pa.boundary == pb.boundary, "plan boundaries differ");
     LP_CHECK_MSG(pa.boundary_bytes == pb.boundary_bytes,

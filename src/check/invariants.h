@@ -28,11 +28,11 @@ namespace lp::check {
 /// non-negative and finite; arrival sequence numbers are unique.
 void audit(const serve::RequestQueue& queue);
 
-/// PartitionCache: the LRU list and the entry map describe the same key
-/// set; occupancy respects capacity; every stored plan is filed under its
-/// own p; eviction/hit/miss counters are mutually consistent with the
-/// occupancy (inserted - evicted == size when inserts are counted by the
-/// caller — here we check the weaker invariants that need no history).
+/// PartitionCache: the recency order holds each key once and as many keys
+/// as the cache holds plans; occupancy respects capacity; every key
+/// resolves to a plan for its own p. (Hit/miss/eviction counters need
+/// history to check; the cache differential compares them against
+/// ReferenceLru.)
 void audit(const partition::PartitionCache& cache);
 
 /// LoadFactorTracker: published k and idle baseline respect constraint 1c

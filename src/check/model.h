@@ -1,9 +1,10 @@
 // Reference models for differential testing.
 //
 // Deliberately naive re-implementations of state machines the production
-// code keeps clever (intrusive LRU lists, incremental sums): the reference
-// does the obviously-correct O(n) thing, and the differential harness
-// asserts the production structure agrees after every operation.
+// code keeps clever (in-place recency rotation over shared plans,
+// incremental sums): the reference does the obviously-correct O(n) thing,
+// and the differential harness asserts the production structure agrees
+// after every operation.
 #pragma once
 
 #include <algorithm>

@@ -46,38 +46,46 @@ SlidingWindow::SlidingWindow(std::size_t capacity) : capacity_(capacity) {
 }
 
 void SlidingWindow::add(double x) {
-  values_.push_back(x);
+  // sum += x before sum -= evicted: every mean depends on this order.
   sum_ += x;
-  if (values_.size() > capacity_) {
-    sum_ -= values_.front();
-    values_.pop_front();
+  if (ring_.size() < capacity_) {
+    if (ring_.capacity() < capacity_) ring_.reserve(capacity_);
+    ring_.push_back(x);
+    return;
   }
+  sum_ -= ring_[head_];
+  ring_[head_] = x;
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
 }
 
 void SlidingWindow::clear() {
-  values_.clear();
+  ring_.clear();
+  head_ = 0;
   sum_ = 0.0;
 }
 
 SlidingWindow::Snapshot SlidingWindow::snapshot() const {
-  return Snapshot{std::vector<double>(values_.begin(), values_.end()), sum_};
+  Snapshot s{std::vector<double>(ring_.begin() + head_, ring_.end()), sum_};
+  s.values.insert(s.values.end(), ring_.begin(), ring_.begin() + head_);
+  return s;
 }
 
 void SlidingWindow::restore(const Snapshot& s) {
   LP_CHECK_MSG(s.values.size() <= capacity_,
                "snapshot does not fit the window capacity");
-  values_.assign(s.values.begin(), s.values.end());
+  ring_.assign(s.values.begin(), s.values.end());
+  head_ = 0;
   sum_ = s.sum;
 }
 
 double SlidingWindow::mean() const {
-  LP_CHECK(!values_.empty());
-  return sum_ / static_cast<double>(values_.size());
+  LP_CHECK(!ring_.empty());
+  return sum_ / static_cast<double>(ring_.size());
 }
 
 double SlidingWindow::latest() const {
-  LP_CHECK(!values_.empty());
-  return values_.back();
+  LP_CHECK(!ring_.empty());
+  return ring_[head_ == 0 ? ring_.size() - 1 : head_ - 1];
 }
 
 double percentile(std::vector<double> values, double q) {

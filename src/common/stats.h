@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 namespace lp {
@@ -33,16 +32,18 @@ class RunningStats {
 /// Fixed-capacity sliding window of recent samples with mean queries.
 ///
 /// Used by the bandwidth estimator and the influential-factor tracker, both
-/// of which average "records in the most recent monitoring period".
+/// of which average "records in the most recent monitoring period". A ring
+/// buffer that allocates on its first sample, so a window that never sees
+/// one (an idle session's) costs no heap memory.
 class SlidingWindow {
  public:
   explicit SlidingWindow(std::size_t capacity);
 
   void add(double x);
   void clear();
-  std::size_t size() const { return values_.size(); }
+  std::size_t size() const { return ring_.size(); }
   std::size_t capacity() const { return capacity_; }
-  bool empty() const { return values_.empty(); }
+  bool empty() const { return ring_.empty(); }
   double mean() const;  ///< Requires !empty().
   double latest() const;  ///< Requires !empty().
 
@@ -62,7 +63,10 @@ class SlidingWindow {
 
  private:
   std::size_t capacity_;
-  std::deque<double> values_;
+  /// Samples in ring order: until the window fills they sit oldest first;
+  /// once full, ring_[head_] is the oldest and add() overwrites it.
+  std::vector<double> ring_;
+  std::size_t head_ = 0;
   double sum_ = 0.0;
 };
 

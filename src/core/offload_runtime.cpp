@@ -113,9 +113,9 @@ sim::Task OffloadServer::execute_suffix(std::size_t p, double* exec_seconds,
   // Partition cache: a miss pays graph partitioning + runtime preparation.
   double overhead = 0.0;
   if (cache_.find(p) == nullptr) {
-    auto plan = partition::partition_at(g, p);
+    partition::PlanPtr plan = profile_->plan(p);
     const std::size_t nodes =
-        plan.server_part ? plan.server_part->backbone().size() : 0;
+        plan->server_part ? plan->server_part->backbone().size() : 0;
     overhead = params_.server_partition_base_sec +
                params_.server_partition_per_node_sec *
                    static_cast<double>(nodes);
@@ -353,9 +353,9 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
   // Device-side partition cache.
   const partition::PartitionPlan* plan = cache_.find(p);
   if (plan == nullptr) {
-    auto fresh = partition::partition_at(g, p);
+    partition::PlanPtr fresh = profile_->plan(p);
     const std::size_t nodes =
-        fresh.device_part ? fresh.device_part->backbone().size() : 0;
+        fresh->device_part ? fresh->device_part->backbone().size() : 0;
     const double overhead = partition_overhead_sec(nodes, /*device=*/true);
     rec.overhead_sec += overhead;
     const TimeNs prep_begin = sim_->now();
@@ -363,9 +363,8 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
     if (auto* tr = trace())
       tr->span(track_, "partition-prepare", prep_begin, sim_->now(),
                obs::TraceArgs().arg("p", p).arg("nodes", nodes));
+    plan = fresh.get();
     cache_.insert(std::move(fresh));
-    plan = cache_.find(p);
-    LP_CHECK(plan != nullptr);
   }
 
   // Execute the device prefix {L1..Lp}.

@@ -44,6 +44,7 @@ GraphCostProfile::GraphCostProfile(const graph::Graph& g,
     suffix_g_[n - i + 1] = suffix_g_[n - i + 2] + g_[n - i + 1];
   }
   s_ = graph::cut_sizes(g);
+  plans_.resize(n + 1);
 }
 
 double GraphCostProfile::predicted_latency(std::size_t p, double k,
@@ -58,6 +59,15 @@ double GraphCostProfile::predicted_latency(std::size_t p, double k,
   if (download_bps > 0.0)
     t += static_cast<double>(s_[n()]) * 8.0 / download_bps;
   return t;
+}
+
+const partition::PlanPtr& GraphCostProfile::plan(std::size_t p) const {
+  LP_CHECK(p <= n());
+  partition::PlanPtr& slot = plans_[p];
+  if (slot == nullptr)
+    slot = std::make_shared<const partition::PartitionPlan>(
+        partition::partition_at(*graph_, p));
+  return slot;
 }
 
 double fused_edge_prediction(const graph::Graph& g,

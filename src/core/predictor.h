@@ -10,6 +10,7 @@
 
 #include "graph/cut.h"
 #include "graph/graph.h"
+#include "partition/partitioner.h"
 #include "profile/trainer.h"
 
 namespace lp::core {
@@ -53,6 +54,12 @@ class GraphCostProfile {
   double predicted_latency(std::size_t p, double k, double upload_bps,
                            double download_bps = 0.0) const;
 
+  /// The partition plan for cut point p (0 <= p <= n): built by
+  /// partition::partition_at on first use and kept for the profile's
+  /// lifetime, so every partition cache of this model shares one immutable
+  /// plan per p. Not thread-safe (no simulation layer runs threads).
+  const partition::PlanPtr& plan(std::size_t p) const;
+
  private:
   const graph::Graph* graph_;
   std::vector<double> f_;
@@ -60,6 +67,7 @@ class GraphCostProfile {
   std::vector<double> prefix_f_;  // prefix_f_[i] = sum f over first i nodes
   std::vector<double> suffix_g_;  // suffix_g_[i] = sum g over positions >= i
   std::vector<std::int64_t> s_;
+  mutable std::vector<partition::PlanPtr> plans_;  // one slot per p
 };
 
 /// Fusion-aware server-side prediction of a backbone segment (extension;

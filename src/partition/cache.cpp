@@ -1,5 +1,7 @@
 #include "partition/cache.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace lp::partition {
@@ -8,42 +10,41 @@ PartitionCache::PartitionCache(std::size_t capacity) : capacity_(capacity) {
   LP_CHECK(capacity > 0);
 }
 
+std::size_t PartitionCache::index_of(std::size_t p) const {
+  std::size_t i = 0;
+  while (i < plans_.size() && plans_[i]->p != p) ++i;
+  return i;
+}
+
 const PartitionPlan* PartitionCache::peek(std::size_t p) const {
-  auto it = entries_.find(p);
-  return it == entries_.end() ? nullptr : &it->second.plan;
+  const std::size_t i = index_of(p);
+  return i == plans_.size() ? nullptr : plans_[i].get();
 }
 
 const PartitionPlan* PartitionCache::find(std::size_t p) {
-  auto it = entries_.find(p);
-  if (it == entries_.end()) {
+  const std::size_t i = index_of(p);
+  if (i == plans_.size()) {
     ++misses_;
     return nullptr;
   }
   ++hits_;
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(p);
-  it->second.lru_it = lru_.begin();
-  return &it->second.plan;
+  std::rotate(plans_.begin(), plans_.begin() + i, plans_.begin() + i + 1);
+  return plans_.front().get();
 }
 
-void PartitionCache::insert(PartitionPlan plan) {
-  const std::size_t p = plan.p;
-  auto it = entries_.find(p);
-  if (it != entries_.end()) {
-    it->second.plan = std::move(plan);
-    lru_.erase(it->second.lru_it);
-    lru_.push_front(p);
-    it->second.lru_it = lru_.begin();
+void PartitionCache::insert(PlanPtr plan) {
+  LP_CHECK(plan != nullptr);
+  const std::size_t i = index_of(plan->p);
+  if (i < plans_.size()) {
+    plans_[i] = std::move(plan);
+    std::rotate(plans_.begin(), plans_.begin() + i, plans_.begin() + i + 1);
     return;
   }
-  if (entries_.size() >= capacity_) {
-    const std::size_t victim = lru_.back();
-    lru_.pop_back();
-    entries_.erase(victim);
+  if (plans_.size() >= capacity_) {
+    plans_.pop_back();
     ++evictions_;
   }
-  lru_.push_front(p);
-  entries_.emplace(p, Entry{std::move(plan), lru_.begin()});
+  plans_.insert(plans_.begin(), std::move(plan));
 }
 
 double PartitionCache::hit_rate() const {
@@ -53,18 +54,14 @@ double PartitionCache::hit_rate() const {
 }
 
 std::vector<std::size_t> PartitionCache::lru_keys() const {
-  return std::vector<std::size_t>(lru_.begin(), lru_.end());
+  std::vector<std::size_t> keys;
+  keys.reserve(plans_.size());
+  for (const PlanPtr& plan : plans_) keys.push_back(plan->p);
+  return keys;
 }
 
 PartitionCache::Contents PartitionCache::export_contents() const {
-  Contents contents;
-  contents.plans.reserve(entries_.size());
-  for (std::size_t p : lru_)  // front = most recent
-    contents.plans.push_back(entries_.at(p).plan);
-  contents.hits = hits_;
-  contents.misses = misses_;
-  contents.evictions = evictions_;
-  return contents;
+  return Contents{plans_, hits_, misses_, evictions_};
 }
 
 void PartitionCache::import_contents(Contents contents) {
@@ -86,8 +83,7 @@ void PartitionCache::reset_stats() {
 }
 
 void PartitionCache::clear() {
-  entries_.clear();
-  lru_.clear();
+  plans_.clear();
   reset_stats();
 }
 

@@ -4,11 +4,15 @@
 // graphs and auxiliary structures so repeated requests with the same p skip
 // re-partitioning and runtime preparation — amortizing the overhead to ~1%
 // of inference time over ~100 requests (bench/cache_overhead).
+//
+// The cache holds shared pointers to immutable plans: every cache of one
+// model shares the profile's single plan per p, so an entry costs a pointer
+// and a migrated cache moves pointers, not graphs. A session holds a few
+// plans, so the LRU is one small vector in recency order.
 #pragma once
 
 #include <cstddef>
-#include <list>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "partition/partitioner.h"
@@ -27,11 +31,11 @@ class PartitionCache {
   /// For invariant audits and tests that must observe without perturbing.
   const PartitionPlan* peek(std::size_t p) const;
 
-  /// Inserts (or replaces) the plan for plan.p, evicting the least recently
-  /// used entry if over capacity.
-  void insert(PartitionPlan plan);
+  /// Inserts (or replaces) the plan for plan->p, evicting the least
+  /// recently used entry if over capacity. Requires a non-null plan.
+  void insert(PlanPtr plan);
 
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return plans_.size(); }
   std::size_t capacity() const { return capacity_; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
@@ -44,9 +48,9 @@ class PartitionCache {
   /// Full cache contents for session migration: the plans in recency order
   /// (most recent first) plus the statistics. import_contents() into a
   /// cache of the same capacity reproduces the source bit-identically
-  /// (lru_keys(), hit/miss/eviction counters, every stored plan).
+  /// (lru_keys(), hit/miss/eviction counters, the very same plans).
   struct Contents {
-    std::vector<PartitionPlan> plans;  ///< most recent first
+    std::vector<PlanPtr> plans;  ///< most recent first
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
@@ -64,13 +68,11 @@ class PartitionCache {
   void clear();
 
  private:
+  /// Position of p in plans_, or size() when absent.
+  std::size_t index_of(std::size_t p) const;
+
   std::size_t capacity_;
-  std::list<std::size_t> lru_;  // front = most recent
-  struct Entry {
-    PartitionPlan plan;
-    std::list<std::size_t>::iterator lru_it;
-  };
-  std::unordered_map<std::size_t, Entry> entries_;
+  std::vector<PlanPtr> plans_;  // front = most recent
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,6 +38,10 @@ struct PartitionPlan {
   /// Total bytes of the boundary tensors (== s_p for p < n).
   std::int64_t boundary_bytes = 0;
 };
+
+/// A plan is immutable once built, so every cache that holds the plan for
+/// one (model, p) shares a single copy (core::GraphCostProfile::plan).
+using PlanPtr = std::shared_ptr<const PartitionPlan>;
 
 /// Extracts backbone positions [begin, end] of `g` as a standalone graph.
 /// `tail_consumers_external`: treat the graph output as consumed outside

@@ -507,16 +507,17 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
   delay_predictor_->observe(dispatch_time, predicted_queue_delay_sec());
 
   // Partition caches are per session; one runtime preparation covers the
-  // whole batch (it shares (model, p)), and every member session that
-  // missed stores the plan.
+  // whole batch (it shares (model, p)). Each job looks the plan up once;
+  // after the preparation every member session stores the profile's plan,
+  // which for a session that hit only refreshes its recency.
   double overhead = 0.0;
   bool miss = false;
   for (const QueuedJob& job : batch)
     if (sessions_[job.session].cache.find(p) == nullptr) miss = true;
   if (miss) {
-    const partition::PartitionPlan plan = partition::partition_at(g, p);
+    const partition::PlanPtr plan = profile.plan(p);
     const std::size_t nodes =
-        plan.server_part ? plan.server_part->backbone().size() : 0;
+        plan->server_part ? plan->server_part->backbone().size() : 0;
     overhead = runtime_.server_partition_base_sec +
                runtime_.server_partition_per_node_sec *
                    static_cast<double>(nodes);
@@ -526,10 +527,8 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
     if (auto* tr = trace())
       tr->span(track_, "partition-prepare", prep_begin, sim_->now(),
                obs::TraceArgs().arg("p", p).arg("nodes", nodes));
-    for (const QueuedJob& job : batch) {
-      Session& session = sessions_[job.session];
-      if (session.cache.find(p) == nullptr) session.cache.insert(plan);
-    }
+    for (const QueuedJob& job : batch)
+      sessions_[job.session].cache.insert(plan);
   }
   for (const QueuedJob& job : batch)
     if (job.overhead_seconds != nullptr) *job.overhead_seconds = overhead;

@@ -16,10 +16,10 @@
 namespace lp::check {
 namespace {
 
-partition::PartitionPlan plan_for(std::size_t p) {
+partition::PlanPtr plan_for(std::size_t p) {
   partition::PartitionPlan plan;
   plan.p = p;
-  return plan;
+  return std::make_shared<const partition::PartitionPlan>(std::move(plan));
 }
 
 // ---------------------------------------------------------------- satellite

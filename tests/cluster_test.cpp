@@ -178,11 +178,20 @@ TEST(SessionMigration, RoundTripStateIsBitIdentical) {
   EXPECT_DOUBLE_EQ(h.a.session_tracker(s).k(), 1.0);
 
   h.b.import_session(s, std::move(ex));
+  // Plans migrate by reference: B's cache holds the very plan objects that
+  // left A, which are the profile's own.
+  ASSERT_EQ(h.b.session_cache(s).size(), original.cache.plans.size());
+  for (const partition::PlanPtr& plan : original.cache.plans) {
+    EXPECT_EQ(h.b.session_cache(s).peek(plan->p), plan.get());
+    EXPECT_EQ(plan.get(), h.profile.plan(plan->p).get());
+  }
 
   // Export again from B: bit-identical to what left A, incrementally
   // maintained sums included.
   serve::SessionExport back = h.b.export_session(s);
   check::audit_equal(original, back.state);
+  for (std::size_t i = 0; i < original.cache.plans.size(); ++i)
+    EXPECT_EQ(back.state.cache.plans[i], original.cache.plans[i]);
 }
 
 TEST(SessionMigration, PredictorStateRoundTripsBitIdentical) {

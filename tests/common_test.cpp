@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/csv.h"
@@ -134,6 +137,62 @@ TEST(SlidingWindow, EvictsOldest) {
 
 TEST(SlidingWindow, RejectsZeroCapacity) {
   EXPECT_THROW(SlidingWindow(0), ContractError);
+}
+
+TEST(SlidingWindow, RingMatchesNaiveDequeBitForBit) {
+  for (std::size_t capacity : {1u, 3u, 16u}) {
+    SCOPED_TRACE("capacity=" + std::to_string(capacity));
+    Rng rng(capacity);
+    SlidingWindow window(capacity);
+    SlidingWindow twin(capacity);  // restored from `window` now and then
+    std::deque<double> mirror;
+    double mirror_sum = 0.0;
+    for (int i = 0; i < 1200; ++i) {
+      // Magnitudes spread over nine decades, so the running sum rounds on
+      // most adds and any change in FP order would show in the last bit.
+      const double scale =
+          std::pow(10.0, static_cast<double>(rng.uniform_int(-3, 6)));
+      const double x = rng.uniform(-1.0, 1.0) * scale;
+      window.add(x);
+      twin.add(x);
+      mirror.push_back(x);
+      mirror_sum += x;
+      if (mirror.size() > capacity) {
+        mirror_sum -= mirror.front();
+        mirror.pop_front();
+      }
+
+      const SlidingWindow::Snapshot snap = window.snapshot();
+      ASSERT_EQ(snap.values,
+                std::vector<double>(mirror.begin(), mirror.end()));
+      ASSERT_EQ(snap.sum, mirror_sum);
+      ASSERT_EQ(window.size(), mirror.size());
+      ASSERT_EQ(window.latest(), x);
+      ASSERT_EQ(window.mean(), mirror_sum / static_cast<double>(mirror.size()));
+
+      const SlidingWindow::Snapshot twin_snap = twin.snapshot();
+      ASSERT_EQ(twin_snap.values, snap.values);
+      ASSERT_EQ(twin_snap.sum, snap.sum);
+      ASSERT_EQ(twin.mean(), window.mean());
+      ASSERT_EQ(twin.latest(), window.latest());
+      if (i % 97 == 41) {
+        twin = SlidingWindow(capacity);
+        twin.restore(snap);
+      }
+    }
+  }
+}
+
+TEST(SlidingWindow, ClearForgetsSamplesAndSum) {
+  SlidingWindow w(2);
+  for (double v : {1.0, 2.0, 3.0}) w.add(v);
+  w.clear();
+  EXPECT_TRUE(w.empty());
+  EXPECT_TRUE(w.snapshot().values.empty());
+  EXPECT_EQ(w.snapshot().sum, 0.0);
+  w.add(5.0);
+  EXPECT_EQ(w.mean(), 5.0);
+  EXPECT_EQ(w.latest(), 5.0);
 }
 
 TEST(Percentile, InterpolatesAndClamps) {

@@ -139,14 +139,18 @@ TEST(Partitioner, SegmentGraphsValidate) {
   EXPECT_EQ(plan.server_part->input_id(), graph::kInvalidNode);
 }
 
+PlanPtr shared_plan(const graph::Graph& g, std::size_t p) {
+  return std::make_shared<const PartitionPlan>(partition_at(g, p));
+}
+
 TEST(Cache, HitMissEvictionAccounting) {
   const auto g = tiny_dag();
   PartitionCache cache(2);
   EXPECT_EQ(cache.find(1), nullptr);  // miss
-  cache.insert(partition_at(g, 1));
-  cache.insert(partition_at(g, 2));
+  cache.insert(shared_plan(g, 1));
+  cache.insert(shared_plan(g, 2));
   EXPECT_NE(cache.find(1), nullptr);  // hit, refreshes 1
-  cache.insert(partition_at(g, 3));   // evicts 2 (LRU)
+  cache.insert(shared_plan(g, 3));  // evicts 2 (LRU)
   EXPECT_EQ(cache.find(2), nullptr);
   EXPECT_NE(cache.find(3), nullptr);
   EXPECT_EQ(cache.hits(), 2u);
@@ -158,20 +162,27 @@ TEST(Cache, HitMissEvictionAccounting) {
 TEST(Cache, ReinsertReplacesInPlace) {
   const auto g = tiny_dag();
   PartitionCache cache(2);
-  cache.insert(partition_at(g, 1));
-  cache.insert(partition_at(g, 1));
+  cache.insert(shared_plan(g, 1));
+  const PlanPtr again = shared_plan(g, 1);
+  cache.insert(again);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.peek(1), again.get());
 }
 
 TEST(Cache, RejectsZeroCapacity) {
   EXPECT_THROW(PartitionCache(0), ContractError);
 }
 
+TEST(Cache, RejectsNullPlan) {
+  PartitionCache cache(2);
+  EXPECT_THROW(cache.insert(nullptr), ContractError);
+}
+
 TEST(Cache, ClearResetsEntriesKeepsStats) {
   const auto g = tiny_dag();
   PartitionCache cache(4);
-  cache.insert(partition_at(g, 0));
+  cache.insert(shared_plan(g, 0));
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.find(0), nullptr);

@@ -6,6 +6,7 @@
 #include "hw/load_generator.h"
 
 #include "models/zoo.h"
+#include "partition/partitioner.h"
 
 namespace lp::core {
 namespace {
@@ -151,6 +152,52 @@ TEST(OffloadRuntime, CacheAmortizesPartitionOverhead) {
   for (std::size_t i = 1; i < records.size(); ++i)
     EXPECT_DOUBLE_EQ(records[i].overhead_sec, 0.0) << i;
   EXPECT_GT(h.client.cache().hits(), 0u);
+}
+
+TEST(OffloadRuntime, OneRequestCountsOneCacheLookupPerSide) {
+  // Each side looks its plan up once per request, so a cold request is one
+  // miss and no hit on the device and on the server alike.
+  Harness h("alexnet");
+  std::vector<InferenceRecord> records;
+  h.sim.spawn(run_inferences(h.client, 1, records));
+  h.sim.run_until(seconds(30));
+  ASSERT_EQ(records.size(), 1u);
+  ASSERT_LT(records[0].p, h.model.n());  // the suffix ran on the server
+  EXPECT_EQ(h.client.cache().hits(), 0u);
+  EXPECT_EQ(h.client.cache().misses(), 1u);
+  EXPECT_EQ(h.server.cache().hits(), 0u);
+  EXPECT_EQ(h.server.cache().misses(), 1u);
+  // Both caches hold the profile's own plan, not copies of it.
+  const std::size_t p = records[0].p;
+  EXPECT_EQ(h.client.cache().peek(p), h.profile.plan(p).get());
+  EXPECT_EQ(h.server.cache().peek(p), h.profile.plan(p).get());
+}
+
+TEST(GraphCostProfile, PlanIsBuiltOnceAndMatchesPartitionAt) {
+  for (const char* name : {"alexnet", "squeezenet"}) {
+    SCOPED_TRACE(name);
+    const graph::Graph g = models::make_model(name);
+    const GraphCostProfile profile(g, bundle());
+    for (std::size_t p = 0; p <= g.n(); ++p) {
+      SCOPED_TRACE("p=" + std::to_string(p));
+      const partition::PlanPtr& memo = profile.plan(p);
+      ASSERT_NE(memo, nullptr);
+      EXPECT_EQ(profile.plan(p).get(), memo.get());
+      const partition::PartitionPlan fresh = partition::partition_at(g, p);
+      EXPECT_EQ(memo->p, fresh.p);
+      EXPECT_EQ(memo->boundary, fresh.boundary);
+      EXPECT_EQ(memo->boundary_bytes, fresh.boundary_bytes);
+      ASSERT_EQ(memo->device_part.has_value(), fresh.device_part.has_value());
+      ASSERT_EQ(memo->server_part.has_value(), fresh.server_part.has_value());
+      if (fresh.device_part)
+        EXPECT_EQ(memo->device_part->backbone().size(),
+                  fresh.device_part->backbone().size());
+      if (fresh.server_part)
+        EXPECT_EQ(memo->server_part->backbone().size(),
+                  fresh.server_part->backbone().size());
+    }
+    EXPECT_THROW(profile.plan(g.n() + 1), ContractError);
+  }
 }
 
 TEST(OffloadRuntime, LocalPolicyNeverTouchesNetworkOrGpu) {

@@ -528,6 +528,42 @@ TEST(EdgeServerFrontend, CrashWipesPartitionCacheAndKWindow) {
   EXPECT_EQ(h.frontend.session_cache(s).size(), 1u);
 }
 
+TEST(EdgeServerFrontend, ColdRequestCountsOneCacheMiss) {
+  FrontendHarness h(FrontendParams{});
+  const auto s = h.frontend.open_session(h.profile);
+  PendingRequest cold(h.sim);
+  ASSERT_EQ(h.frontend.submit(cold.request(s, 5)),
+            core::SubmitStatus::kAccepted);
+  h.sim.run_until(seconds(30));
+  ASSERT_TRUE(cold.done.triggered());
+  EXPECT_GT(cold.overhead, 0.0);
+  // One lookup per job: storing the plan after the preparation delay is
+  // not a second lookup.
+  EXPECT_EQ(h.frontend.session_cache(s).hits(), 0u);
+  EXPECT_EQ(h.frontend.session_cache(s).misses(), 1u);
+}
+
+TEST(EdgeServerFrontend, ClientAndSessionShareTheProfilesPlan) {
+  // A client offloading through a frontend session: the device cache, the
+  // session cache and the profile all hold one plan object per p.
+  FrontendHarness h(FrontendParams{});
+  hw::CpuModel cpu;
+  net::Link link(h.sim, net::BandwidthTrace::constant(mbps(8)),
+                 net::BandwidthTrace::constant(mbps(8)), milliseconds(2), 19);
+  const auto s = h.frontend.open_session(h.profile);
+  core::OffloadClient client(h.sim, cpu, h.profile, link, h.frontend,
+                             core::Policy::kLoadPart, {}, /*seed=*/6, s);
+  core::InferenceRecord rec;
+  h.sim.spawn(client.infer(&rec));
+  h.sim.run_until(seconds(30));
+  const std::size_t p = rec.p;
+  ASSERT_GT(p, 0u);
+  ASSERT_LT(p, h.model.n());  // both sides prepared a plan
+  const partition::PartitionPlan* shared = h.profile.plan(p).get();
+  EXPECT_EQ(client.cache().peek(p), shared);
+  EXPECT_EQ(h.frontend.session_cache(s).peek(p), shared);
+}
+
 // ------------------------------------------------------------- fleet --
 
 FleetConfig overload_fleet(std::uint64_t seed) {
