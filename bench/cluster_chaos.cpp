@@ -351,7 +351,10 @@ int main(int argc, char** argv) {
   determinism_check(base, {0.2, true}, crash_at, restart_at, bundle,
                     report);
 
-  report.write_json(out_path);
+  if (!report.write_json(out_path)) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
+    return 1;
+  }
   report.maybe_write_csv_env();
   return 0;
 }

@@ -256,7 +256,10 @@ int main(int argc, char** argv) {
 
   determinism_check(bundle, report, duration / 2, warmup / 2);
 
-  report.write_json(out_path);
+  if (!report.write_json(out_path)) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
+    return 1;
+  }
   report.maybe_write_csv_env();
   return 0;
 }

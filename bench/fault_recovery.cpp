@@ -258,7 +258,10 @@ int main(int argc, char** argv) {
          m.crash_requests, m.crash_failed, m.crash_median_ms, m.crash_p99_ms});
   auto& claim_section = report.section("claims", {"claim", "ok"});
   for (const Claim& c : claims) claim_section.add_row({c.text, c.ok});
-  report.write_json(out_path);
+  if (!report.write_json(out_path)) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
+    return 1;
+  }
   report.maybe_write_csv_env();
 
   if (!ok) {

@@ -141,7 +141,11 @@ int main(int argc, char** argv) {
       "curves)\n",
       mean_reduction * 100.0);
   report.set("mean_reduction", mean_reduction);
-  report.write_json(argc > 1 ? argv[1] : "BENCH_fig9.json");
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_fig9.json";
+  if (!report.write_json(out_path)) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
+    return 1;
+  }
   report.maybe_write_csv_env();
   return 0;
 }

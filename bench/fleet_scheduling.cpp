@@ -207,7 +207,11 @@ int main(int argc, char** argv) {
   scheduling_comparison(bundle, report);
   batching_comparison(bundle, report);
   determinism_check(bundle, report);
-  report.write_json(argc > 1 ? argv[1] : "BENCH_fleet.json");
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_fleet.json";
+  if (!report.write_json(out_path)) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
+    return 1;
+  }
   report.maybe_write_csv_env();
   return 0;
 }

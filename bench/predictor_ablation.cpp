@@ -257,7 +257,10 @@ int main(int argc, char** argv) {
   report.set("reactive_p90_ms", reactive.p90_ms);
   report.set("reactive_slo_miss_rate", reactive.slo_miss_rate);
   report.set("deterministic", deterministic);
-  report.write_json(out_path);
+  if (!report.write_json(out_path)) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
+    return 1;
+  }
   report.maybe_write_csv_env();
   return 0;
 }

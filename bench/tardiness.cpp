@@ -263,7 +263,10 @@ int main(int argc, char** argv) {
   report.set("levels_won", levels_won);
   report.set("ls_shed_beats_edf_plain", levels_won >= 2);
   report.set("deterministic", deterministic);
-  report.write_json(out_path);
+  if (!report.write_json(out_path)) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
+    return 1;
+  }
   report.maybe_write_csv_env();
   return 0;
 }

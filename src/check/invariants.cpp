@@ -127,7 +127,8 @@ void audit(const serve::EdgeServerFrontend& frontend) {
     LP_CHECK(std::isfinite(sig.backlog_sec) && sig.backlog_sec >= 0.0);
     LP_CHECK(sig.confidence >= 0.0 && sig.confidence <= 1.0);
     LP_CHECK(sig.age_ns >= 0);
-    const predict::LoadPredictor& predictor = frontend.session_predictor(s);
+    const predict::LoadPredictor& predictor =
+        frontend.session_tracker(s).predictor();
     if (predictor.scored() > 0)
       LP_CHECK(std::isfinite(predictor.mae()) &&
                std::isfinite(predictor.bias()));
@@ -225,12 +226,17 @@ void audit_equal(const predict::PredictorState& a,
   LP_CHECK_MSG(a.scalars == b.scalars, "predictor scalars differ");
 }
 
-void audit_equal(const serve::SessionState& a, const serve::SessionState& b) {
-  audit_equal(a.k.ratios, b.k.ratios, "k ratios");
-  audit_equal(a.k.idle_ratios, b.k.idle_ratios, "k idle ratios");
-  LP_CHECK_MSG(a.k.records == b.k.records, "k record counts differ");
-  audit_equal(a.bandwidth.window, b.bandwidth.window, "bandwidth");
+void audit_equal(const core::LoadFactorTracker::State& a,
+                 const core::LoadFactorTracker::State& b) {
+  audit_equal(a.ratios, b.ratios, "k ratios");
+  audit_equal(a.idle_ratios, b.idle_ratios, "k idle ratios");
+  LP_CHECK_MSG(a.records == b.records, "k record counts differ");
   audit_equal(a.predictor, b.predictor);
+}
+
+void audit_equal(const serve::SessionState& a, const serve::SessionState& b) {
+  audit_equal(a.k, b.k);
+  audit_equal(a.bandwidth.window, b.bandwidth.window, "bandwidth");
 
   LP_CHECK_MSG(a.cache.plans.size() == b.cache.plans.size(),
                "cache occupancy differs");

@@ -70,11 +70,16 @@ void audit(const serve::EdgeServerFrontend& frontend);
 /// no server's session fence ever runs ahead of the binding's epoch.
 void audit(const cluster::ClusterRouter& router);
 
+/// Tracker-state bit-identity: both ratio windows (values *and*
+/// incrementally-maintained sums), the record count and the forecaster
+/// state must match exactly.
+void audit_equal(const core::LoadFactorTracker::State& a,
+                 const core::LoadFactorTracker::State& b);
+
 /// Migration round-trip equivalence: the two session-state snapshots must
-/// be bit-identical (same window values *and* incrementally-maintained
-/// sums, same cache plans/recency/statistics, same record counts, same
-/// predictor state) — the export→import→export property cluster_test pins
-/// on live frontends.
+/// be bit-identical (the tracker states as above, the same bandwidth
+/// window, the same cache plans/recency/statistics) — the
+/// export→import→export property cluster_test pins on live frontends.
 void audit_equal(const serve::SessionState& a, const serve::SessionState& b);
 
 /// Predictor-state bit-identity: every fixed field and every packed model

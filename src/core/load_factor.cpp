@@ -6,21 +6,26 @@
 
 namespace lp::core {
 
-LoadFactorTracker::LoadFactorTracker(std::size_t window)
-    : ratios_(window), idle_ratios_(std::max<std::size_t>(4, window / 2)) {}
+LoadFactorTracker::LoadFactorTracker(
+    std::size_t window, const predict::PredictorParams& forecaster)
+    : ratios_(window),
+      idle_ratios_(std::max<std::size_t>(4, window / 2)),
+      predictor_(predict::make_predictor(forecaster)) {}
 
-void LoadFactorTracker::record(double measured_sec, double predicted_sec,
-                               bool contended) {
+double LoadFactorTracker::record(double measured_sec, double predicted_sec,
+                                 bool contended, TimeNs now) {
   LP_DCHECK(measured_sec >= 0.0);
   LP_CHECK_MSG(predicted_sec > 0.0, "predicted partition time must be > 0");
   // A non-positive measurement carries no load information (the mirror of
   // the 0 ns BandwidthEstimator::add_transfer case): a zero ratio would
   // drag the published mean below the load actually observed. Drop it.
-  if (measured_sec <= 0.0) return;
-  const double ratio = measured_sec / predicted_sec;
-  ratios_.add(ratio);
-  ++records_;
-  if (!contended) idle_ratios_.add(ratio);
+  if (measured_sec > 0.0) {
+    const double ratio = measured_sec / predicted_sec;
+    ratios_.add(ratio);
+    ++records_;
+    if (!contended) idle_ratios_.add(ratio);
+  }
+  return predictor_->observe(now, k());
 }
 
 double LoadFactorTracker::k() const {
@@ -33,23 +38,47 @@ double LoadFactorTracker::idle_baseline() const {
   return std::max(1.0, idle_ratios_.mean());
 }
 
+LoadSignal LoadFactorTracker::signal(TimeNs now, DurationNs horizon) const {
+  LoadSignal sig;
+  sig.k_now = k();
+  sig.k_forecast = sig.k_now;
+  if (predictor_->samples() > 0) {
+    // Constraint 1c applies to the forecast as much as to the measurement.
+    sig.k_forecast = std::max(1.0, predictor_->forecast(horizon));
+    sig.age_ns = now - predictor_->last_observed();
+    sig.confidence = predictor_->confidence();
+  }
+  return sig;
+}
+
 LoadFactorTracker::State LoadFactorTracker::export_state() const {
-  return State{ratios_.snapshot(), idle_ratios_.snapshot(), records_};
+  return State{ratios_.snapshot(), idle_ratios_.snapshot(), records_,
+               predictor_->export_state()};
 }
 
 void LoadFactorTracker::import_state(const State& state) {
   ratios_.restore(state.ratios);
   idle_ratios_.restore(state.idle_ratios);
   records_ = state.records;
+  predictor_->import_state(state.predictor);
 }
 
-void LoadFactorTracker::reset_idle() {
+void LoadFactorTracker::reset_idle(TimeNs now) {
   ratios_.clear();
   ratios_.add(idle_baseline());
   // The monitoring period restarts with the reset: a periodic reporter
   // reading records() right after must not see the pre-reset count (the
   // re-seeded baseline is a synthetic sample, not a measurement).
   records_ = 0;
+  predictor_->observe(now, k());
+}
+
+void LoadFactorTracker::reset() {
+  // Fresh windows release their buffers, as a rebuilt tracker would.
+  ratios_ = SlidingWindow(ratios_.capacity());
+  idle_ratios_ = SlidingWindow(idle_ratios_.capacity());
+  records_ = 0;
+  predictor_->reset();
 }
 
 }  // namespace lp::core

@@ -7,21 +7,34 @@
 // A separate GPU-utilization watcher resets k toward idle when utilization
 // drops below a threshold while the device is inferring locally
 // (Section IV).
+//
+// The tracker owns the forecaster over the k series it publishes
+// (src/predict/): every record() and reset_idle() feeds it the new k, so
+// signal() under the default last-value kind forecasts exactly the reactive
+// value, and the forecaster's state travels inside the tracker's State.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "common/stats.h"
 #include "common/units.h"
+#include "core/load_signal.h"
+#include "predict/load_predictor.h"
 
 namespace lp::core {
 
 class LoadFactorTracker {
  public:
-  /// `window` = number of recent partition executions averaged.
-  explicit LoadFactorTracker(std::size_t window = 16);
+  /// `window` = number of recent partition executions averaged;
+  /// `forecaster` builds the predictor over the published k series.
+  explicit LoadFactorTracker(std::size_t window = 16,
+                             const predict::PredictorParams& forecaster = {});
 
-  /// Records one completed partition execution on the server.
+  /// Records one completed partition execution on the server at sim time
+  /// `now`, then feeds the forecaster the published k — also when the
+  /// sample itself is dropped. Returns the forecaster's signed error for
+  /// this instant (NaN on its first observation).
   /// `contended` says whether other work was queued on the GPU when this
   /// partition ran (the server-side profiler can see the queue): only
   /// uncontended measurements teach the idle baseline.
@@ -29,21 +42,31 @@ class LoadFactorTracker {
   /// A measured_sec <= 0 sample is dropped (it carries no load
   /// information; a zero ratio would drag k below the observed load);
   /// negative values additionally trip an LP_DCHECK in debug builds.
-  void record(double measured_sec, double predicted_sec,
-              bool contended = false);
+  double record(double measured_sec, double predicted_sec, bool contended,
+                TimeNs now);
 
   /// Current influential factor (>= 1). With no records, 1.
   double k() const;
 
-  /// Idle reset used by the GPU watcher: forget the loaded history so the
-  /// next published k reflects an unloaded server. The published k returns
-  /// to the *idle baseline* — the average ratio of uncontended
-  /// measurements — rather than exactly 1: by construction (Section III-C)
-  /// k folds in any systematic bias of the prediction models, and that
-  /// bias does not disappear with the load. With no idle measurement yet
-  /// (cold start under load) the baseline is 1, which makes the device try
-  /// offloading once and calibrate from that.
-  void reset_idle();
+  /// Idle reset used by the GPU watcher at sim time `now`: forget the
+  /// loaded history so the next published k reflects an unloaded server,
+  /// and feed the forecaster the step. The published k returns to the
+  /// *idle baseline* — the average ratio of uncontended measurements —
+  /// rather than exactly 1: by construction (Section III-C) k folds in any
+  /// systematic bias of the prediction models, and that bias does not
+  /// disappear with the load. With no idle measurement yet (cold start
+  /// under load) the baseline is 1, which makes the device try offloading
+  /// once and calibrate from that.
+  void reset_idle(TimeNs now);
+
+  /// Back to a just-constructed tracker (crash, fence, export-side wipe),
+  /// reusing the forecaster object.
+  void reset();
+
+  /// The published k and its forecast `horizon` ahead (>= 1, constraint
+  /// 1c), with the forecaster's staleness at `now` and its confidence.
+  /// backlog_sec is left to the caller.
+  LoadSignal signal(TimeNs now, DurationNs horizon) const;
 
   /// Mean ratio of recent uncontended executions (>= 1); 1 if none yet.
   double idle_baseline() const;
@@ -56,14 +79,18 @@ class LoadFactorTracker {
   std::size_t window_size() const { return ratios_.size(); }
   std::size_t window_capacity() const { return ratios_.capacity(); }
 
-  /// Full tracker state for session migration: both ratio windows plus the
-  /// monitoring-period counter. export_state() on the source and
-  /// import_state() on a tracker constructed with the same window size
-  /// leave the two bit-identical (k(), idle_baseline(), records()).
+  const predict::LoadPredictor& predictor() const { return *predictor_; }
+
+  /// Full tracker state for session migration: both ratio windows, the
+  /// monitoring-period counter and the forecaster. export_state() on the
+  /// source and import_state() on a tracker constructed with the same
+  /// window size and forecaster params leave the two bit-identical (k(),
+  /// idle_baseline(), records(), every forecast).
   struct State {
     SlidingWindow::Snapshot ratios;
     SlidingWindow::Snapshot idle_ratios;
     std::uint64_t records = 0;
+    predict::PredictorState predictor;
   };
   State export_state() const;
   void import_state(const State& state);
@@ -72,6 +99,7 @@ class LoadFactorTracker {
   SlidingWindow ratios_;
   SlidingWindow idle_ratios_;
   std::uint64_t records_ = 0;
+  std::unique_ptr<predict::LoadPredictor> predictor_;
 };
 
 }  // namespace lp::core

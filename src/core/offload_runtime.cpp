@@ -29,33 +29,87 @@ double jitter_scale(Rng& rng, double frac) {
   return std::max(0.2, 1.0 + frac * rng.normal());
 }
 
-/// Heap-allocated per-attempt reply block. The client and the server (and
-/// the client's own deadline watcher) all hold it through shared_ptr /
-/// SuffixRequest::keepalive, so whichever side finishes last still writes
-/// into live memory — a client that gives up on an attempt can safely
-/// abandon it.
-struct PendingReply {
-  explicit PendingReply(sim::Simulator& sim) : done(sim) {}
-  sim::Event done;
-  double exec = 0.0;
-  double overhead = 0.0;
-  double queue_wait = 0.0;
-  SuffixStatus status = SuffixStatus::kServed;
-};
+/// Multiplicative bump applied to the cached k when the server sheds a
+/// request ("server busy"): the shed reply is itself a load signal, so the
+/// client backs off toward local execution until the next profiler fetch
+/// re-syncs with the server's published k. Applied to Policy::kLoadPart
+/// only (load-oblivious baselines stay oblivious).
+constexpr double kRejectKBackoff = 1.5;
 
-/// Fires at `deadline`; if the reply is still pending, resolves it as a
-/// client-side timeout. Whoever triggers `done` first wins — the loser
-/// sees triggered() and backs off, so the waiter resumes exactly once.
+/// The fault a failed transfer counts as.
+FailureKind transfer_failure(net::TransferStatus status) {
+  return status == net::TransferStatus::kLost ? FailureKind::kLinkDrop
+                                              : FailureKind::kTimeout;
+}
+
+/// Fires at `deadline` and resolves the reply as a client-side timeout
+/// unless the server resolved it first.
 sim::Task watch_deadline(sim::Simulator& sim,
-                         std::shared_ptr<PendingReply> reply,
+                         std::shared_ptr<SuffixReply> reply,
                          TimeNs deadline) {
   co_await sim.delay(std::max<DurationNs>(0, deadline - sim.now()));
-  if (!reply->done.triggered()) {
-    reply->status = SuffixStatus::kClientTimeout;
-    reply->done.trigger();
+  reply->resolve(SuffixStatus::kClientTimeout);
+}
+
+sim::Task idle_watcher(sim::Simulator& sim, const hw::GpuScheduler& scheduler,
+                       DurationNs period, TimeNs since,
+                       DurationNs busy_at_since,
+                       std::function<void()> on_idle) {
+  for (;;) {
+    co_await sim.delay(period);
+    const double util = scheduler.utilization_since(since, busy_at_since);
+    since = sim.now();
+    busy_at_since = scheduler.busy_ns();
+    if (util < kIdleUtilization) on_idle();
   }
 }
 }  // namespace
+
+// ------------------------------------------------- shared server mechanics --
+
+Preparation preparation(const partition::PartitionPlan& plan, Side side) {
+  const bool device = side == Side::kDevice;
+  const auto& part = device ? plan.device_part : plan.server_part;
+  const double base =
+      device ? hw::kDevicePartitionBaseSec : hw::kServerPartitionBaseSec;
+  const double per_node =
+      device ? hw::kDevicePartitionPerNodeSec : hw::kServerPartitionPerNodeSec;
+  Preparation prep;
+  prep.nodes = part ? part->backbone().size() : 0;
+  prep.sec = base + per_node * static_cast<double>(prep.nodes);
+  return prep;
+}
+
+std::vector<DurationNs> suffix_kernels(const hw::GpuModel& gpu,
+                                       const graph::Graph& g, std::size_t p,
+                                       std::size_t n, std::size_t batch,
+                                       bool fused, double straggle, Rng& rng) {
+  std::vector<DurationNs> kernels;
+  if (batch > 1) {
+    kernels = gpu.batched_segment_kernels(g, p + 1, n, batch);
+  } else if (fused) {
+    kernels = gpu.fused_segment_kernels(g, p + 1, n);
+  } else {
+    kernels = gpu.segment_kernels(g, p + 1, n);
+  }
+  const double jf = gpu.params().jitter_frac;
+  for (auto& k : kernels)
+    k = std::max<DurationNs>(
+        1, static_cast<DurationNs>(static_cast<double>(k) * straggle *
+                                   jitter_scale(rng, jf)));
+  return kernels;
+}
+
+bool gpu_contended(const hw::GpuScheduler& scheduler) {
+  return scheduler.pending_kernels() > 4;
+}
+
+void start_idle_watcher(sim::Simulator& sim, const hw::GpuScheduler& scheduler,
+                        DurationNs period, std::function<void()> on_idle) {
+  LP_CHECK(period > 0);
+  sim.spawn(idle_watcher(sim, scheduler, period, sim.now(),
+                         scheduler.busy_ns(), std::move(on_idle)));
+}
 
 // ---------------------------------------------------------------- server --
 
@@ -70,15 +124,14 @@ OffloadServer::OffloadServer(sim::Simulator& sim, hw::GpuScheduler& scheduler,
       params_(params),
       ctx_(scheduler.create_context("offload-service")),
       cache_(params.cache_capacity),
-      k_(params.k_window),
-      predictor_(predict::make_predictor(params.predictor)),
+      k_(params.k_window, params.predictor),
       requests_(sim),
       rng_(seed) {
   sim_->spawn(service());
 }
 
 SubmitStatus OffloadServer::submit(SuffixRequest request) {
-  LP_CHECK(request.done != nullptr);
+  LP_CHECK(request.reply != nullptr);
   LP_CHECK_MSG(request.p < profile_->n(),
                "nothing to execute on the server at p = n");
   request.enqueued = sim_->now();
@@ -91,22 +144,13 @@ sim::Task OffloadServer::service() {
   // signal the result ready for download.
   for (;;) {
     const SuffixRequest request = co_await requests_.receive();
-    if (request.queue_wait_seconds != nullptr)
-      *request.queue_wait_seconds = to_seconds(sim_->now() - request.enqueued);
-    co_await execute_suffix(request.p, request.exec_seconds,
-                            request.overhead_seconds);
-    // The client's deadline watcher may have resolved the attempt already;
-    // its trigger wins and the late result is dropped.
-    if (!request.done->triggered()) {
-      if (request.status != nullptr) *request.status = SuffixStatus::kServed;
-      request.done->trigger();
-    }
+    request.reply->queue_wait = to_seconds(sim_->now() - request.enqueued);
+    co_await execute_suffix(request.p, *request.reply);
+    request.reply->resolve(SuffixStatus::kServed);
   }
 }
 
-sim::Task OffloadServer::execute_suffix(std::size_t p, double* exec_seconds,
-                                        double* overhead_seconds) {
-  const auto& g = profile_->graph();
+sim::Task OffloadServer::execute_suffix(std::size_t p, SuffixReply& reply) {
   const std::size_t n = profile_->n();
   LP_CHECK_MSG(p < n, "nothing to execute on the server at p = n");
 
@@ -114,79 +158,36 @@ sim::Task OffloadServer::execute_suffix(std::size_t p, double* exec_seconds,
   double overhead = 0.0;
   if (cache_.find(p) == nullptr) {
     partition::PlanPtr plan = profile_->plan(p);
-    const std::size_t nodes =
-        plan->server_part ? plan->server_part->backbone().size() : 0;
-    overhead = params_.server_partition_base_sec +
-               params_.server_partition_per_node_sec *
-                   static_cast<double>(nodes);
+    overhead = preparation(*plan, Side::kServer).sec;
     co_await sim_->delay(seconds(overhead));
     cache_.insert(std::move(plan));
   }
-  if (overhead_seconds != nullptr) *overhead_seconds = overhead;
+  reply.overhead = overhead;
 
   // Execute the suffix kernels on the (possibly contended) GPU.
-  auto kernels = params_.fused_server_kernels
-                     ? gpu_->fused_segment_kernels(g, p + 1, n)
-                     : gpu_->segment_kernels(g, p + 1, n);
-  const double jf = gpu_->params().jitter_frac;
-  for (auto& k : kernels)
-    k = std::max<DurationNs>(
-        1, static_cast<DurationNs>(static_cast<double>(k) *
-                                   jitter_scale(rng_, jf)));
-  // Contention snapshot: other tenants' kernels already queued when this
-  // partition is submitted. Uncontended measurements calibrate the idle
-  // baseline of k.
-  const bool contended = scheduler_->pending_kernels() > 4;
+  auto kernels = suffix_kernels(*gpu_, profile_->graph(), p, n, /*batch=*/1,
+                                params_.fused_server_kernels,
+                                /*straggle=*/1.0, rng_);
+  const bool contended = gpu_contended(*scheduler_);
   const TimeNs begin = sim_->now();
   co_await scheduler_->run_job(ctx_, std::move(kernels));
   const double measured = to_seconds(sim_->now() - begin);
-  if (exec_seconds != nullptr) *exec_seconds = measured;
+  reply.exec = measured;
 
   // Runtime profiler bookkeeping (Section III-C): ratio of measured over
   // model-predicted time for this partition.
   const double predicted = profile_->suffix_g(p);
-  if (predicted > 0.0) {
-    k_.record(measured, predicted, contended);
-    // The predictor sees the published series: every k mutation feeds it,
-    // so the last-value forecast is exactly the reactive value.
-    predictor_->observe(sim_->now(), k_.k());
-  }
+  if (predicted > 0.0) k_.record(measured, predicted, contended, sim_->now());
 }
 
 LoadSignal OffloadServer::load_signal(std::uint64_t /*session*/,
                                       DurationNs horizon) const {
-  LoadSignal sig;
-  sig.k_now = k_.k();
-  sig.k_forecast = sig.k_now;
-  if (predictor_->samples() > 0) {
-    // Constraint 1c applies to the forecast as much as to the measurement.
-    sig.k_forecast = std::max(1.0, predictor_->forecast(horizon));
-    sig.age_ns = sim_->now() - predictor_->last_observed();
-    sig.confidence = predictor_->confidence();
-  }
-  return sig;
+  return k_.signal(sim_->now(), horizon);
 }
 
 void OffloadServer::start_gpu_watcher(DurationNs period) {
-  watcher_busy_mark_ = scheduler_->busy_ns();
-  watcher_time_mark_ = sim_->now();
-  sim_->spawn(gpu_watcher(period));
-}
-
-sim::Task OffloadServer::gpu_watcher(DurationNs period) {
-  LP_CHECK(period > 0);
-  for (;;) {
-    co_await sim_->delay(period);
-    const DurationNs busy = scheduler_->busy_ns();
-    const double util = static_cast<double>(busy - watcher_busy_mark_) /
-                        static_cast<double>(sim_->now() - watcher_time_mark_);
-    watcher_busy_mark_ = busy;
-    watcher_time_mark_ = sim_->now();
-    if (util < params_.gpu_util_threshold) {
-      k_.reset_idle();
-      predictor_->observe(sim_->now(), k_.k());
-    }
-  }
+  start_idle_watcher(*sim_, *scheduler_, period,
+                     [this] { k_.reset_idle(sim_->now()); });
 }
 
 // ---------------------------------------------------------------- client --
@@ -242,14 +243,10 @@ void OffloadClient::record_request_metrics(const InferenceRecord& rec) {
     queue_wait_ms_->record(rec.queue_wait_sec * 1e3);
 }
 
-double OffloadClient::partition_overhead_sec(std::size_t nodes,
-                                             bool device) const {
-  return device ? params_.device_partition_base_sec +
-                      params_.device_partition_per_node_sec *
-                          static_cast<double>(nodes)
-                : params_.server_partition_base_sec +
-                      params_.server_partition_per_node_sec *
-                          static_cast<double>(nodes);
+Decision OffloadClient::local_decision() const {
+  const std::size_t n = profile_->n();
+  const double bandwidth = estimator_.estimate();
+  return Decision{n, profile_->predicted_latency(n, 1.0, bandwidth)};
 }
 
 Decision OffloadClient::current_decision() const {
@@ -263,8 +260,7 @@ Decision OffloadClient::current_decision() const {
       // is the one LoADPart would choose at 0% load (Section V-C).
       return decide(*profile_, k_cached_, estimator_.estimate());
     case Policy::kLocalOnly:
-      return Decision{n, profile_->predicted_latency(
-                             n, 1.0, estimator_.estimate())};
+      return local_decision();
     case Policy::kFullOffload:
       return Decision{0, profile_->predicted_latency(
                              0, 1.0, estimator_.estimate())};
@@ -307,6 +303,25 @@ sim::Task OffloadClient::run_suffix_locally(std::size_t p,
              obs::TraceArgs().arg("p", p));
 }
 
+sim::Task OffloadClient::degrade_to_device(std::size_t p, FailureKind why,
+                                           const char* event,
+                                           InferenceRecord* rec) {
+  // The server answered, so for the breaker this is a reachability
+  // success; the shed itself is a load signal (k backs off). The uploaded
+  // tensors are wasted work: the suffix finishes on the device.
+  rec->outcome = InferenceOutcome::kDegradedLocal;
+  rec->last_failure = why;
+  if (telemetry_ != nullptr) {
+    failure_counters_[static_cast<std::size_t>(why)]->add();
+    if (auto* tr = trace())
+      tr->instant(track_, event, sim_->now(), obs::TraceArgs().arg("p", p));
+  }
+  breaker_.record_success();
+  if (policy_ == Policy::kLoadPart)
+    k_cached_ = std::min(k_cached_ * kRejectKBackoff, 1e6);
+  co_await run_suffix_locally(p, rec);
+}
+
 sim::Task OffloadClient::infer(InferenceRecord* out) {
   LP_CHECK(out != nullptr);
   co_await infer_slot_.acquire();  // one inference at a time on the device
@@ -319,16 +334,12 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
   // Cluster degradation: the router lost control-plane quorum and pinned
   // every client to device-local execution until it can see a majority
   // again (cheaper than thrashing reroutes against unknown servers).
-  if (forced_local_ && decision.p < n) {
-    decision =
-        Decision{n, profile_->predicted_latency(n, 1.0, estimator_.estimate())};
-  }
+  if (forced_local_ && decision.p < n) decision = local_decision();
   // An open circuit breaker pins the policy to local-only until the
   // cooldown admits a half-open probe.
   if (decision.p < n && breaker_.enabled() &&
       !breaker_.allow(sim_->now())) {
-    decision =
-        Decision{n, profile_->predicted_latency(n, 1.0, estimator_.estimate())};
+    decision = local_decision();
     rec.breaker_forced_local = true;
   }
   rec.p = decision.p;
@@ -354,15 +365,13 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
   const partition::PartitionPlan* plan = cache_.find(p);
   if (plan == nullptr) {
     partition::PlanPtr fresh = profile_->plan(p);
-    const std::size_t nodes =
-        fresh->device_part ? fresh->device_part->backbone().size() : 0;
-    const double overhead = partition_overhead_sec(nodes, /*device=*/true);
-    rec.overhead_sec += overhead;
+    const Preparation prep = preparation(*fresh, Side::kDevice);
+    rec.overhead_sec += prep.sec;
     const TimeNs prep_begin = sim_->now();
-    co_await sim_->delay(seconds(overhead));
+    co_await sim_->delay(seconds(prep.sec));
     if (auto* tr = trace())
       tr->span(track_, "partition-prepare", prep_begin, sim_->now(),
-               obs::TraceArgs().arg("p", p).arg("nodes", nodes));
+               obs::TraceArgs().arg("p", p).arg("nodes", prep.nodes));
     plan = fresh.get();
     cache_.insert(std::move(fresh));
   }
@@ -400,8 +409,11 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
         }
       }
       if (missing > 0) {
-        DurationNs weights_ns = 0;
-        co_await link_->upload(missing, &weights_ns);
+        net::TransferOutcome weights;
+        co_await link_->upload(missing, 0, &weights);
+        // Only a delivered transfer is a bandwidth observation.
+        const DurationNs weights_ns =
+            weights.status == net::TransferStatus::kOk ? weights.elapsed : 0;
         rec.weight_upload_sec = to_seconds(weights_ns);
         rec.upload_bytes += missing;
         estimator_.add_transfer(missing, weights_ns);
@@ -413,8 +425,7 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
     // can fault; the device still holds the boundary tensor at the cut, so
     // a failed attempt is retried (with backoff) or failed over to local
     // execution of {Lp+1..Ln} — never re-run from scratch.
-    const std::int64_t payload =
-        plan->boundary_bytes + params_.header_bytes;
+    const std::int64_t payload = plan->boundary_bytes + kHeaderBytes;
     const auto& fp = params_.fault;
     bool resolved = false;
     for (int attempt = 0; !resolved;) {
@@ -424,31 +435,23 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
               : 0;
       FailureKind failure = FailureKind::kNone;
 
-      DurationNs upload_ns = 0;
       net::TransferOutcome up;
-      co_await link_->upload(payload, &upload_ns, attempt_deadline, &up);
+      co_await link_->upload(payload, attempt_deadline, &up);
       if (up.status == net::TransferStatus::kOk) {
-        rec.upload_sec += to_seconds(upload_ns);
+        rec.upload_sec += to_seconds(up.elapsed);
         rec.upload_bytes += payload;
         // Passive bandwidth measurement (Section IV): real uploads feed
         // the sliding window alongside the active probes.
-        estimator_.add_transfer(payload, upload_ns);
+        estimator_.add_transfer(payload, up.elapsed);
       } else {
-        failure = up.status == net::TransferStatus::kLost
-                      ? FailureKind::kLinkDrop
-                      : FailureKind::kTimeout;
+        failure = transfer_failure(up.status);
       }
 
       if (failure == FailureKind::kNone) {
-        auto reply = std::make_shared<PendingReply>(*sim_);
+        auto reply = std::make_shared<SuffixReply>(*sim_);
         SuffixRequest request;
         request.p = p;
-        request.done = &reply->done;
-        request.exec_seconds = &reply->exec;
-        request.overhead_seconds = &reply->overhead;
-        request.queue_wait_seconds = &reply->queue_wait;
-        request.status = &reply->status;
-        request.keepalive = reply;
+        request.reply = reply;
         request.session = session_;
         if (params_.slo_sec > 0.0)
           request.deadline = rec.start + seconds(params_.slo_sec);
@@ -456,23 +459,8 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
         request.bandwidth_bps = estimator_.estimate();
         const SubmitStatus submit = server_->submit(request);
         if (submit == SubmitStatus::kRejected) {
-          // "Server busy": the frontend shed the request. Degrade by
-          // finishing the suffix on the device (the uploaded tensors are
-          // wasted work) and treat the shed as a load signal. A shed is a
-          // *reachability success* for the breaker: the server answered.
-          rec.outcome = InferenceOutcome::kDegradedLocal;
-          rec.last_failure = FailureKind::kShed;
-          if (telemetry_ != nullptr) {
-            failure_counters_[static_cast<std::size_t>(FailureKind::kShed)]
-                ->add();
-            if (auto* tr = trace())
-              tr->instant(track_, "shed", sim_->now(),
-                          obs::TraceArgs().arg("p", p));
-          }
-          breaker_.record_success();
-          if (policy_ == Policy::kLoadPart)
-            k_cached_ = std::min(k_cached_ * params_.reject_k_backoff, 1e6);
-          co_await run_suffix_locally(p, &rec);
+          // "Server busy": the frontend shed the request at admission.
+          co_await degrade_to_device(p, FailureKind::kShed, "shed", &rec);
           resolved = true;
           continue;
         }
@@ -494,46 +482,28 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
                          .arg("exec_ms", reply->exec * 1e3));
           }
           if (reply->status == SuffixStatus::kServed) {
-            DurationNs down_ns = 0;
             net::TransferOutcome down;
-            co_await link_->download(g.output_desc().bytes(), &down_ns,
+            co_await link_->download(g.output_desc().bytes(),
                                      attempt_deadline, &down);
             if (down.status == net::TransferStatus::kOk) {
               rec.server_sec = reply->exec;
               rec.overhead_sec += reply->overhead;
               rec.queue_wait_sec = reply->queue_wait;
               rec.outcome = InferenceOutcome::kAdmitted;
-              rec.download_sec = to_seconds(down_ns);
+              rec.download_sec = to_seconds(down.elapsed);
               rec.download_bytes = g.output_desc().bytes();
               breaker_.record_success();
               resolved = true;
               continue;
             }
-            failure = down.status == net::TransferStatus::kLost
-                          ? FailureKind::kLinkDrop
-                          : FailureKind::kTimeout;
+            failure = transfer_failure(down.status);
           } else if (reply->status == SuffixStatus::kDeadlineShed) {
             // The dispatcher dropped the job because its deadline had
             // already passed in queue — retrying cannot beat a deadline
             // that is already gone, so this resolves exactly like an
-            // admission shed: degrade to the device, count the shed as a
-            // load signal (k backs off), and let the breaker see a
-            // reachability success (the server answered).
-            rec.outcome = InferenceOutcome::kDegradedLocal;
-            rec.last_failure = FailureKind::kDeadlineShed;
-            if (telemetry_ != nullptr) {
-              failure_counters_[static_cast<std::size_t>(
-                                    FailureKind::kDeadlineShed)]
-                  ->add();
-              if (auto* tr = trace())
-                tr->instant(track_, "deadline-shed", sim_->now(),
-                            obs::TraceArgs().arg("p", p));
-            }
-            breaker_.record_success();
-            if (policy_ == Policy::kLoadPart)
-              k_cached_ =
-                  std::min(k_cached_ * params_.reject_k_backoff, 1e6);
-            co_await run_suffix_locally(p, &rec);
+            // admission shed.
+            co_await degrade_to_device(p, FailureKind::kDeadlineShed,
+                                       "deadline-shed", &rec);
             resolved = true;
             continue;
           } else {
@@ -611,13 +581,12 @@ sim::Task OffloadClient::runtime_profiler(DurationNs period) {
   for (;;) {
     // Active bandwidth probe; size adapts to the current estimate.
     const std::int64_t probe = estimator_.next_probe_bytes();
-    DurationNs measured = 0;
     net::TransferOutcome probe_out;
-    co_await link_->upload(probe, &measured,
-                           timeout > 0.0 ? sim_->now() + seconds(timeout) : 0,
-                           &probe_out);
+    co_await link_->upload(
+        probe, timeout > 0.0 ? sim_->now() + seconds(timeout) : 0,
+        &probe_out);
     if (probe_out.status == net::TransferStatus::kOk) {
-      estimator_.add_transfer(probe, measured);
+      estimator_.add_transfer(probe, probe_out.elapsed);
     } else if (probe_out.status == net::TransferStatus::kTimedOut &&
                probe_out.elapsed > 0) {
       // Censored observation: the probe did NOT finish within `elapsed`, so
@@ -636,17 +605,14 @@ sim::Task OffloadClient::runtime_profiler(DurationNs period) {
     // until the next successful round trip.
     if (server_->alive()) {
       net::TransferOutcome ctl;
-      co_await link_->upload(params_.header_bytes, nullptr,
-                             timeout > 0.0 ? sim_->now() + seconds(timeout)
-                                           : 0,
-                             &ctl);
+      co_await link_->upload(
+          kHeaderBytes, timeout > 0.0 ? sim_->now() + seconds(timeout) : 0,
+          &ctl);
       if (ctl.status == net::TransferStatus::kOk && server_->alive()) {
         const LoadSignal signal = server_->load_signal(session_, period);
-        co_await link_->download(params_.header_bytes, nullptr,
-                                 timeout > 0.0
-                                     ? sim_->now() + seconds(timeout)
-                                     : 0,
-                                 &ctl);
+        co_await link_->download(
+            kHeaderBytes, timeout > 0.0 ? sim_->now() + seconds(timeout) : 0,
+            &ctl);
         if (ctl.status == net::TransferStatus::kOk &&
             (policy_ != Policy::kNeurosurgeon || !k_fetched_once_)) {
           last_signal_ = signal;

@@ -12,9 +12,15 @@
 //      (its cache works the same way), download the result.
 // The server records measured/predicted ratios to maintain k; its GPU
 // watcher resets k when utilization falls below the threshold.
+//
+// Both servers — the paper's OffloadServer here and the multi-tenant
+// serve::EdgeServerFrontend — run that loop on one core: a SuffixReply per
+// request, a LoadFactorTracker that owns k and its forecaster, the suffix
+// cost model (preparation(), suffix_kernels()) and start_idle_watcher().
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -32,7 +38,6 @@
 #include "obs/taxonomy.h"
 #include "obs/telemetry.h"
 #include "partition/cache.h"
-#include "predict/load_predictor.h"
 
 namespace lp::core {
 
@@ -46,24 +51,22 @@ enum class Policy {
 
 std::string policy_name(Policy policy);
 
+/// Knobs of the client and both servers. What the runtime models rather
+/// than configures is constant: the partition-preparation costs
+/// (hw/calibration.h), the idle-watcher threshold (kIdleUtilization) and
+/// the request header (kHeaderBytes).
 struct RuntimeParams {
   std::size_t cache_capacity = 16;
-
-  // Cache-miss cost of partitioning the graph and preparing the framework
-  // runtime, linear in graph size (Section III-A).
-  double device_partition_base_sec = 0.040;
-  double device_partition_per_node_sec = 1.2e-3;
-  double server_partition_base_sec = 0.008;
-  double server_partition_per_node_sec = 0.25e-3;
 
   std::size_t k_window = 16;
   std::size_t bandwidth_window = 8;
 
   /// Load predictor behind every LoadSignal this runtime publishes
-  /// (src/predict/): the default "last-value" kind reproduces the reactive
-  /// behavior bit-identically; swap `predictor.kind` for "ewma" or "holt"
-  /// to forecast k and the queue backlog at the consumer's horizon
-  /// instead.
+  /// (src/predict/): each LoadFactorTracker builds its k forecaster from
+  /// it, and the frontend its queue-delay forecaster. The default
+  /// "last-value" kind reproduces the reactive behavior bit-identically;
+  /// swap `predictor.kind` for "ewma" or "holt" to forecast k and the queue
+  /// backlog at the consumer's horizon instead.
   predict::PredictorParams predictor;
 
   /// Extension: execute server partitions with framework operator fusion
@@ -78,20 +81,11 @@ struct RuntimeParams {
   /// its Parameters must cross the uplink. The paper's setting is
   /// pre-deployed weights (true).
   bool weights_preloaded = true;
-  double gpu_util_threshold = 0.90;  // watcher threshold (Section IV)
-  std::int64_t header_bytes = 128;   // partition point + tensor metadata
 
   /// Per-request latency SLO (serving layer): each offload request carries
   /// the absolute deadline start + slo_sec for deadline-aware queueing and
   /// SLO accounting. 0 disables deadlines.
   double slo_sec = 0.0;
-
-  /// Multiplicative bump applied to the cached k when the serving frontend
-  /// sheds a request ("server busy"): the shed reply is itself a load
-  /// signal, so the client backs off toward local execution until the next
-  /// profiler fetch re-syncs with the server's published k. Applied to
-  /// Policy::kLoadPart only (load-oblivious baselines stay oblivious).
-  double reject_k_backoff = 1.5;
 
   /// Client-side failure recovery. Defaults preserve the no-failure
   /// universe: with rpc_timeout_sec = 0 no deadline is armed and the
@@ -152,20 +146,18 @@ struct InferenceRecord {
   bool breaker_forced_local = false;  ///< open breaker pinned p = n
 };
 
-/// An offloading request as it arrives at the server-side service
-/// process: "run {Lp+1..Ln} on my uploaded tensors and tell me when the
-/// result is ready". The transfer times of the request payload and the
-/// result are charged by the client on its link; the service charges the
-/// partition preparation and GPU execution.
 /// "This request has no deadline." TimeNs max sorts after every real
 /// deadline, so EDF and least-slack order deadline-free jobs last without a
 /// special case — and, unlike the old 0-means-none encoding, it cannot
 /// collide with a legitimate absolute deadline of 0 stamped at sim time 0.
 inline constexpr TimeNs kNoDeadline = std::numeric_limits<TimeNs>::max();
 
-/// How the server resolved one SuffixRequest (written through
-/// SuffixRequest::status before `done` triggers). kClientTimeout is set by
-/// the client's own deadline watcher, never by the server.
+/// Bytes of the partition point and tensor metadata that ride every
+/// offload upload and every profiler control message.
+inline constexpr std::int64_t kHeaderBytes = 128;
+
+/// How the server resolved one SuffixRequest. kClientTimeout is set by the
+/// client's own deadline watcher, never by the server.
 enum class SuffixStatus : std::uint8_t {
   kServed,
   kServerDown,     ///< the server crashed before the result was ready
@@ -177,17 +169,38 @@ enum class SuffixStatus : std::uint8_t {
                    ///< time on a guaranteed miss (degrade locally instead)
 };
 
+/// The answer to one SuffixRequest. The client, the server and the
+/// client's deadline watcher all hold it through shared_ptr, so whichever
+/// side finishes last still writes into live memory — a client that gives
+/// up on an attempt can safely abandon it.
+struct SuffixReply {
+  explicit SuffixReply(sim::Simulator& sim) : done(sim) {}
+
+  /// First resolution wins: records `how` and triggers `done` unless the
+  /// reply is already resolved, so the waiter resumes exactly once and a
+  /// late server verdict never overwrites the client's timeout (or the
+  /// reverse).
+  void resolve(SuffixStatus how) {
+    if (done.triggered()) return;
+    status = how;
+    done.trigger();
+  }
+
+  sim::Event done;          ///< triggered by the first resolve()
+  double exec = 0.0;        ///< measured (contended) GPU time
+  double overhead = 0.0;    ///< partition-cache miss cost
+  double queue_wait = 0.0;  ///< arrival-to-dispatch wait
+  SuffixStatus status = SuffixStatus::kServed;
+};
+
+/// An offloading request as it arrives at the server-side service
+/// process: "run {Lp+1..Ln} on my uploaded tensors and tell me when the
+/// result is ready". The transfer times of the request payload and the
+/// result are charged by the client on its link; the service charges the
+/// partition preparation and GPU execution into `reply`.
 struct SuffixRequest {
   std::size_t p = 0;
-  sim::Event* done = nullptr;      ///< triggered when the result is ready
-  double* exec_seconds = nullptr;  ///< out: measured (contended) GPU time
-  double* overhead_seconds = nullptr;  ///< out: partition-cache miss cost
-  double* queue_wait_seconds = nullptr;  ///< out: arrival-to-dispatch wait
-  SuffixStatus* status = nullptr;  ///< out: how the request resolved
-  /// Keeps the block behind the out-pointers (and `done`) alive until the
-  /// server is finished with them, so a client that times out and moves on
-  /// cannot dangle a late reply.
-  std::shared_ptr<void> keepalive;
+  std::shared_ptr<SuffixReply> reply;  ///< required; resolved exactly once
 
   // Serving-layer metadata (ignored by the plain OffloadServer).
   std::uint64_t session = 0;   ///< frontend session of the requesting client
@@ -196,6 +209,48 @@ struct SuffixRequest {
   double bandwidth_bps = 0.0;  ///< client's current bandwidth estimate
   TimeNs enqueued = 0;         ///< filled by the service on arrival
 };
+
+// ------------------------------------------------- shared server mechanics --
+// Both servers (OffloadServer and serve::EdgeServerFrontend) charge a
+// partition-cache miss, build the suffix kernels and watch GPU idleness
+// through these; each keeps only its own policy around them.
+
+/// Which side of the cut prepares a partition.
+enum class Side : std::uint8_t { kDevice, kServer };
+
+/// Cache-miss cost of partitioning the graph and preparing the framework
+/// runtime for one side of a plan (Section III-A): linear in the nodes
+/// that side executes (hw/calibration.h holds the constants).
+struct Preparation {
+  std::size_t nodes = 0;
+  double sec = 0.0;
+};
+Preparation preparation(const partition::PartitionPlan& plan, Side side);
+
+/// The jittered kernels of one suffix dispatch {Lp+1..Ln}: one coalesced
+/// stream for batch > 1, fused groups when `fused`, else one kernel per
+/// op. Each duration is scaled by `straggle` (an active fault window; 1.0
+/// otherwise) and a jitter draw from `rng`, one draw per kernel in order.
+std::vector<DurationNs> suffix_kernels(const hw::GpuModel& gpu,
+                                       const graph::Graph& g, std::size_t p,
+                                       std::size_t n, std::size_t batch,
+                                       bool fused, double straggle, Rng& rng);
+
+/// Contention snapshot a server takes as it submits a suffix: other
+/// tenants' kernels already queued on the GPU. Only uncontended
+/// measurements calibrate the idle baseline of k.
+bool gpu_contended(const hw::GpuScheduler& scheduler);
+
+/// GPU utilization below which the watcher calls the server idle
+/// (Section IV).
+inline constexpr double kIdleUtilization = 0.90;
+
+/// Spawns the GPU-utilization watcher (Section IV): every `period` it
+/// reads the scheduler's utilization since its previous check — the first
+/// window starts now — and calls `on_idle` when it is below
+/// kIdleUtilization.
+void start_idle_watcher(sim::Simulator& sim, const hw::GpuScheduler& scheduler,
+                        DurationNs period, std::function<void()> on_idle);
 
 /// Verdict of the server-side admission check, returned synchronously from
 /// submit(). On kRejected ("server busy") nothing was enqueued and the
@@ -228,6 +283,9 @@ class SuffixService {
   virtual bool alive() const { return true; }
 };
 
+/// The paper's single-tenant server (Fig. 3): a FIFO channel into one
+/// service process. Its k is measured against kernel execution alone —
+/// the window Figures 1-9 rest on (DESIGN.md §8).
 class OffloadServer : public SuffixService {
  public:
   OffloadServer(sim::Simulator& sim, hw::GpuScheduler& scheduler,
@@ -236,32 +294,27 @@ class OffloadServer : public SuffixService {
 
   /// Enqueues a request for the service process (Fig. 3: the main thread
   /// providing the offloading service). Always admits; the caller waits on
-  /// request.done. Requires request.p < n and a non-null done event.
+  /// request.reply->done. Requires request.p < n and a non-null reply.
   SubmitStatus submit(SuffixRequest request) override;
 
   /// k as the runtime profiler would report it right now.
   double current_k() const { return k_.k(); }
 
-  /// The single-tenant server publishes one signal for every session:
-  /// k_now is current_k(), k_forecast comes from the runtime predictor
-  /// observing every k mutation (each recorded execution and each idle
-  /// reset).
+  /// The single-tenant server publishes one signal for every session: the
+  /// tracker's k and its forecast.
   LoadSignal load_signal(std::uint64_t session,
                          DurationNs horizon) const override;
 
   /// Spawns the GPU-utilization watcher (Section IV), checking every
-  /// `period` and resetting k when utilization < threshold.
+  /// `period` and resetting k when utilization < kIdleUtilization.
   void start_gpu_watcher(DurationNs period);
 
   const partition::PartitionCache& cache() const { return cache_; }
-  LoadFactorTracker& load_tracker() { return k_; }
-  const predict::LoadPredictor& predictor() const { return *predictor_; }
+  const LoadFactorTracker& load_tracker() const { return k_; }
 
  private:
   sim::Task service();
-  sim::Task execute_suffix(std::size_t p, double* exec_seconds,
-                           double* overhead_seconds);
-  sim::Task gpu_watcher(DurationNs period);
+  sim::Task execute_suffix(std::size_t p, SuffixReply& reply);
 
   sim::Simulator* sim_;
   hw::GpuScheduler* scheduler_;
@@ -271,11 +324,8 @@ class OffloadServer : public SuffixService {
   hw::GpuScheduler::ContextId ctx_;
   partition::PartitionCache cache_;
   LoadFactorTracker k_;
-  std::unique_ptr<predict::LoadPredictor> predictor_;
   sim::Channel<SuffixRequest> requests_;
   Rng rng_;
-  DurationNs watcher_busy_mark_ = 0;
-  TimeNs watcher_time_mark_ = 0;
 };
 
 class OffloadClient {
@@ -337,7 +387,13 @@ class OffloadClient {
  private:
   sim::Task runtime_profiler(DurationNs period);
   sim::Task run_suffix_locally(std::size_t p, InferenceRecord* rec);
-  double partition_overhead_sec(std::size_t nodes, bool device) const;
+  /// The decision pinned to p = n (pure local execution).
+  Decision local_decision() const;
+  /// Resolves a shed request — admission ("server busy") or the
+  /// dispatcher's will-miss drop — by finishing the suffix on the device.
+  /// `event` names the trace instant.
+  sim::Task degrade_to_device(std::size_t p, FailureKind why,
+                              const char* event, InferenceRecord* rec);
   /// Trace recorder when telemetry is attached and tracing is on.
   obs::TraceRecorder* trace() const {
     return telemetry_ != nullptr ? telemetry_->trace() : nullptr;

@@ -107,7 +107,7 @@ ExperimentResult run_experiment(const graph::Graph& model,
 
   sim.run_until(config.duration);
   LP_CHECK_MSG(!result.records.empty(), "no inference completed");
-  const predict::LoadPredictor& lp = server.predictor();
+  const predict::LoadPredictor& lp = server.load_tracker().predictor();
   result.predict_mae = lp.mae();
   result.predict_bias = lp.bias();
   result.predict_scored = lp.scored();

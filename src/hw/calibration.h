@@ -74,4 +74,13 @@ struct GpuSchedulerParams {
 /// Number of background processes generating server load (Section II).
 constexpr int kBackgroundProcesses = 7;
 
+// Partition-cache miss cost: partitioning the graph and preparing the
+// framework runtime for one side of the cut, a fixed base plus a per-node
+// term over the nodes that side executes (Section III-A). The device pays
+// the Pi's slower framework start-up; the server preparation is cheaper.
+constexpr double kDevicePartitionBaseSec = 0.040;
+constexpr double kDevicePartitionPerNodeSec = 1.2e-3;
+constexpr double kServerPartitionBaseSec = 0.008;
+constexpr double kServerPartitionPerNodeSec = 0.25e-3;
+
 }  // namespace lp::hw

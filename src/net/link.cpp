@@ -62,9 +62,10 @@ void Link::observe(const char* dir, std::int64_t bytes, TimeNs start,
 }
 
 sim::Task Link::transfer(std::int64_t bytes, const BandwidthTrace& trace,
-                         const char* dir, DurationNs* measured,
-                         TimeNs deadline, TransferOutcome* outcome) {
+                         const char* dir, TimeNs deadline,
+                         TransferOutcome* outcome) {
   LP_CHECK(bytes >= 0);
+  LP_CHECK(outcome != nullptr);
   const TimeNs start = sim_->now();
   // ~3% multiplicative jitter models MAC-layer variance; clamped so a
   // transfer can never be instant.
@@ -79,8 +80,7 @@ sim::Task Link::transfer(std::int64_t bytes, const BandwidthTrace& trace,
                  "transfer on a permanently dead link needs a deadline");
     co_await sim_->delay(std::max<DurationNs>(0, deadline - start));
     observe(dir, bytes, start, 0.0, TransferStatus::kTimedOut);
-    if (outcome != nullptr)
-      *outcome = {TransferStatus::kTimedOut, sim_->now() - start};
+    *outcome = {TransferStatus::kTimedOut, sim_->now() - start};
     co_return;
   }
 
@@ -106,26 +106,23 @@ sim::Task Link::transfer(std::int64_t bytes, const BandwidthTrace& trace,
   if (deadline > 0 && finish > deadline) {
     co_await sim_->delay(std::max<DurationNs>(0, deadline - start));
     observe(dir, bytes, start, bw, TransferStatus::kTimedOut);
-    if (outcome != nullptr)
-      *outcome = {TransferStatus::kTimedOut, sim_->now() - start};
+    *outcome = {TransferStatus::kTimedOut, sim_->now() - start};
     co_return;
   }
 
   co_await sim_->delay(finish - start);
   observe(dir, bytes, start, bw, status);
-  if (status == TransferStatus::kOk && measured != nullptr)
-    *measured = finish - start;
-  if (outcome != nullptr) *outcome = {status, finish - start};
+  *outcome = {status, finish - start};
 }
 
-sim::Task Link::upload(std::int64_t bytes, DurationNs* measured,
-                       TimeNs deadline, TransferOutcome* outcome) {
-  return transfer(bytes, up_, "upload", measured, deadline, outcome);
+sim::Task Link::upload(std::int64_t bytes, TimeNs deadline,
+                       TransferOutcome* outcome) {
+  return transfer(bytes, up_, "upload", deadline, outcome);
 }
 
-sim::Task Link::download(std::int64_t bytes, DurationNs* measured,
-                         TimeNs deadline, TransferOutcome* outcome) {
-  return transfer(bytes, down_, "download", measured, deadline, outcome);
+sim::Task Link::download(std::int64_t bytes, TimeNs deadline,
+                         TransferOutcome* outcome) {
+  return transfer(bytes, down_, "download", deadline, outcome);
 }
 
 }  // namespace lp::net

@@ -21,8 +21,8 @@
 // TransferStatus::kTimedOut. An attached FaultPlan additionally injects
 // per-transfer packet loss: a lost transfer spends a deterministic partial
 // send time, then reports kLost (a link-layer reset, not a silent hang).
-// `measured` is only written for successful transfers — it is the passive
-// bandwidth observation channel and must not learn from aborted sends.
+// Only a kOk outcome's `elapsed` is a bandwidth observation: the passive
+// estimator must not learn from aborted sends.
 #pragma once
 
 #include <string>
@@ -52,15 +52,14 @@ class Link {
   Link(sim::Simulator& sim, BandwidthTrace up, BandwidthTrace down,
        DurationNs rtt = milliseconds(2), std::uint64_t seed = 11);
 
-  /// Uploads `bytes`; completes after the (jittered) transfer time. If
-  /// `measured` is non-null it receives the actual duration on success —
-  /// this is how the runtime profiler passively observes bandwidth.
-  /// `deadline` (absolute; 0 = none) bounds the attempt; `outcome` (may be
-  /// null) receives the typed result.
-  sim::Task upload(std::int64_t bytes, DurationNs* measured = nullptr,
-                   TimeNs deadline = 0, TransferOutcome* outcome = nullptr);
-  sim::Task download(std::int64_t bytes, DurationNs* measured = nullptr,
-                     TimeNs deadline = 0, TransferOutcome* outcome = nullptr);
+  /// Uploads `bytes`; completes after the (jittered) transfer time.
+  /// `deadline` (absolute; 0 = none) bounds the attempt; `outcome` receives
+  /// the typed result and the time spent — on success, the actual duration
+  /// the runtime profiler passively observes bandwidth from.
+  sim::Task upload(std::int64_t bytes, TimeNs deadline,
+                   TransferOutcome* outcome);
+  sim::Task download(std::int64_t bytes, TimeNs deadline,
+                     TransferOutcome* outcome);
 
   /// Wires packet-loss injection (FaultPlan::packet_loss windows). The plan
   /// must outlive the link; null detaches.
@@ -82,7 +81,7 @@ class Link {
 
  private:
   sim::Task transfer(std::int64_t bytes, const BandwidthTrace& trace,
-                     const char* dir, DurationNs* measured, TimeNs deadline,
+                     const char* dir, TimeNs deadline,
                      TransferOutcome* outcome);
   void observe(const char* dir, std::int64_t bytes, TimeNs start,
                BitsPerSec bw, TransferStatus status);

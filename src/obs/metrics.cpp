@@ -1,11 +1,13 @@
 #include "obs/metrics.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "common/check.h"
+#include "obs/text.h"
 
 namespace lp::obs {
+
+using detail::fmt_double;
 
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)) {
@@ -109,16 +111,6 @@ std::size_t MetricsRegistry::size() const {
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
-namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-}  // namespace
-
 std::string MetricsRegistry::to_json() const {
   std::string out = "{\n";
   bool first = true;
@@ -199,24 +191,12 @@ std::string MetricsRegistry::to_csv() const {
   return out;
 }
 
-namespace {
-
-bool write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
-}
-
-}  // namespace
-
 bool MetricsRegistry::write_json(const std::string& path) const {
-  return write_file(path, to_json());
+  return detail::write_file(path, to_json());
 }
 
 bool MetricsRegistry::write_csv(const std::string& path) const {
-  return write_file(path, to_csv());
+  return detail::write_file(path, to_csv());
 }
 
 }  // namespace lp::obs

@@ -120,6 +120,8 @@ class MetricsRegistry {
   std::string to_json() const;
   /// Snapshot as CSV rows: name,kind,field,value — one row per field.
   std::string to_csv() const;
+  /// Write the snapshot to `path`; false when the file cannot be written
+  /// in full.
   bool write_json(const std::string& path) const;
   bool write_csv(const std::string& path) const;
 

@@ -5,37 +5,15 @@
 #include <cstdlib>
 
 #include "common/check.h"
+#include "obs/text.h"
 
 namespace lp::obs {
 
-namespace {
+using detail::fmt_double;
+using detail::json_escape;
+using detail::write_file;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace {
 
 std::string csv_escape(const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) return s;
@@ -46,12 +24,6 @@ std::string csv_escape(const std::string& s) {
   }
   out += '"';
   return out;
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
 }
 
 }  // namespace
@@ -142,18 +114,6 @@ std::string Report::to_json() const {
   out += "\n}\n";
   return out;
 }
-
-namespace {
-
-bool write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
-}
-
-}  // namespace
 
 bool Report::write_json(const std::string& path) const {
   return write_file(path, to_json());

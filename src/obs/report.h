@@ -78,6 +78,7 @@ class Report {
   Section& section(const std::string& name, std::vector<std::string> columns);
 
   std::string to_json() const;
+  /// Writes to_json() to `path`; false when it cannot be written in full.
   bool write_json(const std::string& path) const;
 
   /// Writes <dir>/<name>_scalars.csv (when scalars exist) and one

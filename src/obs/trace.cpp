@@ -5,43 +5,14 @@
 #include <cstdio>
 
 #include "common/check.h"
+#include "obs/text.h"
 
 namespace lp::obs {
 
-namespace {
+using detail::fmt_double;
+using detail::json_escape;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace {
 
 // Chrome traces use microsecond timestamps; we keep full nanosecond
 // precision by formatting ns as a fixed-point µs decimal with integer
@@ -52,12 +23,6 @@ std::string fmt_us(std::int64_t ns) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%" PRId64 ".%03" PRId64, ns / kNsPerUs,
                 ns % kNsPerUs);
-  return buf;
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;
 }
 
@@ -187,12 +152,7 @@ std::string TraceRecorder::to_chrome_json() const {
 }
 
 bool TraceRecorder::write_chrome_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string body = to_chrome_json();
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
+  return detail::write_file(path, to_chrome_json());
 }
 
 }  // namespace lp::obs

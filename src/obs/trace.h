@@ -85,6 +85,8 @@ class TraceRecorder {
   /// pure function of the recorded events: byte-identical across runs
   /// that recorded the same events.
   std::string to_chrome_json() const;
+  /// Writes to_chrome_json() to `path`; false when it cannot be written in
+  /// full.
   bool write_chrome_json(const std::string& path) const;
 
  private:

@@ -103,6 +103,10 @@ void LoadPredictor::import_state(const PredictorState& state) {
 
 namespace {
 
+constexpr double kEwmaAlpha = 0.3;  ///< level smoothing (ewma)
+constexpr double kHoltAlpha = 0.4;  ///< level smoothing (holt)
+constexpr double kHoltBeta = 0.2;   ///< trend smoothing (holt)
+
 class LastValuePredictor final : public LoadPredictor {
  public:
   using LoadPredictor::LoadPredictor;
@@ -128,8 +132,9 @@ class EwmaPredictor final : public LoadPredictor {
 
  private:
   void update(TimeNs /*now*/, double value) override {
-    const double a = params().ewma_alpha;
-    level_ = samples() == 0 ? value : a * value + (1.0 - a) * level_;
+    level_ = samples() == 0
+                 ? value
+                 : kEwmaAlpha * value + (1.0 - kEwmaAlpha) * level_;
   }
   double project(double /*horizon_sec*/) const override { return level_; }
   void reset_model() override { level_ = 0.0; }
@@ -158,11 +163,9 @@ class HoltPredictor final : public LoadPredictor {
       trend_ = 0.0;
       return;
     }
-    const double a = params().holt_alpha;
-    const double b = params().holt_beta;
     const double prev = level_;
-    level_ = a * value + (1.0 - a) * (level_ + trend_);
-    trend_ = b * (level_ - prev) + (1.0 - b) * trend_;
+    level_ = kHoltAlpha * value + (1.0 - kHoltAlpha) * (level_ + trend_);
+    trend_ = kHoltBeta * (level_ - prev) + (1.0 - kHoltBeta) * trend_;
   }
   double project(double horizon_sec) const override {
     return level_ + trend_ * horizon_steps(horizon_sec);

@@ -41,10 +41,6 @@ namespace lp::predict {
 struct PredictorParams {
   std::string kind = "last-value";
 
-  double ewma_alpha = 0.3;  ///< level smoothing (ewma)
-  double holt_alpha = 0.4;  ///< level smoothing (holt)
-  double holt_beta = 0.2;   ///< trend smoothing (holt)
-
   /// Trend extrapolation is capped at this many observation gaps: a load
   /// series sampled every few hundred ms must not be extrapolated linearly
   /// across a multi-second horizon.
@@ -111,9 +107,8 @@ class LoadPredictor {
   /// the observed error. 0 with no samples.
   double confidence() const;
 
-  /// Back to the just-constructed state (the serving layer resets
-  /// predictors wherever it reconstructs the tracker they shadow: crash,
-  /// fence, export-side wipe).
+  /// Back to the just-constructed state (LoadFactorTracker::reset, and the
+  /// frontend's queue-delay forecaster on a crash).
   void reset();
 
   /// Exact state round-trip for live migration: export→import→export is

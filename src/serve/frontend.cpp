@@ -8,14 +8,6 @@
 
 namespace lp::serve {
 
-namespace {
-/// Multiplicative jitter factor, clamped away from zero (matches the
-/// OffloadServer's executor jitter).
-double jitter_scale(Rng& rng, double frac) {
-  return std::max(0.2, 1.0 + frac * rng.normal());
-}
-}  // namespace
-
 void FrontendCounters::publish(obs::MetricsRegistry& registry,
                                const std::string& prefix) const {
   const std::pair<const char*, std::uint64_t> counts[] = {
@@ -62,30 +54,17 @@ EdgeServerFrontend::EdgeServerFrontend(sim::Simulator& sim,
 
 std::uint64_t EdgeServerFrontend::open_session(
     const core::GraphCostProfile& profile) {
-  sessions_.push_back(Session{&profile,
-                              core::LoadFactorTracker(runtime_.k_window),
-                              partition::PartitionCache(
-                                  runtime_.cache_capacity),
-                              net::BandwidthEstimator(
-                                  runtime_.bandwidth_window),
-                              predict::make_predictor(runtime_.predictor)});
+  sessions_.push_back(Session{
+      &profile, core::LoadFactorTracker(runtime_.k_window, runtime_.predictor),
+      partition::PartitionCache(runtime_.cache_capacity),
+      net::BandwidthEstimator(runtime_.bandwidth_window)});
   return sessions_.size() - 1;
 }
 
 core::LoadSignal EdgeServerFrontend::load_signal(std::uint64_t session,
                                                  DurationNs horizon) const {
   LP_CHECK(session < sessions_.size());
-  const Session& s = sessions_[session];
-  core::LoadSignal sig;
-  sig.k_now = s.k.k();
-  sig.k_forecast = sig.k_now;
-  if (s.predictor->samples() > 0) {
-    // Constraint 1c (k >= 1) applies to the forecast as much as to the
-    // measurement.
-    sig.k_forecast = std::max(1.0, s.predictor->forecast(horizon));
-    sig.age_ns = sim_->now() - s.predictor->last_observed();
-    sig.confidence = s.predictor->confidence();
-  }
+  core::LoadSignal sig = sessions_[session].k.signal(sim_->now(), horizon);
   sig.backlog_sec = forecast_queue_delay_sec(horizon);
   return sig;
 }
@@ -125,12 +104,6 @@ const core::LoadFactorTracker& EdgeServerFrontend::session_tracker(
     std::uint64_t session) const {
   LP_CHECK(session < sessions_.size());
   return sessions_[session].k;
-}
-
-const predict::LoadPredictor& EdgeServerFrontend::session_predictor(
-    std::uint64_t session) const {
-  LP_CHECK(session < sessions_.size());
-  return *sessions_[session].predictor;
 }
 
 double EdgeServerFrontend::session_bandwidth_bps(
@@ -184,13 +157,11 @@ SessionExport EdgeServerFrontend::export_session(std::uint64_t session) {
   ex.state.k = s.k.export_state();
   ex.state.cache = s.cache.export_contents();
   ex.state.bandwidth = s.bandwidth.export_state();
-  ex.state.predictor = s.predictor->export_state();
   // The local copy resets to fresh: stragglers submitted before the client
   // learns its new endpoint are still served here, against cold state.
-  s.k = core::LoadFactorTracker(runtime_.k_window);
+  s.k.reset();
   s.cache.clear();
   s.bandwidth = net::BandwidthEstimator(runtime_.bandwidth_window);
-  s.predictor->reset();
 
   ex.jobs = queue_.take_session(session);
   counters_.migrated_out += ex.jobs.size();
@@ -203,7 +174,7 @@ SessionExport EdgeServerFrontend::export_session(std::uint64_t session) {
              kPlanBytes *
                  static_cast<std::int64_t>(ex.state.cache.plans.size()) +
              kJobHeaderBytes * static_cast<std::int64_t>(ex.jobs.size()) +
-             predict::state_wire_bytes(ex.state.predictor);
+             predict::state_wire_bytes(ex.state.k.predictor);
 
   if (auto* tr = trace()) {
     // The exported jobs' queue-wait intervals close here; the importer
@@ -241,7 +212,6 @@ bool EdgeServerFrontend::import_session(std::uint64_t session,
     s.k.import_state(ex.state.k);
     s.cache.import_contents(std::move(ex.state.cache));
     s.bandwidth.import_state(ex.state.bandwidth);
-    s.predictor->import_state(ex.state.predictor);
   }
   const std::size_t jobs = ex.jobs.size();
   for (QueuedJob& job : ex.jobs) {
@@ -253,9 +223,7 @@ bool EdgeServerFrontend::import_session(std::uint64_t session,
       // Fail-stop target: the job must not hang in limbo. It counts as
       // migrated-in then failed, so conservation holds on both servers.
       ++counters_.failed_jobs;
-      if (job.status != nullptr)
-        *job.status = core::SuffixStatus::kServerDown;
-      if (!job.done->triggered()) job.done->trigger();
+      job.reply->resolve(core::SuffixStatus::kServerDown);
       continue;
     }
     // The original admission timestamp rides along: the measured queue
@@ -297,20 +265,18 @@ std::size_t EdgeServerFrontend::fence_session(std::uint64_t session,
     ++fenced;
     ++counters_.failed_jobs;
     ++counters_.fenced_jobs;
-    if (job.status != nullptr) *job.status = core::SuffixStatus::kFenced;
     if (auto* tr = trace())
       tr->async_end(track_, "queue-wait", job.seq, sim_->now());
-    if (!job.done->triggered()) job.done->trigger();
+    job.reply->resolve(core::SuffixStatus::kFenced);
   }
   // The in-flight dispatch, if it holds the session, is fenced at
   // completion (execute_batch re-checks job.epoch against the fence).
   // Volatile state resets: a zombie's windows describe a placement the
   // session has left.
-  s.k = core::LoadFactorTracker(runtime_.k_window);
+  s.k.reset();
   s.cache.clear();
   s.cache.reset_stats();
   s.bandwidth = net::BandwidthEstimator(runtime_.bandwidth_window);
-  s.predictor->reset();
   if (auto* tr = trace()) {
     tr->instant(track_, "fence-session", sim_->now(),
                 obs::TraceArgs()
@@ -348,7 +314,7 @@ void EdgeServerFrontend::observe_queue_depth() {
 }
 
 core::SubmitStatus EdgeServerFrontend::submit(core::SuffixRequest request) {
-  LP_CHECK(request.done != nullptr);
+  LP_CHECK(request.reply != nullptr);
   LP_CHECK(request.session < sessions_.size());
   Session& session = sessions_[request.session];
   LP_CHECK_MSG(request.p < session.profile->n(),
@@ -416,12 +382,7 @@ core::SubmitStatus EdgeServerFrontend::submit(core::SuffixRequest request) {
   job.enqueued = sim_->now();
   job.predicted_sec = predicted;
   job.bandwidth_bps = request.bandwidth_bps;
-  job.done = request.done;
-  job.exec_seconds = request.exec_seconds;
-  job.overhead_seconds = request.overhead_seconds;
-  job.queue_wait_seconds = request.queue_wait_seconds;
-  job.status = request.status;
-  job.keepalive = request.keepalive;
+  job.reply = std::move(request.reply);
   job.epoch = session.fence;
   LP_CHECK(queue_.push(job));
   ++counters_.admitted;
@@ -475,8 +436,6 @@ sim::Task EdgeServerFrontend::service() {
 
 sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
   const core::GraphCostProfile& profile = *batch.front().profile;
-  const graph::Graph& g = profile.graph();
-  const std::size_t n = profile.n();
   const std::size_t p = batch.front().p;
   const TimeNs dispatch_time = sim_->now();
   // Crash visibility: crash() fails this batch through inflight_ and bumps
@@ -487,8 +446,7 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
   inflight_ = &batch;
 
   for (const QueuedJob& job : batch)
-    if (job.queue_wait_seconds != nullptr)
-      *job.queue_wait_seconds = to_seconds(dispatch_time - job.enqueued);
+    job.reply->queue_wait = to_seconds(dispatch_time - job.enqueued);
 
   if (telemetry_ != nullptr) {
     for (const QueuedJob& job : batch)
@@ -516,42 +474,31 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
     if (sessions_[job.session].cache.find(p) == nullptr) miss = true;
   if (miss) {
     const partition::PlanPtr plan = profile.plan(p);
-    const std::size_t nodes =
-        plan->server_part ? plan->server_part->backbone().size() : 0;
-    overhead = runtime_.server_partition_base_sec +
-               runtime_.server_partition_per_node_sec *
-                   static_cast<double>(nodes);
+    const core::Preparation prep =
+        core::preparation(*plan, core::Side::kServer);
+    overhead = prep.sec;
     const TimeNs prep_begin = sim_->now();
     co_await sim_->delay(seconds(overhead));
     if (epoch_ != epoch) co_return;
     if (auto* tr = trace())
       tr->span(track_, "partition-prepare", prep_begin, sim_->now(),
-               obs::TraceArgs().arg("p", p).arg("nodes", nodes));
+               obs::TraceArgs().arg("p", p).arg("nodes", prep.nodes));
     for (const QueuedJob& job : batch)
       sessions_[job.session].cache.insert(plan);
   }
-  for (const QueuedJob& job : batch)
-    if (job.overhead_seconds != nullptr) *job.overhead_seconds = overhead;
+  for (const QueuedJob& job : batch) job.reply->overhead = overhead;
 
   // One GPU dispatch for the whole batch. An active straggle window
   // stretches every kernel (thermal throttling / a noisy neighbour on the
   // box, not GPU queue contention — so it is invisible to pending_kernels
   // and to the idle watcher, exactly the slow-server case timeouts exist
   // for).
-  auto kernels =
-      batch.size() > 1
-          ? gpu_->batched_segment_kernels(g, p + 1, n, batch.size())
-          : (runtime_.fused_server_kernels
-                 ? gpu_->fused_segment_kernels(g, p + 1, n)
-                 : gpu_->segment_kernels(g, p + 1, n));
-  const double jf = gpu_->params().jitter_frac;
   const double straggle =
       faults_ != nullptr ? faults_->straggle_factor(sim_->now()) : 1.0;
-  for (auto& k : kernels)
-    k = std::max<DurationNs>(
-        1, static_cast<DurationNs>(static_cast<double>(k) * straggle *
-                                   jitter_scale(rng_, jf)));
-  const bool gpu_contended = scheduler_->pending_kernels() > 4;
+  auto kernels = core::suffix_kernels(
+      *gpu_, profile.graph(), p, profile.n(), batch.size(),
+      runtime_.fused_server_kernels, straggle, rng_);
+  const bool gpu_contended = core::gpu_contended(*scheduler_);
   const TimeNs begin = sim_->now();
   co_await scheduler_->run_batch(ctx_, std::move(kernels), batch.size());
   if (epoch_ != epoch) co_return;
@@ -562,7 +509,7 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
   const double predicted = profile.suffix_g(p);
   std::size_t served_now = 0;
   for (const QueuedJob& job : batch) {
-    if (job.exec_seconds != nullptr) *job.exec_seconds = exec;
+    job.reply->exec = exec;
     // Epoch fence: the session was fenced (rerouted or its migration
     // aborted) while this dispatch sat on the GPU — the completion comes
     // from a superseded placement and must not count as served or feed the
@@ -570,8 +517,7 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
     if (job.epoch < sessions_[job.session].fence) {
       ++counters_.failed_jobs;
       ++counters_.fenced_jobs;
-      if (job.status != nullptr) *job.status = core::SuffixStatus::kFenced;
-      if (!job.done->triggered()) job.done->trigger();
+      job.reply->resolve(core::SuffixStatus::kFenced);
       continue;
     }
     ++served_now;
@@ -584,20 +530,12 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
     const bool contended =
         gpu_contended ||
         dispatch_time - job.enqueued > params_.batch_window;
-    if (predicted > 0.0) {
-      Session& owner = sessions_[job.session];
-      owner.k.record(service, predicted, contended);
-      // Every k mutation feeds the session predictor, so the last-value
-      // forecast is exactly the published reactive k. The returned error
-      // scores the forecast this job's admission would have read.
-      note_forecast_error(owner.predictor->observe(finished, owner.k.k()));
-    }
-    // The client's deadline watcher may have resolved this attempt
-    // already; its trigger wins and the late result is dropped.
-    if (!job.done->triggered()) {
-      if (job.status != nullptr) *job.status = core::SuffixStatus::kServed;
-      job.done->trigger();
-    }
+    // The returned error scores the forecast this job's admission would
+    // have read.
+    if (predicted > 0.0)
+      note_forecast_error(sessions_[job.session].k.record(
+          service, predicted, contended, finished));
+    job.reply->resolve(core::SuffixStatus::kServed);
   }
   counters_.served += served_now;
   if (batch.size() > 1) {
@@ -622,9 +560,7 @@ void EdgeServerFrontend::shed_expired_jobs() {
   for (const QueuedJob& job : expired) {
     ++counters_.failed_jobs;
     ++counters_.deadline_shed;
-    if (job.status != nullptr)
-      *job.status = core::SuffixStatus::kDeadlineShed;
-    if (!job.done->triggered()) job.done->trigger();
+    job.reply->resolve(core::SuffixStatus::kDeadlineShed);
   }
   // The backlog shrank without a dispatch; teach the delay forecaster.
   delay_predictor_->observe(now, predicted_queue_delay_sec());
@@ -673,8 +609,7 @@ void EdgeServerFrontend::crash() {
   }
   for (const QueuedJob& job : casualties) {
     ++counters_.failed_jobs;
-    if (job.status != nullptr) *job.status = core::SuffixStatus::kServerDown;
-    if (!job.done->triggered()) job.done->trigger();
+    job.reply->resolve(core::SuffixStatus::kServerDown);
   }
   if (auto* tr = trace()) {
     for (std::size_t i = 0; i < queued_casualties; ++i)
@@ -691,11 +626,10 @@ void EdgeServerFrontend::crash() {
   // the state) and re-warm through the ordinary profiler handshake after
   // restart().
   for (Session& session : sessions_) {
-    session.k = core::LoadFactorTracker(runtime_.k_window);
+    session.k.reset();
     session.cache.clear();
     session.cache.reset_stats();
     session.bandwidth = net::BandwidthEstimator(runtime_.bandwidth_window);
-    session.predictor->reset();
   }
   delay_predictor_->reset();
   in_flight_sec_ = 0.0;
@@ -710,29 +644,9 @@ void EdgeServerFrontend::restart() {
 }
 
 void EdgeServerFrontend::start_gpu_watcher(DurationNs period) {
-  watcher_busy_mark_ = scheduler_->busy_ns();
-  watcher_time_mark_ = sim_->now();
-  sim_->spawn(gpu_watcher(period));
-}
-
-sim::Task EdgeServerFrontend::gpu_watcher(DurationNs period) {
-  LP_CHECK(period > 0);
-  for (;;) {
-    co_await sim_->delay(period);
-    const DurationNs busy = scheduler_->busy_ns();
-    const double util = static_cast<double>(busy - watcher_busy_mark_) /
-                        static_cast<double>(sim_->now() - watcher_time_mark_);
-    watcher_busy_mark_ = busy;
-    watcher_time_mark_ = sim_->now();
-    if (util < runtime_.gpu_util_threshold)
-      for (Session& session : sessions_) {
-        session.k.reset_idle();
-        // The idle reset is a k mutation like any other: the predictor
-        // must see the published series step down, or a later forecast
-        // would extrapolate from pre-reset values.
-        session.predictor->observe(sim_->now(), session.k.k());
-      }
-  }
+  core::start_idle_watcher(*sim_, *scheduler_, period, [this] {
+    for (Session& session : sessions_) session.k.reset_idle(sim_->now());
+  });
 }
 
 }  // namespace lp::serve

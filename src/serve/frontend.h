@@ -16,16 +16,21 @@
 //     — are coalesced into one GPU dispatch, amortizing the per-op
 //     framework dispatch cost across the batch.
 //
-// The influential factor of a session is measured against the *service*
-// time (queue wait + preparation + execution): in the serving architecture
-// the load signal a client feels is queueing at the frontend, not kernel
-// interleaving, so k folds the queue in and the LoADPart feedback loop
-// (k up -> partition retreats -> load drops) closes through the queue.
-// This is the one semantic difference from core::OffloadServer, which
-// measures k against kernel execution alone. Even one FIFO session with no
-// admission control and batch 1 therefore differs there: a partition-cache
-// miss puts its preparation delay into the frontend's k sample, never into
-// the OffloadServer's. The paper's figures keep the OffloadServer.
+// It shares the server core with core::OffloadServer (offload_runtime.h):
+// the SuffixReply each request resolves, the LoadFactorTracker that owns
+// k and its forecaster, the suffix cost model (preparation + jittered
+// kernels) and the idle watcher. What stays its own is policy — the queue,
+// admission, batching, fencing — and the k window: a session's k is
+// measured against the *service* time (queue wait + preparation +
+// execution), and a job counts as contended when it waited longer than the
+// batching window. In the serving architecture the load signal a client
+// feels is queueing at the frontend, not kernel interleaving, so k folds
+// the queue in and the LoADPart feedback loop (k up -> partition retreats
+// -> load drops) closes through the queue. core::OffloadServer measures k
+// against kernel execution alone, so even one FIFO session with no
+// admission control and batch 1 differs there: a partition-cache miss puts
+// its preparation delay into the frontend's k sample, never into the
+// OffloadServer's. The paper's figures keep the OffloadServer.
 #pragma once
 
 #include <cstdint>
@@ -133,13 +138,13 @@ struct LoadSnapshot : FrontendCounters {
 };
 
 /// The volatile per-session state a live migration carries to the new
-/// server: the k window, the partition-cache contents, and the bandwidth
-/// window. Export→import (same RuntimeParams) is bit-identical.
+/// server: the k window with its forecaster, the partition-cache contents,
+/// and the bandwidth window. Export→import (same RuntimeParams) is
+/// bit-identical.
 struct SessionState {
   core::LoadFactorTracker::State k;
   partition::PartitionCache::Contents cache;
   net::BandwidthEstimator::State bandwidth;
-  predict::PredictorState predictor;
 };
 
 /// A non-blocking session export (the Ceph MDS exporter shape): the state
@@ -189,15 +194,15 @@ class EdgeServerFrontend : public core::SuffixService {
 
   bool alive() const override { return !down_; }
 
-  /// The session's load signal: published k now, the session predictor's
-  /// k forecast at `horizon` (>= 1, constraint 1c), and the frontend's
-  /// queue delay projected to the same horizon.
+  /// The session's load signal: its tracker's k and k forecast at
+  /// `horizon` (>= 1, constraint 1c), and the frontend's queue delay
+  /// projected to the same horizon.
   core::LoadSignal load_signal(std::uint64_t session,
                                DurationNs horizon) const override;
 
   /// Spawns the GPU-utilization watcher: when utilization over a period
-  /// falls below the threshold, every session's k resets to its idle
-  /// baseline (Section IV, per session).
+  /// falls below core::kIdleUtilization, every session's k resets to its
+  /// idle baseline (Section IV, per session).
   void start_gpu_watcher(DurationNs period);
 
   /// Predicted delay a new arrival would see: queued backlog plus the
@@ -223,12 +228,12 @@ class EdgeServerFrontend : public core::SuffixService {
   SessionStats session_stats(std::uint64_t session) const;
 
   /// Live-migration export: snapshots the session's volatile state (k
-  /// window, partition cache, bandwidth window), resets it locally, and
-  /// removes every queued job of the session (counted migrated-out). The
-  /// in-flight dispatch, if it contains the session, completes here — the
-  /// export never blocks or drops work. The session registration itself
-  /// survives (stragglers submitted before the client is redirected are
-  /// still admitted here and served normally).
+  /// window and forecaster, partition cache, bandwidth window), resets it
+  /// locally, and removes every queued job of the session (counted
+  /// migrated-out). The in-flight dispatch, if it contains the session,
+  /// completes here — the export never blocks or drops work. The session
+  /// registration itself survives (stragglers submitted before the client
+  /// is redirected are still admitted here and served normally).
   SessionExport export_session(std::uint64_t session);
 
   /// Live-migration import into a previously opened local session: restores
@@ -255,7 +260,6 @@ class EdgeServerFrontend : public core::SuffixService {
 
   const partition::PartitionCache& session_cache(std::uint64_t session) const;
   const core::LoadFactorTracker& session_tracker(std::uint64_t session) const;
-  const predict::LoadPredictor& session_predictor(std::uint64_t session) const;
   double session_bandwidth_bps(std::uint64_t session) const;
 
   /// The request queue itself — read-only, for the invariant layer
@@ -286,10 +290,6 @@ class EdgeServerFrontend : public core::SuffixService {
     core::LoadFactorTracker k;
     partition::PartitionCache cache;
     net::BandwidthEstimator bandwidth;
-    /// Forecaster over the session's published k series: observed on every
-    /// tracker mutation (so the last-value default forecasts exactly the
-    /// reactive k), reset wherever the tracker is reconstructed.
-    std::unique_ptr<predict::LoadPredictor> predictor;
     SessionStats stats = {};
     /// Fencing epoch: raised by fence_session / accepted imports; jobs
     /// carry the fence at admission and die (kFenced) when it moves on.
@@ -298,7 +298,6 @@ class EdgeServerFrontend : public core::SuffixService {
 
   sim::Task service();
   sim::Task execute_batch(std::vector<QueuedJob> batch);
-  sim::Task gpu_watcher(DurationNs period);
   sim::Task crash_driver();
 
   /// Will-miss shedding: fails every queued job whose deadline has already
@@ -327,8 +326,6 @@ class EdgeServerFrontend : public core::SuffixService {
   std::uint64_t next_seq_ = 0;
   double in_flight_sec_ = 0.0;
   FrontendCounters counters_;
-  DurationNs watcher_busy_mark_ = 0;
-  TimeNs watcher_time_mark_ = 0;
   // Fault state. `epoch_` bumps on every crash; execute_batch re-checks it
   // after every suspension and abandons work from a dead epoch. `inflight_`
   // lets crash() fail the batch currently on the GPU.
@@ -339,8 +336,8 @@ class EdgeServerFrontend : public core::SuffixService {
 
   // Queue-delay forecaster (frontend-wide, not per session): observed only
   // where the delay actually mutates (admission, dispatch, batch drain) so
-  // const readers never perturb it. Same pluggable kind as the session
-  // predictors.
+  // const readers never perturb it. Same pluggable kind as the sessions'
+  // k forecasters.
   std::unique_ptr<predict::LoadPredictor> delay_predictor_;
   // Frontend-wide forecast-quality aggregate over session-k observations.
   // Survives crashes (it scores the predictors, not the sessions).

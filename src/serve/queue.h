@@ -29,10 +29,6 @@
 #include "core/predictor.h"
 #include "common/units.h"
 
-namespace lp::sim {
-class Event;
-}  // namespace lp::sim
-
 namespace lp::serve {
 
 enum class QueuePolicy { kFifo, kEdf, kSpjf, kLeastSlack };
@@ -43,7 +39,8 @@ std::string queue_policy_name(QueuePolicy policy);
 /// representable deadline (and kNoDeadline jobs are exempt regardless).
 inline constexpr TimeNs kNeverExpired = std::numeric_limits<TimeNs>::min();
 
-/// A suffix job parked in the frontend queue.
+/// A suffix job parked in the frontend queue: the admitted request's
+/// routing and ordering keys plus the reply it will resolve.
 struct QueuedJob {
   std::uint64_t seq = 0;      ///< arrival sequence (FIFO order, tie-break)
   std::uint64_t session = 0;  ///< owning session
@@ -53,20 +50,15 @@ struct QueuedJob {
   TimeNs enqueued = 0;
   double predicted_sec = 0.0;  ///< k-adjusted suffix prediction (SPJF key)
   double bandwidth_bps = 0.0;  ///< client-reported bandwidth estimate
-  sim::Event* done = nullptr;
-  double* exec_seconds = nullptr;
-  double* overhead_seconds = nullptr;
-  double* queue_wait_seconds = nullptr;
-  core::SuffixStatus* status = nullptr;  ///< typed fate (served/server-down)
+  /// The client's reply, shared with it and its deadline watcher: the job
+  /// resolves it exactly once (served, server-down, fenced, deadline-shed),
+  /// and it stays alive even if the client abandons the attempt.
+  std::shared_ptr<core::SuffixReply> reply;
   /// Fencing epoch stamped at admission (the session's fence at that
   /// moment) and re-stamped on migration import. A job whose epoch is
   /// older than its session's current fence is a zombie — its completion
   /// is rejected instead of being served from a superseded placement.
   std::uint64_t epoch = 0;
-  /// Keeps the client's reply block alive even if the client abandons the
-  /// attempt (timeout): a crash or late completion then still writes into
-  /// live memory.
-  std::shared_ptr<void> keepalive;
   /// True for a job that arrived via session migration (push_migrated):
   /// it was admitted once on its origin server, so it bypasses the
   /// capacity bound here rather than re-contending for admission.
@@ -133,8 +125,8 @@ class RequestQueue {
   /// what summing jobs() directly yields — check::audit asserts this.
   double predicted_backlog_sec() const { return backlog_sec_; }
 
-  /// Queued jobs in arrival order (audits and tests; do not mutate through
-  /// the out-pointers).
+  /// Queued jobs in arrival order (audits and tests; do not resolve their
+  /// replies).
   const std::vector<QueuedJob>& jobs() const { return jobs_; }
 
  private:

@@ -149,22 +149,15 @@ TEST(ControlLink, DelayDefersDelivery) {
 // -------------------------------------------------- fencing harness --
 
 struct PendingRequest {
-  sim::Event done;
-  double exec = 0.0;
-  double overhead = 0.0;
-  double queue_wait = 0.0;
-  core::SuffixStatus suffix_status = core::SuffixStatus::kServed;
+  std::shared_ptr<core::SuffixReply> reply;
 
-  explicit PendingRequest(sim::Simulator& sim) : done(sim) {}
+  explicit PendingRequest(sim::Simulator& sim)
+      : reply(std::make_shared<core::SuffixReply>(sim)) {}
 
   core::SuffixRequest request(std::uint64_t session, std::size_t p) {
     core::SuffixRequest r;
     r.p = p;
-    r.done = &done;
-    r.exec_seconds = &exec;
-    r.overhead_seconds = &overhead;
-    r.queue_wait_seconds = &queue_wait;
-    r.status = &suffix_status;
+    r.reply = reply;
     r.session = session;
     r.predicted_sec = 0.01;
     return r;
@@ -219,8 +212,8 @@ TEST(EpochFencing, FenceDropsQueuedJobsAndZombieCompletionsTyped) {
   // The in-flight dispatch finished *after* the fence rose: its epoch is
   // stale, so its completion is rejected too — the zombie-completion path.
   for (const auto& r : reqs) {
-    EXPECT_TRUE(r->done.triggered());
-    EXPECT_EQ(r->suffix_status, core::SuffixStatus::kFenced);
+    EXPECT_TRUE(r->reply->done.triggered());
+    EXPECT_EQ(r->reply->status, core::SuffixStatus::kFenced);
   }
   EXPECT_EQ(h.a.counters().served, 0u);
   EXPECT_EQ(h.a.counters().fenced_jobs, 5u);
@@ -252,7 +245,7 @@ TEST(EpochFencing, StaleImportIsRejectedWithoutTouchingCounters) {
   EXPECT_TRUE(h.b.import_session(s, std::move(copy)));
   EXPECT_EQ(h.b.counters().migrated_in, jobs);
   h.sim.run_until(seconds(30));
-  for (const auto& r : reqs) EXPECT_TRUE(r->done.triggered());
+  for (const auto& r : reqs) EXPECT_TRUE(r->reply->done.triggered());
 }
 
 // ------------------------------------------- exactly-once migration --
@@ -276,8 +269,8 @@ TEST(MigrationLedger, TimeoutRetriesThenCommits) {
   h.sim.run_until(seconds(60));
 
   for (const auto& r : reqs) {
-    EXPECT_TRUE(r->done.triggered());
-    EXPECT_EQ(r->suffix_status, core::SuffixStatus::kServed);
+    EXPECT_TRUE(r->reply->done.triggered());
+    EXPECT_EQ(r->reply->status, core::SuffixStatus::kServed);
   }
   EXPECT_EQ(h.router.binding(s).server, 1u);
   EXPECT_EQ(h.router.counters().migration_retries, 2u);
@@ -306,8 +299,8 @@ TEST(MigrationLedger, SpentRetryBudgetAbortsBackToTheSource) {
   // Nothing stranded: the payload came home and its jobs settled on the
   // source as if the migration had never been attempted.
   for (const auto& r : reqs) {
-    EXPECT_TRUE(r->done.triggered());
-    EXPECT_EQ(r->suffix_status, core::SuffixStatus::kServed);
+    EXPECT_TRUE(r->reply->done.triggered());
+    EXPECT_EQ(r->reply->status, core::SuffixStatus::kServed);
   }
   EXPECT_EQ(h.router.binding(s).server, 0u);
   EXPECT_EQ(h.router.counters().aborted_migrations, 1u);
@@ -342,8 +335,8 @@ TEST(MigrationLedger, LateZombieCopyBouncesOffTheFence) {
   EXPECT_EQ(h.b.counters().served, 0u);
   EXPECT_EQ(h.b.queue().size(), 0u);
   for (const auto& r : reqs) {
-    EXPECT_TRUE(r->done.triggered());
-    EXPECT_EQ(r->suffix_status, core::SuffixStatus::kServed);
+    EXPECT_TRUE(r->reply->done.triggered());
+    EXPECT_EQ(r->reply->status, core::SuffixStatus::kServed);
   }
   check::audit(h.router);
 }
@@ -421,8 +414,8 @@ TEST(MigrationLedger, IdsAreIndicesAndCountersFoldEveryEntry) {
   EXPECT_EQ(counts.stranded_jobs, 0u);
   EXPECT_EQ(h.router.binding(s).server, 1u);  // the abort brought it home
   for (const auto& r : reqs) {
-    EXPECT_TRUE(r->done.triggered());
-    EXPECT_EQ(r->suffix_status, core::SuffixStatus::kServed);
+    EXPECT_TRUE(r->reply->done.triggered());
+    EXPECT_EQ(r->reply->status, core::SuffixStatus::kServed);
   }
   check::audit(h.router);
 }

@@ -120,15 +120,15 @@ TEST(EstimatorRegression, ZeroDurationTransferDroppedNotFatal) {
 
 TEST(LoadFactorRegression, ResetIdleStartsNewMonitoringPeriod) {
   core::LoadFactorTracker tracker(4);
-  tracker.record(0.002, 0.001, /*contended=*/true);
-  tracker.record(0.0011, 0.001, /*contended=*/false);
+  tracker.record(0.002, 0.001, /*contended=*/true, 0);
+  tracker.record(0.0011, 0.001, /*contended=*/false, 0);
   EXPECT_EQ(tracker.records(), 2u);
   // Pre-fix reset_idle() kept records_, so "records this monitoring
   // period" silently meant "records ever": the count never restarted with
   // the period it is documented to describe.
-  tracker.reset_idle();
+  tracker.reset_idle(0);
   EXPECT_EQ(tracker.records(), 0u);
-  tracker.record(0.003, 0.001);
+  tracker.record(0.003, 0.001, false, 0);
   EXPECT_EQ(tracker.records(), 1u);
   audit(tracker);
 }

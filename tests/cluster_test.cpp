@@ -107,22 +107,15 @@ TEST(HashRing, PlaceIfWalksPastDeadServers) {
 // ------------------------------------------------- migration harness --
 
 struct PendingRequest {
-  sim::Event done;
-  double exec = 0.0;
-  double overhead = 0.0;
-  double queue_wait = 0.0;
-  core::SuffixStatus suffix_status = core::SuffixStatus::kServed;
+  std::shared_ptr<core::SuffixReply> reply;
 
-  explicit PendingRequest(sim::Simulator& sim) : done(sim) {}
+  explicit PendingRequest(sim::Simulator& sim)
+      : reply(std::make_shared<core::SuffixReply>(sim)) {}
 
   core::SuffixRequest request(std::uint64_t session, std::size_t p) {
     core::SuffixRequest r;
     r.p = p;
-    r.done = &done;
-    r.exec_seconds = &exec;
-    r.overhead_seconds = &overhead;
-    r.queue_wait_seconds = &queue_wait;
-    r.status = &suffix_status;
+    r.reply = reply;
     r.session = session;
     r.predicted_sec = 0.01;
     return r;
@@ -172,12 +165,16 @@ TEST(SessionMigration, RoundTripStateIsBitIdentical) {
   EXPECT_GT(ex.bytes, 0);
   const serve::SessionState original = ex.state;
 
-  // The source session reset to fresh.
+  // The source session reset to fresh, its forecaster with it.
   EXPECT_EQ(h.a.session_tracker(s).window_size(), 0u);
   EXPECT_EQ(h.a.session_cache(s).size(), 0u);
   EXPECT_DOUBLE_EQ(h.a.session_tracker(s).k(), 1.0);
+  EXPECT_EQ(h.a.session_tracker(s).predictor().samples(), 0u);
 
   h.b.import_session(s, std::move(ex));
+  // The forecaster arrived inside the tracker state.
+  ASSERT_GT(original.k.predictor.samples, 0u);
+  check::audit_equal(original.k, h.b.session_tracker(s).export_state());
   // Plans migrate by reference: B's cache holds the very plan objects that
   // left A, which are the profile's own.
   ASSERT_EQ(h.b.session_cache(s).size(), original.cache.plans.size());
@@ -210,20 +207,22 @@ TEST(SessionMigration, PredictorStateRoundTripsBitIdentical) {
               core::SubmitStatus::kAccepted);
   }
   h.sim.run_until(seconds(30));
-  ASSERT_GT(h.a.session_predictor(s).samples(), 0u);
-  const double forecast_before = h.a.session_predictor(s).forecast(seconds(1));
+  ASSERT_GT(h.a.session_tracker(s).predictor().samples(), 0u);
+  const double forecast_before =
+      h.a.session_tracker(s).predictor().forecast(seconds(1));
 
   serve::SessionExport ex = h.a.export_session(s);
   const serve::SessionState original = ex.state;
   // Holt packs level + trend; the payload is charged to the wire.
-  EXPECT_GT(predict::state_wire_bytes(original.predictor), 0);
-  // The source predictor reset alongside the tracker it shadows.
-  EXPECT_EQ(h.a.session_predictor(s).samples(), 0u);
+  EXPECT_GT(predict::state_wire_bytes(original.k.predictor), 0);
+  // The source forecaster reset with the tracker that owns it.
+  EXPECT_EQ(h.a.session_tracker(s).predictor().samples(), 0u);
 
   h.b.import_session(s, std::move(ex));
-  check::audit_equal(original.predictor,
-                     h.b.session_predictor(s).export_state());
-  EXPECT_EQ(h.b.session_predictor(s).forecast(seconds(1)), forecast_before);
+  check::audit_equal(original.k.predictor,
+                     h.b.session_tracker(s).predictor().export_state());
+  EXPECT_EQ(h.b.session_tracker(s).predictor().forecast(seconds(1)),
+            forecast_before);
 
   serve::SessionExport back = h.b.export_session(s);
   check::audit_equal(original, back.state);
@@ -251,10 +250,10 @@ TEST(SessionMigration, MovesQueuedJobsWithoutLosingAny) {
 
   // Every request completed as served — none dropped, none hung.
   for (const auto& r : reqs) {
-    EXPECT_TRUE(r->done.triggered());
-    EXPECT_EQ(r->suffix_status, core::SuffixStatus::kServed);
+    EXPECT_TRUE(r->reply->done.triggered());
+    EXPECT_EQ(r->reply->status, core::SuffixStatus::kServed);
   }
-  EXPECT_TRUE(other_req.done.triggered());
+  EXPECT_TRUE(other_req.reply->done.triggered());
 
   // The binding moved, jobs were counted through the migration ledgers,
   // and the cluster conserves: nothing in transit after the run.
@@ -285,11 +284,11 @@ TEST(SessionMigration, ImportIntoCrashedServerFailsJobsInsteadOfHanging) {
   h.sim.spawn(h.router.migrate(s, 1));
   h.sim.run_until(seconds(60));
 
-  for (const auto& r : reqs) EXPECT_TRUE(r->done.triggered());
+  for (const auto& r : reqs) EXPECT_TRUE(r->reply->done.triggered());
   // The in-flight job finished on A; the queued ones died typed, not hung.
   std::size_t failed = 0;
   for (const auto& r : reqs)
-    if (r->suffix_status == core::SuffixStatus::kServerDown) ++failed;
+    if (r->reply->status == core::SuffixStatus::kServerDown) ++failed;
   EXPECT_GT(failed, 0u);
   EXPECT_EQ(h.router.in_transit_jobs(), 0u);
   check::audit(h.router);
@@ -322,8 +321,8 @@ TEST(SessionMigration, CrashTargetMidTransferRehomesAndSettles) {
   // Every job settled — served at the source, none stranded in transit,
   // none dumped into the crashed target.
   for (const auto& r : reqs) {
-    EXPECT_TRUE(r->done.triggered());
-    EXPECT_EQ(r->suffix_status, core::SuffixStatus::kServed);
+    EXPECT_TRUE(r->reply->done.triggered());
+    EXPECT_EQ(r->reply->status, core::SuffixStatus::kServed);
   }
   EXPECT_EQ(h.router.binding(s).server, 0u);
   EXPECT_FALSE(h.router.binding(s).migrating);

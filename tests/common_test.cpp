@@ -1,15 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <deque>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
-#include "common/csv.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -243,35 +240,6 @@ TEST(Logging, LevelFilteringAndRestore) {
   LP_DEBUG << "emitted at debug level " << 42;
   set_log_level(before);
   EXPECT_EQ(log_level(), before);
-}
-
-TEST(Csv, WritesHeaderAndRows) {
-  const std::string dir = ::testing::TempDir();
-  {
-    CsvWriter csv(dir, "lp_csv_test", {"a", "b"});
-    csv.add_row({"1", "2"});
-    csv.add_row({"3.5", "x"});
-  }
-  std::ifstream in(dir + "/lp_csv_test.csv");
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,2");
-  std::getline(in, line);
-  EXPECT_EQ(line, "3.5,x");
-  std::remove((dir + "/lp_csv_test.csv").c_str());
-}
-
-TEST(Csv, RejectsBadRowsAndPaths) {
-  const std::string dir = ::testing::TempDir();
-  CsvWriter csv(dir, "lp_csv_test2", {"a", "b"});
-  EXPECT_THROW(csv.add_row({"only-one"}), ContractError);
-  EXPECT_THROW(csv.add_row({"with,comma", "x"}), ContractError);
-  EXPECT_THROW(CsvWriter("/nonexistent-dir-xyz", "f", {"a"}),
-               ContractError);
-  std::remove((dir + "/lp_csv_test2.csv").c_str());
 }
 
 }  // namespace

@@ -107,7 +107,7 @@ TEST(Energy, RuntimeRecordsCarryTransferBytes) {
   sim.spawn(run(client, rec));
   sim.run_until(seconds(10));
   EXPECT_EQ(rec.upload_bytes,
-            model.input_desc().bytes() + params.header_bytes);
+            model.input_desc().bytes() + kHeaderBytes);
   EXPECT_EQ(rec.download_bytes, model.output_desc().bytes());
   EXPECT_GT(device_energy_joules(rec, hw::EnergyModel()), 0.0);
 }

@@ -238,7 +238,7 @@ TEST(FaultPlan, SplicesIntoBandwidthTrace) {
 
 sim::Task do_upload(net::Link& link, std::int64_t bytes, TimeNs deadline,
                     net::TransferOutcome& out) {
-  co_await link.upload(bytes, nullptr, deadline, &out);
+  co_await link.upload(bytes, deadline, &out);
 }
 
 TEST(Link, BlackoutTimesOutExactlyAtDeadline) {

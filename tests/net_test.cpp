@@ -89,9 +89,10 @@ TEST(BandwidthTrace, ZeroBandwidthIsBlackoutNotError) {
 }
 
 sim::Task do_upload(net::Link& link, std::int64_t bytes, DurationNs& out) {
-  DurationNs measured = 0;
-  co_await link.upload(bytes, &measured);
-  out = measured;
+  net::TransferOutcome outcome;
+  co_await link.upload(bytes, 0, &outcome);
+  EXPECT_EQ(outcome.status, net::TransferStatus::kOk);
+  out = outcome.elapsed;
 }
 
 TEST(Link, TransferTimeTracksBandwidth) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cctype>
 #include <cstddef>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -357,6 +360,30 @@ TEST(Report, RowWidthMustMatchColumns) {
   Report r("demo");
   auto& sec = r.section("s", {"a", "b"});
   EXPECT_THROW(sec.add_row({1}), lp::ContractError);
+}
+
+TEST(Writers, ReportAFullDiskAsFailure) {
+  // /dev/full opens fine and fails every write with ENOSPC, which stdio
+  // only surfaces when fclose flushes the buffer.
+  const std::string full = "/dev/full";
+  Report r("lp_full");
+  r.set("requests", std::size_t{1});
+  EXPECT_FALSE(r.write_json(full));
+  MetricsRegistry metrics;
+  metrics.counter("c").add();
+  EXPECT_FALSE(metrics.write_json(full));
+  EXPECT_FALSE(metrics.write_csv(full));
+  TraceRecorder trace;
+  trace.instant(trace.track("t"), "i", 0);
+  EXPECT_FALSE(trace.write_chrome_json(full));
+  // write_csv_dir names its own files: route the one it writes to
+  // /dev/full.
+  const std::string dir = ::testing::TempDir();
+  const std::string link = dir + "/lp_full_scalars.csv";
+  std::remove(link.c_str());
+  ASSERT_EQ(::symlink(full.c_str(), link.c_str()), 0);
+  EXPECT_TRUE(r.write_csv_dir(dir).empty());
+  std::remove(link.c_str());
 }
 
 // -------------------------------------------- end-to-end determinism --

@@ -1,9 +1,11 @@
 #include "common/check.h"
 #include <gtest/gtest.h>
 
+#include "check/invariants.h"
 #include "core/load_factor.h"
 #include "core/offload_runtime.h"
 #include "hw/load_generator.h"
+#include "serve/frontend.h"
 
 #include "models/zoo.h"
 #include "partition/partitioner.h"
@@ -19,28 +21,28 @@ const PredictorBundle& bundle() {
 TEST(LoadFactorTracker, StartsAtOneAndClamps) {
   LoadFactorTracker k(4);
   EXPECT_DOUBLE_EQ(k.k(), 1.0);
-  k.record(0.5, 1.0);  // measured faster than predicted
+  k.record(0.5, 1.0, false, 0);  // measured faster than predicted
   EXPECT_DOUBLE_EQ(k.k(), 1.0);  // clamped to >= 1 (constraint 1c)
-  k.record(6.0, 1.0);
+  k.record(6.0, 1.0, false, 0);
   EXPECT_GT(k.k(), 1.0);
 }
 
 TEST(LoadFactorTracker, AveragesRecentWindow) {
   LoadFactorTracker k(2);
-  k.record(10.0, 1.0);
-  k.record(2.0, 1.0);
+  k.record(10.0, 1.0, false, 0);
+  k.record(2.0, 1.0, false, 0);
   EXPECT_DOUBLE_EQ(k.k(), 6.0);
-  k.record(2.0, 1.0);  // evicts the 10x record
+  k.record(2.0, 1.0, false, 0);  // evicts the 10x record
   EXPECT_DOUBLE_EQ(k.k(), 2.0);
 }
 
 TEST(LoadFactorTracker, ResetIdleForgetsContendedHistory) {
   LoadFactorTracker k(4);
-  k.record(50.0, 1.0, /*contended=*/true);
+  k.record(50.0, 1.0, /*contended=*/true, 0);
   EXPECT_GT(k.k(), 10.0);
   // No idle measurement exists yet: the baseline is 1 (cold start).
   EXPECT_DOUBLE_EQ(k.idle_baseline(), 1.0);
-  k.reset_idle();
+  k.reset_idle(0);
   EXPECT_DOUBLE_EQ(k.k(), 1.0);
 }
 
@@ -48,12 +50,12 @@ TEST(LoadFactorTracker, IdleBaselineAbsorbsModelBias) {
   // Uncontended executions calibrate the baseline: the watcher reset
   // returns k to the prediction-bias floor, not to literal 1.
   LoadFactorTracker k(4);
-  k.record(9.0, 1.0, /*contended=*/false);
-  k.record(11.0, 1.0, /*contended=*/false);
-  k.record(80.0, 1.0, /*contended=*/true);  // load spike
+  k.record(9.0, 1.0, /*contended=*/false, 0);
+  k.record(11.0, 1.0, /*contended=*/false, 0);
+  k.record(80.0, 1.0, /*contended=*/true, 0);  // load spike
   EXPECT_GT(k.k(), 20.0);
   EXPECT_DOUBLE_EQ(k.idle_baseline(), 10.0);
-  k.reset_idle();
+  k.reset_idle(0);
   EXPECT_DOUBLE_EQ(k.k(), 10.0);
 }
 
@@ -61,26 +63,75 @@ TEST(LoadFactorTracker, ColdStartUnderLoadRecovers) {
   // Only contended measurements so far; reset hands back k = 1, which
   // makes the device probe the server once and recalibrate.
   LoadFactorTracker k(8);
-  for (int i = 0; i < 8; ++i) k.record(60.0, 1.0, /*contended=*/true);
-  k.reset_idle();
+  for (int i = 0; i < 8; ++i) k.record(60.0, 1.0, /*contended=*/true, 0);
+  k.reset_idle(0);
   EXPECT_DOUBLE_EQ(k.k(), 1.0);
-  k.record(9.5, 1.0, /*contended=*/false);
+  k.record(9.5, 1.0, /*contended=*/false, 0);
   EXPECT_DOUBLE_EQ(k.idle_baseline(), 9.5);
 }
 
 TEST(LoadFactorTracker, RejectsNonPositivePrediction) {
   LoadFactorTracker k(4);
-  EXPECT_THROW(k.record(1.0, 0.0), ContractError);
+  EXPECT_THROW(k.record(1.0, 0.0, false, 0), ContractError);
 }
 
 TEST(LoadFactorTracker, DropsNonPositiveMeasurements) {
   LoadFactorTracker k(4);
-  k.record(2.0, 1.0);
+  k.record(2.0, 1.0, false, 0);
   const double before = k.k();
-  k.record(0.0, 1.0);  // carries no load information; must not drag k down
+  // Carries no load information; must not drag k down.
+  k.record(0.0, 1.0, false, 0);
   EXPECT_DOUBLE_EQ(k.k(), before);
   EXPECT_EQ(k.window_size(), 1u);
   EXPECT_EQ(k.records(), 1u);
+}
+
+TEST(LoadFactorTracker, LastValueForecastIsKAfterEveryMutation) {
+  // The reactive equivalence holds by construction: under the default
+  // forecaster, the published forecast is k bit for bit at any horizon.
+  LoadFactorTracker k(4);
+  auto expect_forecast_is_k = [&](TimeNs now) {
+    for (DurationNs horizon : {DurationNs{0}, seconds(1)})
+      EXPECT_EQ(k.signal(now, horizon).k_forecast, k.k());
+  };
+  k.record(0.031, 0.01, /*contended=*/true, milliseconds(10));
+  expect_forecast_is_k(milliseconds(10));
+  k.record(0.0, 0.01, false, milliseconds(20));  // dropped, still observed
+  EXPECT_EQ(k.predictor().samples(), 2u);
+  expect_forecast_is_k(milliseconds(20));
+  k.record(0.017, 0.01, false, milliseconds(30));
+  k.reset_idle(milliseconds(40));
+  EXPECT_EQ(k.predictor().last_observed(), milliseconds(40));
+  expect_forecast_is_k(milliseconds(50));
+  EXPECT_EQ(k.signal(milliseconds(50), 0).age_ns, milliseconds(10));
+  k.reset();
+  expect_forecast_is_k(milliseconds(60));
+}
+
+TEST(LoadFactorTracker, ResetEqualsAFreshTracker) {
+  predict::PredictorParams holt;
+  holt.kind = "holt";
+  LoadFactorTracker k(4, holt);
+  for (int i = 1; i <= 6; ++i)
+    k.record(0.01 * i, 0.01, i % 2 == 0, milliseconds(10 * i));
+  k.reset_idle(milliseconds(70));
+  k.reset();
+  const LoadFactorTracker fresh(4, holt);
+  check::audit_equal(k.export_state(), fresh.export_state());
+  EXPECT_EQ(k.signal(milliseconds(80), seconds(1)).confidence, 0.0);
+}
+
+TEST(LoadFactorTracker, EwmaForecastLagsAStep) {
+  predict::PredictorParams ewma;
+  ewma.kind = "ewma";
+  LoadFactorTracker k(4, ewma);
+  k.record(0.01, 0.01, false, milliseconds(10));
+  EXPECT_EQ(k.signal(milliseconds(10), 0).k_forecast, k.k());
+  k.record(0.05, 0.01, true, milliseconds(20));  // k steps up
+  const LoadSignal sig = k.signal(milliseconds(20), seconds(1));
+  EXPECT_NE(sig.k_forecast, k.k());
+  EXPECT_LT(sig.k_forecast, k.k());
+  EXPECT_GE(sig.k_forecast, 1.0);
 }
 
 struct Harness {
@@ -421,35 +472,68 @@ TEST(OffloadRuntime, CacheCapacityOneThrashesUnderAlternatingDecisions) {
 
 TEST(OffloadServer, RejectsMalformedRequests) {
   Harness h("alexnet");
-  sim::Event done(h.sim);
+  auto reply = std::make_shared<SuffixReply>(h.sim);
   // p = n means local inference: nothing to ask the server for.
-  EXPECT_THROW(h.server.submit(SuffixRequest{h.model.n(), &done, nullptr,
-                                             nullptr}),
+  EXPECT_THROW(h.server.submit(SuffixRequest{h.model.n(), reply}),
                ContractError);
-  EXPECT_THROW(h.server.submit(SuffixRequest{0, nullptr, nullptr, nullptr}),
-               ContractError);
+  EXPECT_THROW(h.server.submit(SuffixRequest{0, nullptr}), ContractError);
 }
 
 TEST(OffloadServer, ServiceProcessesQueuedRequestsInOrder) {
   // Two requests submitted back-to-back: the service runs them in FIFO
   // order on its single stream (the second waits for the first).
   Harness h("alexnet");
-  sim::Event first_done(h.sim), second_done(h.sim);
-  double exec1 = 0.0, exec2 = 0.0;
+  auto first = std::make_shared<SuffixReply>(h.sim);
+  auto second = std::make_shared<SuffixReply>(h.sim);
   TimeNs t1 = 0, t2 = 0;
   auto waiter = [](sim::Simulator& s, sim::Event& ev,
                    TimeNs& t) -> sim::Task {
     co_await ev.wait();
     t = s.now();
   };
-  h.server.submit(SuffixRequest{0, &first_done, &exec1, nullptr});
-  h.server.submit(SuffixRequest{8, &second_done, &exec2, nullptr});
-  h.sim.spawn(waiter(h.sim, first_done, t1));
-  h.sim.spawn(waiter(h.sim, second_done, t2));
+  h.server.submit(SuffixRequest{0, first});
+  h.server.submit(SuffixRequest{8, second});
+  h.sim.spawn(waiter(h.sim, first->done, t1));
+  h.sim.spawn(waiter(h.sim, second->done, t2));
   h.sim.run_until(seconds(10));
   EXPECT_GT(t1, 0);
   EXPECT_GT(t2, t1);  // FIFO: the p=8 request finished after the p=0 one
-  EXPECT_GT(exec1, exec2);  // and the longer suffix took longer
+  EXPECT_GT(first->exec, second->exec);  // and the longer suffix took longer
+}
+
+TEST(OffloadServer, MatchesAOneSessionFifoFrontendOnTheSharedCostModel) {
+  // Both servers charge a request through the same cost model: with the
+  // same seed and an idle GPU, a cold request (cache miss) and a warm one
+  // (hit) report bit-identical overhead, execution and queue wait.
+  const graph::Graph model = models::make_model("alexnet");
+  const GraphCostProfile profile(model, bundle());
+  const hw::GpuModel gpu;
+  for (std::size_t p : {0, 3, 5, 8, 12}) {
+    SCOPED_TRACE(p);
+    sim::Simulator ssim, fsim;
+    hw::GpuScheduler ssched(ssim), fsched(fsim);
+    OffloadServer server(ssim, ssched, gpu, profile, {}, /*seed=*/5);
+    serve::EdgeServerFrontend frontend(fsim, fsched, gpu,
+                                       serve::FrontendParams{}, {},
+                                       /*seed=*/5);
+    const std::uint64_t s = frontend.open_session(profile);
+    for (int i = 0; i < 2; ++i) {
+      auto on_server = std::make_shared<SuffixReply>(ssim);
+      auto on_frontend = std::make_shared<SuffixReply>(fsim);
+      server.submit(SuffixRequest{p, on_server});
+      SuffixRequest request{p, on_frontend};
+      request.session = s;
+      ASSERT_EQ(frontend.submit(request), SubmitStatus::kAccepted);
+      ssim.run_until(ssim.now() + seconds(5));
+      fsim.run_until(fsim.now() + seconds(5));
+      ASSERT_EQ(on_server->status, SuffixStatus::kServed);
+      ASSERT_EQ(on_frontend->status, SuffixStatus::kServed);
+      EXPECT_EQ(on_server->overhead > 0.0, i == 0);
+      EXPECT_EQ(on_server->overhead, on_frontend->overhead);
+      EXPECT_EQ(on_server->exec, on_frontend->exec);
+      EXPECT_EQ(on_server->queue_wait, on_frontend->queue_wait);
+    }
+  }
 }
 
 }  // namespace

@@ -231,24 +231,17 @@ struct FrontendHarness {
 };
 
 struct PendingRequest {
-  sim::Event done;
-  double exec = 0.0;
-  double overhead = 0.0;
-  double queue_wait = 0.0;
+  std::shared_ptr<core::SuffixReply> reply;
   core::SubmitStatus status = core::SubmitStatus::kRejected;
-  core::SuffixStatus suffix_status = core::SuffixStatus::kServed;
 
-  explicit PendingRequest(sim::Simulator& sim) : done(sim) {}
+  explicit PendingRequest(sim::Simulator& sim)
+      : reply(std::make_shared<core::SuffixReply>(sim)) {}
 
   core::SuffixRequest request(std::uint64_t session, std::size_t p,
                               TimeNs deadline = core::kNoDeadline) {
     core::SuffixRequest r;
     r.p = p;
-    r.done = &done;
-    r.exec_seconds = &exec;
-    r.overhead_seconds = &overhead;
-    r.queue_wait_seconds = &queue_wait;
-    r.status = &suffix_status;
+    r.reply = reply;
     r.session = session;
     r.deadline = deadline;
     return r;
@@ -272,16 +265,16 @@ TEST(EdgeServerFrontend, BatchesOnlyIdenticalCuts) {
   h.sim.run_until(seconds(30));
 
   EXPECT_EQ(r1.status, core::SubmitStatus::kAccepted);
-  EXPECT_TRUE(r1.done.triggered());
-  EXPECT_TRUE(r4.done.triggered());
+  EXPECT_TRUE(r1.reply->done.triggered());
+  EXPECT_TRUE(r4.reply->done.triggered());
   EXPECT_EQ(h.frontend.counters().served, 4u);
   EXPECT_EQ(h.frontend.counters().dispatches, 2u);
   EXPECT_EQ(h.frontend.counters().batched_dispatches, 1u);
   EXPECT_EQ(h.frontend.counters().batched_jobs, 3u);
   EXPECT_EQ(h.scheduler.coalesced_jobs(), 3u);
   // Batch-mates finish together and report the same contended time.
-  EXPECT_DOUBLE_EQ(r1.exec, r2.exec);
-  EXPECT_DOUBLE_EQ(r1.exec, r3.exec);
+  EXPECT_DOUBLE_EQ(r1.reply->exec, r2.reply->exec);
+  EXPECT_DOUBLE_EQ(r1.reply->exec, r3.reply->exec);
 }
 
 TEST(EdgeServerFrontend, ShedsWhenQueueFullOrOverBudget) {
@@ -329,10 +322,10 @@ TEST(EdgeServerFrontend, WillMissSheddingFailsExpiredJobsTyped) {
             core::SubmitStatus::kAccepted);
   h.sim.run_until(seconds(30));
 
-  EXPECT_TRUE(r1.done.triggered());
-  EXPECT_EQ(r1.suffix_status, core::SuffixStatus::kServed);
-  EXPECT_TRUE(r2.done.triggered());
-  EXPECT_EQ(r2.suffix_status, core::SuffixStatus::kDeadlineShed);
+  EXPECT_TRUE(r1.reply->done.triggered());
+  EXPECT_EQ(r1.reply->status, core::SuffixStatus::kServed);
+  EXPECT_TRUE(r2.reply->done.triggered());
+  EXPECT_EQ(r2.reply->status, core::SuffixStatus::kDeadlineShed);
   EXPECT_EQ(h.frontend.counters().served, 1u);
   EXPECT_EQ(h.frontend.counters().deadline_shed, 1u);
   EXPECT_EQ(h.frontend.counters().failed_jobs, 1u);
@@ -350,7 +343,7 @@ TEST(EdgeServerFrontend, WillMissSheddingOffLetsExpiredJobsRun) {
   ASSERT_EQ(h.frontend.submit(r2.request(s, 5, milliseconds(1))),
             core::SubmitStatus::kAccepted);
   h.sim.run_until(seconds(30));
-  EXPECT_EQ(r2.suffix_status, core::SuffixStatus::kServed);
+  EXPECT_EQ(r2.reply->status, core::SuffixStatus::kServed);
   EXPECT_EQ(h.frontend.counters().served, 2u);
   EXPECT_EQ(h.frontend.counters().deadline_shed, 0u);
 }
@@ -440,10 +433,10 @@ TEST(EdgeServerFrontend, RejectsMalformedRequests) {
   EXPECT_THROW(h.frontend.submit(r.request(s, h.profile.n())),
                ContractError);
   EXPECT_THROW(h.frontend.submit(r.request(s + 1, 5)), ContractError);
-  core::SuffixRequest no_done;
-  no_done.p = 5;
-  no_done.session = s;
-  EXPECT_THROW(h.frontend.submit(no_done), ContractError);
+  core::SuffixRequest no_reply;
+  no_reply.p = 5;
+  no_reply.session = s;
+  EXPECT_THROW(h.frontend.submit(no_reply), ContractError);
 }
 
 // ---------------------------------------------------- crash / restart --
@@ -463,15 +456,47 @@ TEST(EdgeServerFrontend, CrashFailsInFlightAndQueuedWithServerDown) {
   h.sim.run_until(seconds(30));
 
   // Both terminate with a typed server-down result — never a hang.
-  EXPECT_TRUE(r1.done.triggered());
-  EXPECT_TRUE(r2.done.triggered());
-  EXPECT_EQ(r1.suffix_status, core::SuffixStatus::kServerDown);
-  EXPECT_EQ(r2.suffix_status, core::SuffixStatus::kServerDown);
+  EXPECT_TRUE(r1.reply->done.triggered());
+  EXPECT_TRUE(r2.reply->done.triggered());
+  EXPECT_EQ(r1.reply->status, core::SuffixStatus::kServerDown);
+  EXPECT_EQ(r2.reply->status, core::SuffixStatus::kServerDown);
   EXPECT_EQ(h.frontend.counters().failed_jobs, 2u);
   EXPECT_EQ(h.frontend.counters().served, 0u);  // the abandoned batch never counts
   EXPECT_EQ(h.frontend.queue_depth(), 0u);
   EXPECT_FALSE(h.frontend.alive());
   EXPECT_EQ(h.frontend.counters().crashes, 1u);
+}
+
+TEST(EdgeServerFrontend, ClientTimeoutSurvivesACrashOrFenceInTheSameNs) {
+  // The client's deadline watcher resolves a queued job's reply as a
+  // timeout; a crash or a fence reaching the job in the same nanosecond
+  // must not overwrite the status the client is about to read: the first
+  // resolution wins.
+  for (const bool crash : {true, false}) {
+    SCOPED_TRACE(crash ? "crash" : "fence");
+    FrontendHarness h(FrontendParams{});
+    const auto s = h.frontend.open_session(h.profile);
+    PendingRequest busy(h.sim), r(h.sim);
+    ASSERT_EQ(h.frontend.submit(busy.request(s, 5)),
+              core::SubmitStatus::kAccepted);  // dispatched at once
+    ASSERT_EQ(h.frontend.submit(r.request(s, 5)),
+              core::SubmitStatus::kAccepted);  // queued behind it
+    h.sim.call_after(milliseconds(1), [&] {
+      r.reply->resolve(core::SuffixStatus::kClientTimeout);
+    });
+    h.sim.call_after(milliseconds(1), [&] {
+      if (crash) {
+        h.frontend.crash();
+      } else {
+        h.frontend.fence_session(s, 1);
+      }
+    });
+    h.sim.run_until(seconds(30));
+    EXPECT_EQ(r.reply->status, core::SuffixStatus::kClientTimeout);
+    EXPECT_EQ(busy.reply->status, crash ? core::SuffixStatus::kServerDown
+                                        : core::SuffixStatus::kFenced);
+    EXPECT_EQ(h.frontend.counters().failed_jobs, 2u);
+  }
 }
 
 TEST(EdgeServerFrontend, CrashedServerRefusesSubmissionsUntilRestart) {
@@ -481,7 +506,7 @@ TEST(EdgeServerFrontend, CrashedServerRefusesSubmissionsUntilRestart) {
   PendingRequest r(h.sim);
   EXPECT_EQ(h.frontend.submit(r.request(s, 5)), core::SubmitStatus::kDown);
   EXPECT_EQ(h.frontend.counters().refused, 1u);
-  EXPECT_FALSE(r.done.triggered());  // nothing was enqueued
+  EXPECT_FALSE(r.reply->done.triggered());  // nothing was enqueued
 
   h.frontend.restart();
   EXPECT_TRUE(h.frontend.alive());
@@ -489,8 +514,8 @@ TEST(EdgeServerFrontend, CrashedServerRefusesSubmissionsUntilRestart) {
   EXPECT_EQ(h.frontend.submit(r2.request(s, 5)),
             core::SubmitStatus::kAccepted);
   h.sim.run_until(seconds(30));
-  EXPECT_TRUE(r2.done.triggered());
-  EXPECT_EQ(r2.suffix_status, core::SuffixStatus::kServed);
+  EXPECT_TRUE(r2.reply->done.triggered());
+  EXPECT_EQ(r2.reply->status, core::SuffixStatus::kServed);
   EXPECT_EQ(h.frontend.counters().served, 1u);
 }
 
@@ -523,8 +548,8 @@ TEST(EdgeServerFrontend, CrashWipesPartitionCacheAndKWindow) {
   ASSERT_EQ(h.frontend.submit(cold.request(s, 5)),
             core::SubmitStatus::kAccepted);
   h.sim.run_until(seconds(120));
-  EXPECT_TRUE(cold.done.triggered());
-  EXPECT_GT(cold.overhead, 0.0);
+  EXPECT_TRUE(cold.reply->done.triggered());
+  EXPECT_GT(cold.reply->overhead, 0.0);
   EXPECT_EQ(h.frontend.session_cache(s).size(), 1u);
 }
 
@@ -535,8 +560,8 @@ TEST(EdgeServerFrontend, ColdRequestCountsOneCacheMiss) {
   ASSERT_EQ(h.frontend.submit(cold.request(s, 5)),
             core::SubmitStatus::kAccepted);
   h.sim.run_until(seconds(30));
-  ASSERT_TRUE(cold.done.triggered());
-  EXPECT_GT(cold.overhead, 0.0);
+  ASSERT_TRUE(cold.reply->done.triggered());
+  EXPECT_GT(cold.reply->overhead, 0.0);
   // One lookup per job: storing the plan after the preparation delay is
   // not a second lookup.
   EXPECT_EQ(h.frontend.session_cache(s).hits(), 0u);
