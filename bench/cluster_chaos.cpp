@@ -172,22 +172,14 @@ void determinism_check(const cluster::ClusterConfig& base,
   apply_chaos(config, cell, crash_at, restart_at);
   const auto a = cluster::run_cluster(config, bundle);
   const auto b = cluster::run_cluster(config, bundle);
-  bool identical = a.clients.size() == b.clients.size() &&
-                   a.migrations == b.migrations &&
-                   a.aborted_migrations == b.aborted_migrations &&
-                   a.migration_retries == b.migration_retries &&
-                   a.death_events == b.death_events;
+  const bool identical = a.clients == b.clients &&
+                         a.migrations == b.migrations &&
+                         a.aborted_migrations == b.aborted_migrations &&
+                         a.migration_retries == b.migration_retries &&
+                         a.death_events == b.death_events;
   std::size_t records = 0;
-  for (std::size_t i = 0; identical && i < a.clients.size(); ++i) {
-    const auto& ra = a.clients[i].records;
-    const auto& rb = b.clients[i].records;
-    identical = ra.size() == rb.size();
-    records += ra.size();
-    for (std::size_t j = 0; identical && j < ra.size(); ++j)
-      identical = ra[j].start == rb[j].start && ra[j].p == rb[j].p &&
-                  ra[j].total_sec == rb[j].total_sec &&
-                  ra[j].outcome == rb[j].outcome;
-  }
+  for (const serve::ClientTrace& trace : a.clients)
+    records += trace.records.size();
   std::printf(
       "Determinism: two chaos runs (20%% loss + crash, seed %llu) -> %zu "
       "records, %llu migrations, %s\n",

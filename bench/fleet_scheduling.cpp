@@ -180,18 +180,10 @@ void determinism_check(const core::PredictorBundle& bundle,
   config.warmup = seconds(5);
   const auto a = serve::run_fleet(config, bundle);
   const auto b = serve::run_fleet(config, bundle);
-  bool identical = a.clients.size() == b.clients.size();
+  const bool identical = a.clients == b.clients;
   std::size_t records = 0;
-  for (std::size_t i = 0; identical && i < a.clients.size(); ++i) {
-    const auto& ra = a.clients[i].records;
-    const auto& rb = b.clients[i].records;
-    identical = ra.size() == rb.size();
-    records += ra.size();
-    for (std::size_t j = 0; identical && j < ra.size(); ++j)
-      identical = ra[j].start == rb[j].start && ra[j].p == rb[j].p &&
-                  ra[j].total_sec == rb[j].total_sec &&
-                  ra[j].outcome == rb[j].outcome;
-  }
+  for (const serve::ClientTrace& trace : a.clients)
+    records += trace.records.size();
   std::printf("Determinism: two runs with seed %llu -> %zu records, %s\n",
               static_cast<unsigned long long>(config.seed), records,
               identical ? "bit-identical" : "DIVERGED");

@@ -151,23 +151,6 @@ ArmStats arm_stats(const serve::FleetResult& result) {
   return out;
 }
 
-bool identical_records(const serve::FleetResult& a,
-                       const serve::FleetResult& b) {
-  if (a.clients.size() != b.clients.size()) return false;
-  for (std::size_t i = 0; i < a.clients.size(); ++i) {
-    const auto& ra = a.clients[i].records;
-    const auto& rb = b.clients[i].records;
-    if (ra.size() != rb.size()) return false;
-    for (std::size_t j = 0; j < ra.size(); ++j)
-      if (ra[j].start != rb[j].start || ra[j].p != rb[j].p ||
-          ra[j].total_sec != rb[j].total_sec ||
-          ra[j].outcome != rb[j].outcome ||
-          ra[j].last_failure != rb[j].last_failure)
-        return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -255,7 +238,7 @@ int main(int argc, char** argv) {
       serve::run_fleet(taskset_config(det_arm, levels.back(), true), bundle);
   const auto det_b =
       serve::run_fleet(taskset_config(det_arm, levels.back(), true), bundle);
-  const bool deterministic = identical_records(det_a, det_b);
+  const bool deterministic = det_a.clients == det_b.clients;
   std::printf("Determinism: least-slack+shed re-run with seed 23 -> %s\n",
               deterministic ? "bit-identical" : "DIVERGED");
 

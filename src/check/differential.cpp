@@ -495,7 +495,7 @@ void predict_case(std::uint64_t seed, int level) {
       for (DurationNs h : horizons) {
         const double f = predictor->forecast(h);
         LP_CHECK_MSG(std::isfinite(f), "forecast must be finite");
-        LP_CHECK_MSG(std::abs(f) <= params.max_abs_forecast,
+        LP_CHECK_MSG(std::abs(f) <= predict::kMaxAbsForecast,
                      "forecast escaped the clamp");
         // Reactive equivalence: the default predictor forecasts exactly
         // its last observation at every horizon — this is the invariant

@@ -185,8 +185,6 @@ serve::FleetConfig random_fleet_config(std::uint64_t seed, int level) {
   config.runtime.cache_capacity =
       static_cast<std::size_t>(rng.uniform_int(1, 8));
   config.runtime.k_window = static_cast<std::size_t>(rng.uniform_int(2, 16));
-  config.runtime.bandwidth_window =
-      static_cast<std::size_t>(rng.uniform_int(2, 8));
   if (rng.bernoulli(0.5)) {
     config.runtime.fault.rpc_timeout_sec = rng.uniform(0.05, 0.4);
     config.runtime.fault.max_retries = static_cast<int>(rng.uniform_int(0, 2));
@@ -202,17 +200,16 @@ serve::FleetConfig random_fleet_config(std::uint64_t seed, int level) {
     spec.policy = rng.bernoulli(0.75) ? core::Policy::kLoadPart
                                       : core::Policy::kNeurosurgeon;
     const double up = rng.uniform(2.0, 32.0);
+    spec.download = net::BandwidthTrace::constant(mbps(up));
+    spec.upload = spec.download;
     if (rng.bernoulli(0.3)) {
       // Bursty WiFi: Gilbert-Elliott dwell schedule, sometimes with hard
       // blackout bursts (bad bandwidth 0).
       const double bad = rng.bernoulli(0.3) ? 0.0 : mbps(up / 8.0);
-      spec.upload = net::BandwidthTrace::gilbert_elliott(
-          config.duration, mbps(up), bad, milliseconds(400),
-          milliseconds(80), rng());
-    } else {
-      spec.upload = net::BandwidthTrace::constant(mbps(up));
+      const fault::FaultPlan bursts = fault::FaultPlan::gilbert_elliott_link(
+          config.duration, bad, milliseconds(400), milliseconds(80), rng());
+      spec.upload = net::apply_link_faults(spec.upload, bursts);
     }
-    spec.download = net::BandwidthTrace::constant(mbps(up));
     spec.rtt = milliseconds(rng.uniform_int(1, 8));
     spec.request_gap = milliseconds(rng.uniform_int(2, 40));
     spec.poisson_arrivals = rng.bernoulli(0.5);
@@ -298,15 +295,10 @@ cluster::ClusterConfig random_cluster_config(std::uint64_t seed, int level) {
 
   // Non-oracle detection: the family's whole point is deciding off a
   // lossy heartbeat stream.
-  router.detector.mode = rng.bernoulli(0.5)
-                             ? cluster::DetectorParams::Mode::kDeadline
-                             : cluster::DetectorParams::Mode::kPhi;
+  router.detector.mode = cluster::DetectorParams::Mode::kDeadline;
   router.detector.suspect_misses = 2;
   router.detector.dead_misses =
       static_cast<int>(rng.uniform_int(3, 6));
-  router.detector.suspect_phi = rng.uniform(0.8, 1.5);
-  router.detector.dead_phi =
-      router.detector.suspect_phi + rng.uniform(0.5, 1.5);
 
   // Robust migration machinery, always on: lost transfers are discovered
   // by timeout, retried, and finally aborted back to the source.
@@ -315,7 +307,6 @@ cluster::ClusterConfig random_cluster_config(std::uint64_t seed, int level) {
   router.migration_backoff.base_sec = 0.02;
   router.migration_backoff.max_sec = 0.2;
   router.return_to_source = true;
-  router.control_seed = case_seed(seed, 0xc011);
 
   serve::TenantSpec spec;
   spec.model = rng.bernoulli(0.5) ? "alexnet" : "squeezenet";

@@ -65,7 +65,7 @@ serve::FleetConfig random_fleet_config(std::uint64_t seed, int level = 0);
 fault::FaultPlan random_control_plan(std::uint64_t seed, DurationNs horizon);
 
 /// Randomized small cluster under chaos: 2-4 servers, a skewed tenant
-/// population, a non-oracle failure detector (deadline or phi), lossy
+/// population, the missed-deadline failure detector, lossy
 /// per-server heartbeat channels, a lossy migration interconnect with the
 /// full timeout/retry/abort-to-source machinery armed, random crash
 /// windows, and degrade-to-local wiring. Always a *robust* configuration

@@ -1,10 +1,9 @@
 #include "cluster/control_link.h"
 
-#include <utility>
-
 namespace lp::cluster {
 
-bool ControlLink::send(const serve::LoadSnapshot& snapshot, Deliver deliver) {
+bool ControlLink::send(const serve::LoadSnapshot& snapshot,
+                       const Deliver& deliver) {
   if (faults_ != nullptr) {
     const TimeNs now = sim_->now();
     if (faults_->link_down(now)) {
@@ -18,13 +17,7 @@ bool ControlLink::send(const serve::LoadSnapshot& snapshot, Deliver deliver) {
     }
   }
   ++delivered_;
-  if (delay_ == 0) {
-    deliver(snapshot);
-    return true;
-  }
-  sim_->call_after(delay_, [deliver = std::move(deliver), snapshot] {
-    deliver(snapshot);
-  });
+  deliver(snapshot);
   return true;
 }
 

@@ -10,16 +10,9 @@ std::string detector_mode_name(DetectorParams::Mode mode) {
       return "oracle";
     case DetectorParams::Mode::kDeadline:
       return "deadline";
-    case DetectorParams::Mode::kPhi:
-      return "phi";
   }
   return "unknown";
 }
-
-namespace {
-/// kPhi: sliding window of observed heartbeat inter-arrivals.
-constexpr std::size_t kInterarrivalWindow = 8;
-}  // namespace
 
 FailureDetector::FailureDetector(std::size_t servers, DetectorParams params,
                                  DurationNs heartbeat_period)
@@ -28,13 +21,6 @@ FailureDetector::FailureDetector(std::size_t servers, DetectorParams params,
   LP_CHECK(period_ > 0);
   LP_CHECK(params_.suspect_misses >= 1);
   LP_CHECK(params_.dead_misses >= params_.suspect_misses);
-  LP_CHECK(params_.suspect_phi > 0.0);
-  LP_CHECK(params_.dead_phi >= params_.suspect_phi);
-  for (ServerView& view : views_) {
-    // Seed the phi window with the nominal period so the very first gap is
-    // judged against a sane baseline rather than dividing by zero.
-    view.intervals_sec.assign(1, to_seconds(period_));
-  }
 }
 
 void FailureDetector::arm(TimeNs now) {
@@ -53,15 +39,6 @@ void FailureDetector::heartbeat(std::size_t server, TimeNs now,
     return;
   }
   view.reported_dead = false;
-  if (params_.mode == DetectorParams::Mode::kPhi && now > view.last_seen) {
-    const double interval = to_seconds(now - view.last_seen);
-    if (view.intervals_sec.size() < kInterarrivalWindow) {
-      view.intervals_sec.push_back(interval);
-    } else {
-      view.intervals_sec[view.next_interval] = interval;
-      view.next_interval = (view.next_interval + 1) % kInterarrivalWindow;
-    }
-  }
   view.last_seen = now;
   if (view.health != Health::kAlive) transition(server, Health::kAlive, now);
 }
@@ -72,20 +49,11 @@ void FailureDetector::tick(TimeNs now) {
     ServerView& view = views_[i];
     if (view.reported_dead) continue;  // pinned dead until it reports back
     Health verdict = Health::kAlive;
-    if (params_.mode == DetectorParams::Mode::kDeadline) {
-      const std::int64_t misses = (now - view.last_seen) / period_;
-      if (misses >= params_.dead_misses) {
-        verdict = Health::kDead;
-      } else if (misses >= params_.suspect_misses) {
-        verdict = Health::kSuspect;
-      }
-    } else {
-      const double level = phi(i, now);
-      if (level >= params_.dead_phi) {
-        verdict = Health::kDead;
-      } else if (level >= params_.suspect_phi) {
-        verdict = Health::kSuspect;
-      }
+    const std::int64_t misses = (now - view.last_seen) / period_;
+    if (misses >= params_.dead_misses) {
+      verdict = Health::kDead;
+    } else if (misses >= params_.suspect_misses) {
+      verdict = Health::kSuspect;
     }
     if (verdict != view.health) transition(i, verdict, now);
   }
@@ -96,26 +64,9 @@ Health FailureDetector::health(std::size_t server) const {
   return views_[server].health;
 }
 
-double FailureDetector::phi(std::size_t server, TimeNs now) const {
-  LP_CHECK(server < views_.size());
-  const ServerView& view = views_[server];
-  if (now <= view.last_seen) return 0.0;
-  const double gap = to_seconds(now - view.last_seen);
-  const double mean = mean_interval_sec(view);
-  // phi-accrual under an exponential arrival model: phi(t) =
-  // -log10(P(gap > t)) = t / (mean * ln 10).
-  return 0.4342944819032518 * gap / mean;
-}
-
 void FailureDetector::transition(std::size_t server, Health to, TimeNs now) {
   views_[server].health = to;
   if (to == Health::kDead) death_events_.emplace_back(server, now);
-}
-
-double FailureDetector::mean_interval_sec(const ServerView& view) const {
-  double sum = 0.0;
-  for (double interval : view.intervals_sec) sum += interval;
-  return sum / static_cast<double>(view.intervals_sec.size());
 }
 
 }  // namespace lp::cluster

@@ -1,7 +1,7 @@
 // Suspicion-based failure detection for the cluster control plane.
 //
-// The router cannot read ground truth: heartbeats arrive over a lossy,
-// delayed ControlLink, so "I have not heard from server 3" is ambiguous
+// The router cannot read ground truth: heartbeats arrive over a lossy
+// ControlLink, so "I have not heard from server 3" is ambiguous
 // between a crash, a partition, and plain bad luck. The detector turns the
 // heartbeat arrival stream into an explicit health state per server,
 //
@@ -10,17 +10,12 @@
 // with recovery back to kAlive on any delivered heartbeat that reports the
 // server up. A kSuspect server is excluded from *new* placement and from
 // migration targets but keeps its sessions; only kDead triggers reroute.
-// Three modes:
+// Two modes:
 //   * kOracle   — trust the last delivered snapshot's alive flag verbatim
 //     (the PR-6 behavior; exact when the transport is lossless, and the
 //     chaos bench's naive baseline when it is not);
 //   * kDeadline — a server that misses `suspect_misses` consecutive
-//     heartbeat deadlines is suspected, `dead_misses` is declared dead;
-//   * kPhi      — phi-accrual (Hayashibara et al.): phi(t) =
-//     0.4343 * (t - last_seen) / mean_interarrival against the observed
-//     inter-arrival window, with suspect/dead thresholds. Adapts to the
-//     channel: a chronically lossy link stretches the mean, so the same
-//     gap accrues suspicion more slowly than on a clean link.
+//     heartbeat deadlines is suspected, `dead_misses` is declared dead.
 // Transitions into kDead are recorded with their timestamps so the chaos
 // bench can measure time-to-detect against the scripted crash schedule.
 // Deterministic: pure function of the delivered heartbeat stream.
@@ -38,19 +33,13 @@ namespace lp::cluster {
 enum class Health : std::uint8_t { kAlive, kSuspect, kDead };
 
 struct DetectorParams {
-  enum class Mode : std::uint8_t { kOracle, kDeadline, kPhi };
+  enum class Mode : std::uint8_t { kOracle, kDeadline };
   Mode mode = Mode::kOracle;
 
   /// kDeadline: consecutive missed heartbeat periods before suspicion /
   /// declared death (dead_misses >= suspect_misses).
   int suspect_misses = 2;
   int dead_misses = 4;
-
-  /// kPhi: suspicion thresholds. phi = 1 is a gap of ~2.3x the mean
-  /// inter-arrival (over the last 8 observed inter-arrivals), phi = 2 is
-  /// ~4.6x.
-  double suspect_phi = 1.0;
-  double dead_phi = 2.0;
 };
 
 std::string detector_mode_name(DetectorParams::Mode mode);
@@ -83,9 +72,6 @@ class FailureDetector {
     return health(server) == Health::kDead;
   }
 
-  /// Current phi-accrual suspicion level (kPhi mode; 0 when just heard).
-  double phi(std::size_t server, TimeNs now) const;
-
   /// Transitions into kDead since construction.
   std::uint64_t deaths() const { return death_events_.size(); }
 
@@ -100,12 +86,9 @@ class FailureDetector {
     Health health = Health::kAlive;
     TimeNs last_seen = 0;
     bool reported_dead = false;  ///< last delivered snapshot said !alive
-    std::vector<double> intervals_sec;  ///< ring buffer (kPhi)
-    std::size_t next_interval = 0;
   };
 
   void transition(std::size_t server, Health to, TimeNs now);
-  double mean_interval_sec(const ServerView& view) const;
 
   DetectorParams params_;
   DurationNs period_;

@@ -10,6 +10,10 @@ namespace lp::cluster {
 namespace {
 /// Fixed round trip of every migration transfer on the interconnect.
 constexpr DurationNs kMigrationRtt = milliseconds(1);
+/// Seeds the control-plane randomness (per-link heartbeat-loss sampling,
+/// migration-loss sampling, retry jitter). Never drawn when no fault plan
+/// is attached.
+constexpr std::uint64_t kControlSeed = 0xc0117201;
 }  // namespace
 
 void RouterCounters::publish(obs::MetricsRegistry& registry,
@@ -39,17 +43,14 @@ ClusterRouter::ClusterRouter(sim::Simulator& sim,
       params_(params),
       homed_(servers_.size(), 0),
       detector_(servers_.size(), params.detector, params.heartbeat_period),
-      rng_(params.control_seed) {
+      rng_(kControlSeed) {
   LP_CHECK(!servers_.empty());
   for (serve::EdgeServerFrontend* server : servers_)
     LP_CHECK(server != nullptr);
   for (std::size_t i = 0; i < servers_.size(); ++i) ring_.add_server(i);
   links_.reserve(servers_.size());
-  for (std::size_t i = 0; i < servers_.size(); ++i)
-    links_.emplace_back(sim, params_.control_delay,
-                        params_.control_seed ^
-                            (0x9e3779b97f4a7c15ull *
-                             (static_cast<std::uint64_t>(i) + 1)));
+  for (std::uint64_t i = 0; i < servers_.size(); ++i)
+    links_.emplace_back(sim, kControlSeed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
 }
 
 void ClusterRouter::attach_heartbeat_faults(std::size_t server,

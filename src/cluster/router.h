@@ -12,12 +12,12 @@
 //     at session open, the stored heartbeat on crash reroute);
 //   * heartbeats — every heartbeat_period the router *sends itself* one
 //     serve::LoadSnapshot per server over a per-server ControlLink that can
-//     drop or delay it (fault::FaultPlan loss/blackout windows). The router
+//     drop it (fault::FaultPlan loss/blackout windows). The router
 //     keeps the last snapshot that actually arrived per server and drives
 //     every decision off that stored — possibly stale — view;
 //   * failure detection — a FailureDetector turns the heartbeat arrival
-//     stream into kAlive / kSuspect / kDead per server (oracle, missed
-//     deadline, or phi-accrual). Suspects keep their sessions but take no
+//     stream into kAlive / kSuspect / kDead per server (oracle or missed
+//     deadline). Suspects keep their sessions but take no
 //     new placements or migrations; only kDead triggers reroute;
 //   * crash reroute — sessions homed on a server declared dead are
 //     re-placed on a usable server and their clients redirected. The
@@ -95,10 +95,6 @@ struct RouterParams {
   /// snapshot's alive flag verbatim — exact on a lossless control plane.
   DetectorParams detector;
 
-  /// One-way latency of the heartbeat channel (0 = delivered inline at
-  /// the send instant).
-  DurationNs control_delay = 0;
-
   /// Migration reliability. A timeout of 0 trusts the interconnect: a
   /// transfer is never declared lost (attaching an interconnect fault plan
   /// therefore requires a timeout). With a timeout, an attempt that has
@@ -114,11 +110,6 @@ struct RouterParams {
   /// is gone and its jobs are stranded — the chaos bench's measurable-loss
   /// arm.
   bool return_to_source = true;
-
-  /// Seeds the router's control-plane randomness (per-link heartbeat-loss
-  /// sampling, migration-loss sampling, retry jitter). Never drawn when no
-  /// fault plan is attached.
-  std::uint64_t control_seed = 0xc0117201;
 };
 
 /// Every event count the router keeps, and the only place it keeps them:
@@ -217,7 +208,7 @@ class ClusterRouter {
     on_degrade_ = std::move(on_degrade);
   }
 
-  /// Arms loss/delay/blackout on one server's heartbeat channel (plan must
+  /// Arms loss/blackout on one server's heartbeat channel (plan must
   /// outlive the router; null detaches).
   void attach_heartbeat_faults(std::size_t server,
                                const fault::FaultPlan* plan);

@@ -21,9 +21,6 @@ namespace lp::core {
 struct Decision {
   std::size_t p = 0;               ///< optimal partition point
   double predicted_latency = 0.0;  ///< t_p in seconds
-
-  bool is_local(std::size_t n) const { return p == n; }
-  bool is_full_offload() const { return p == 0; }
 };
 
 /// Algorithm 1 verbatim. f and g are the per-position predicted times

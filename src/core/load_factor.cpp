@@ -38,17 +38,10 @@ double LoadFactorTracker::idle_baseline() const {
   return std::max(1.0, idle_ratios_.mean());
 }
 
-LoadSignal LoadFactorTracker::signal(TimeNs now, DurationNs horizon) const {
-  LoadSignal sig;
-  sig.k_now = k();
-  sig.k_forecast = sig.k_now;
-  if (predictor_->samples() > 0) {
-    // Constraint 1c applies to the forecast as much as to the measurement.
-    sig.k_forecast = std::max(1.0, predictor_->forecast(horizon));
-    sig.age_ns = now - predictor_->last_observed();
-    sig.confidence = predictor_->confidence();
-  }
-  return sig;
+LoadSignal LoadFactorTracker::signal(DurationNs horizon) const {
+  if (predictor_->samples() == 0) return LoadSignal{k()};
+  // Constraint 1c applies to the forecast as much as to the measurement.
+  return LoadSignal{std::max(1.0, predictor_->forecast(horizon))};
 }
 
 LoadFactorTracker::State LoadFactorTracker::export_state() const {

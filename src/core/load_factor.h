@@ -63,10 +63,9 @@ class LoadFactorTracker {
   /// reusing the forecaster object.
   void reset();
 
-  /// The published k and its forecast `horizon` ahead (>= 1, constraint
-  /// 1c), with the forecaster's staleness at `now` and its confidence.
-  /// backlog_sec is left to the caller.
-  LoadSignal signal(TimeNs now, DurationNs horizon) const;
+  /// The published k forecast `horizon` ahead (>= 1, constraint 1c); the
+  /// published k itself while the forecaster has no observations.
+  LoadSignal signal(DurationNs horizon) const;
 
   /// Mean ratio of recent uncontended executions (>= 1); 1 if none yet.
   double idle_baseline() const;

@@ -83,15 +83,10 @@ Preparation preparation(const partition::PartitionPlan& plan, Side side) {
 std::vector<DurationNs> suffix_kernels(const hw::GpuModel& gpu,
                                        const graph::Graph& g, std::size_t p,
                                        std::size_t n, std::size_t batch,
-                                       bool fused, double straggle, Rng& rng) {
-  std::vector<DurationNs> kernels;
-  if (batch > 1) {
-    kernels = gpu.batched_segment_kernels(g, p + 1, n, batch);
-  } else if (fused) {
-    kernels = gpu.fused_segment_kernels(g, p + 1, n);
-  } else {
-    kernels = gpu.segment_kernels(g, p + 1, n);
-  }
+                                       double straggle, Rng& rng) {
+  std::vector<DurationNs> kernels =
+      batch > 1 ? gpu.batched_segment_kernels(g, p + 1, n, batch)
+                : gpu.segment_kernels(g, p + 1, n);
   const double jf = gpu.params().jitter_frac;
   for (auto& k : kernels)
     k = std::max<DurationNs>(
@@ -166,7 +161,6 @@ sim::Task OffloadServer::execute_suffix(std::size_t p, SuffixReply& reply) {
 
   // Execute the suffix kernels on the (possibly contended) GPU.
   auto kernels = suffix_kernels(*gpu_, profile_->graph(), p, n, /*batch=*/1,
-                                params_.fused_server_kernels,
                                 /*straggle=*/1.0, rng_);
   const bool contended = gpu_contended(*scheduler_);
   const TimeNs begin = sim_->now();
@@ -182,7 +176,7 @@ sim::Task OffloadServer::execute_suffix(std::size_t p, SuffixReply& reply) {
 
 LoadSignal OffloadServer::load_signal(std::uint64_t /*session*/,
                                       DurationNs horizon) const {
-  return k_.signal(sim_->now(), horizon);
+  return k_.signal(horizon);
 }
 
 void OffloadServer::start_gpu_watcher(DurationNs period) {
@@ -205,7 +199,6 @@ OffloadClient::OffloadClient(sim::Simulator& sim, const hw::CpuModel& cpu,
       policy_(policy),
       params_(params),
       session_(session),
-      estimator_(params.bandwidth_window),
       cache_(params.cache_capacity),
       infer_slot_(sim, 1),
       breaker_(params.fault.breaker_failures,
@@ -615,7 +608,6 @@ sim::Task OffloadClient::runtime_profiler(DurationNs period) {
             &ctl);
         if (ctl.status == net::TransferStatus::kOk &&
             (policy_ != Policy::kNeurosurgeon || !k_fetched_once_)) {
-          last_signal_ = signal;
           k_cached_ = signal.k_forecast;
           k_fetched_once_ = true;
         }

@@ -59,7 +59,6 @@ struct RuntimeParams {
   std::size_t cache_capacity = 16;
 
   std::size_t k_window = 16;
-  std::size_t bandwidth_window = 8;
 
   /// Load predictor behind every LoadSignal this runtime publishes
   /// (src/predict/): each LoadFactorTracker builds its k forecaster from
@@ -68,10 +67,6 @@ struct RuntimeParams {
   /// swap `predictor.kind` for "ewma" or "holt" to forecast k and the queue
   /// backlog at the consumer's horizon instead.
   predict::PredictorParams predictor;
-
-  /// Extension: execute server partitions with framework operator fusion
-  /// (one kernel per fusion group; see graph/fusion.h).
-  bool fused_server_kernels = false;
 
   /// Partition point used by Policy::kFixedPoint (clamped to [0, n]).
   std::size_t fixed_p = 0;
@@ -144,6 +139,8 @@ struct InferenceRecord {
   int retries = 0;  ///< backoff-delayed re-attempts after failures
   int faults = 0;   ///< fault-type failures observed across all attempts
   bool breaker_forced_local = false;  ///< open breaker pinned p = n
+
+  bool operator==(const InferenceRecord&) const = default;
 };
 
 /// "This request has no deadline." TimeNs max sorts after every real
@@ -228,13 +225,13 @@ struct Preparation {
 Preparation preparation(const partition::PartitionPlan& plan, Side side);
 
 /// The jittered kernels of one suffix dispatch {Lp+1..Ln}: one coalesced
-/// stream for batch > 1, fused groups when `fused`, else one kernel per
-/// op. Each duration is scaled by `straggle` (an active fault window; 1.0
-/// otherwise) and a jitter draw from `rng`, one draw per kernel in order.
+/// stream for batch > 1, else one kernel per op. Each duration is scaled
+/// by `straggle` (an active fault window; 1.0 otherwise) and a jitter draw
+/// from `rng`, one draw per kernel in order.
 std::vector<DurationNs> suffix_kernels(const hw::GpuModel& gpu,
                                        const graph::Graph& g, std::size_t p,
                                        std::size_t n, std::size_t batch,
-                                       bool fused, double straggle, Rng& rng);
+                                       double straggle, Rng& rng);
 
 /// Contention snapshot a server takes as it submits a suffix: other
 /// tenants' kernels already queued on the GPU. Only uncontended
@@ -272,9 +269,8 @@ class SuffixService {
   virtual SubmitStatus submit(SuffixRequest request) = 0;
 
   /// One typed read of the load this service publishes for `session`,
-  /// forecast `horizon` ahead (0 = right now) — the single load API every
-  /// consumer goes through: the device profiler fetch, admission control,
-  /// and the cluster router's placement/rebalancing.
+  /// forecast `horizon` ahead (0 = right now) — the k that the device
+  /// profiler fetch and admission control act on.
   virtual LoadSignal load_signal(std::uint64_t session,
                                  DurationNs horizon) const = 0;
 
@@ -300,8 +296,8 @@ class OffloadServer : public SuffixService {
   /// k as the runtime profiler would report it right now.
   double current_k() const { return k_.k(); }
 
-  /// The single-tenant server publishes one signal for every session: the
-  /// tracker's k and its forecast.
+  /// The single-tenant server publishes one signal for every session: its
+  /// tracker's k forecast.
   LoadSignal load_signal(std::uint64_t session,
                          DurationNs horizon) const override;
 
@@ -363,7 +359,6 @@ class OffloadClient {
   /// cached k — the router raises it on quorum loss and clears it when the
   /// control plane can see a majority again.
   void force_local(bool on) { forced_local_ = on; }
-  bool forced_local() const { return forced_local_; }
 
   std::uint64_t session() const { return session_; }
   const SuffixService* server() const { return server_; }
@@ -377,9 +372,6 @@ class OffloadClient {
   void set_telemetry(obs::Telemetry* telemetry, const std::string& track);
 
   double cached_k() const { return k_cached_; }
-  /// The load signal the last successful profiler handshake fetched
-  /// (default-constructed before the first fetch).
-  const LoadSignal& last_signal() const { return last_signal_; }
   const net::BandwidthEstimator& estimator() const { return estimator_; }
   const partition::PartitionCache& cache() const { return cache_; }
   const fault::CircuitBreaker& breaker() const { return breaker_; }
@@ -417,7 +409,6 @@ class OffloadClient {
   bool forced_local_ = false;
   double k_cached_ = 1.0;
   bool k_fetched_once_ = false;
-  LoadSignal last_signal_;
   /// Parameter nodes already shipped to the server (weights_preloaded =
   /// false only).
   std::vector<bool> params_on_server_;

@@ -1,5 +1,6 @@
 #include "exec/interpreter.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -17,36 +18,55 @@ using graph::OpType;
 
 // ---------------------------------------------------------------------------
 // Reference kernels: deliberately naive per-element loops. These define the
-// numerics every optimized kernel must reproduce bit-for-bit.
+// numerics every optimized kernel must reproduce bit-for-bit. Each output
+// element keeps one double accumulator fed in ascending (ic, kh, kw) / k
+// order; taps that land in the padding are skipped.
+//
+// Sizes are read once per call into plain integers because Shape::dim is
+// out of line and checked: calling it per multiply-accumulate would cost
+// several times the arithmetic, and the exec differential tests run these
+// loops over six full models.
 // ---------------------------------------------------------------------------
+
+/// NCHW sizes of one tensor and its flat offsets (Tensor::at4's layout).
+struct Dims4 {
+  explicit Dims4(const Shape& s) : n(s.n()), c(s.c()), h(s.h()), w(s.w()) {}
+  std::int64_t at(std::int64_t in, std::int64_t ic, std::int64_t ih,
+                  std::int64_t iw) const {
+    return ((in * c + ic) * h + ih) * w + iw;
+  }
+  std::int64_t n, c, h, w;
+};
 
 Tensor conv2d(const Tensor& x, const Tensor& w, const graph::ConvAttrs& a,
               const Shape& out_shape, bool depthwise) {
   Tensor y(out_shape);
-  const auto out_c = out_shape.c();
-  for (std::int64_t n = 0; n < out_shape.n(); ++n)
-    for (std::int64_t oc = 0; oc < out_c; ++oc)
-      for (std::int64_t oh = 0; oh < out_shape.h(); ++oh)
-        for (std::int64_t ow = 0; ow < out_shape.w(); ++ow) {
-          double acc = 0.0;
+  const Dims4 xd(x.shape()), wd(w.shape()), yd(out_shape);
+  for (std::int64_t n = 0; n < yd.n; ++n)
+    for (std::int64_t oc = 0; oc < yd.c; ++oc)
+      for (std::int64_t oh = 0; oh < yd.h; ++oh)
+        for (std::int64_t ow = 0; ow < yd.w; ++ow) {
+          // The window's top-left input pixel and the taps that fall
+          // inside the input.
+          const std::int64_t ih0 = oh * a.stride_h - a.pad_h;
+          const std::int64_t iw0 = ow * a.stride_w - a.pad_w;
+          const std::int64_t kh_begin = std::max<std::int64_t>(0, -ih0);
+          const std::int64_t kh_end =
+              std::min<std::int64_t>(a.kernel_h, xd.h - ih0);
+          const std::int64_t kw_begin = std::max<std::int64_t>(0, -iw0);
+          const std::int64_t kw_end =
+              std::min<std::int64_t>(a.kernel_w, xd.w - iw0);
           const std::int64_t ic_begin = depthwise ? oc : 0;
-          const std::int64_t ic_end = depthwise ? oc + 1 : x.shape().c();
+          const std::int64_t ic_end = depthwise ? oc + 1 : xd.c;
+          double acc = 0.0;
           for (std::int64_t ic = ic_begin; ic < ic_end; ++ic)
-            for (std::int64_t kh = 0; kh < a.kernel_h; ++kh)
-              for (std::int64_t kw = 0; kw < a.kernel_w; ++kw) {
-                const std::int64_t ih = oh * a.stride_h - a.pad_h + kh;
-                const std::int64_t iw = ow * a.stride_w - a.pad_w + kw;
-                if (ih < 0 || ih >= x.shape().h() || iw < 0 ||
-                    iw >= x.shape().w())
-                  continue;
-                const float wv =
-                    depthwise
-                        ? w.at4(oc, 0, kh, kw)
-                        : w.at4(oc, ic, kh, kw);
-                acc += static_cast<double>(x.at4(n, ic, ih, iw)) *
-                       static_cast<double>(wv);
+            for (std::int64_t kh = kh_begin; kh < kh_end; ++kh)
+              for (std::int64_t kw = kw_begin; kw < kw_end; ++kw) {
+                const float xv = x.at(xd.at(n, ic, ih0 + kh, iw0 + kw));
+                const float wv = w.at(wd.at(oc, depthwise ? 0 : ic, kh, kw));
+                acc += static_cast<double>(xv) * static_cast<double>(wv);
               }
-          y.at4(n, oc, oh, ow) = static_cast<float>(acc);
+          y.at(yd.at(n, oc, oh, ow)) = static_cast<float>(acc);
         }
   return y;
 }
@@ -54,10 +74,11 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const graph::ConvAttrs& a,
 Tensor pool2d(const Tensor& x, const graph::PoolAttrs& a,
               const Shape& out_shape, bool is_max) {
   Tensor y(out_shape);
-  for (std::int64_t n = 0; n < out_shape.n(); ++n)
-    for (std::int64_t c = 0; c < out_shape.c(); ++c)
-      for (std::int64_t oh = 0; oh < out_shape.h(); ++oh)
-        for (std::int64_t ow = 0; ow < out_shape.w(); ++ow) {
+  const Dims4 xd(x.shape()), yd(out_shape);
+  for (std::int64_t n = 0; n < yd.n; ++n)
+    for (std::int64_t c = 0; c < yd.c; ++c)
+      for (std::int64_t oh = 0; oh < yd.h; ++oh)
+        for (std::int64_t ow = 0; ow < yd.w; ++ow) {
           // -inf is the true max identity: windows of arbitrarily negative
           // activations still reduce correctly.
           double acc =
@@ -67,10 +88,8 @@ Tensor pool2d(const Tensor& x, const graph::PoolAttrs& a,
             for (std::int64_t kw = 0; kw < a.kernel_w; ++kw) {
               const std::int64_t ih = oh * a.stride_h - a.pad_h + kh;
               const std::int64_t iw = ow * a.stride_w - a.pad_w + kw;
-              if (ih < 0 || ih >= x.shape().h() || iw < 0 ||
-                  iw >= x.shape().w())
-                continue;
-              const double v = x.at4(n, c, ih, iw);
+              if (ih < 0 || ih >= xd.h || iw < 0 || iw >= xd.w) continue;
+              const double v = x.at(xd.at(n, c, ih, iw));
               if (is_max)
                 acc = std::max(acc, v);
               else
@@ -78,7 +97,7 @@ Tensor pool2d(const Tensor& x, const graph::PoolAttrs& a,
               ++valid;
             }
           LP_CHECK_MSG(valid > 0, "pool window entirely in padding");
-          y.at4(n, c, oh, ow) =
+          y.at(yd.at(n, c, oh, ow)) =
               static_cast<float>(is_max ? acc : acc / valid);
         }
   return y;
@@ -88,14 +107,15 @@ Tensor matmul(const Tensor& x, const Tensor& w, const Shape& out_shape) {
   Tensor y(out_shape);
   const auto rows = x.shape().dim(0);
   const auto inner = x.shape().dim(1);
+  const auto w_cols = w.shape().dim(1);
   const auto cols = out_shape.dim(1);
   for (std::int64_t r = 0; r < rows; ++r)
     for (std::int64_t c = 0; c < cols; ++c) {
       double acc = 0.0;
       for (std::int64_t k = 0; k < inner; ++k)
-        acc += static_cast<double>(x.at2(r, k)) *
-               static_cast<double>(w.at2(k, c));
-      y.at2(r, c) = static_cast<float>(acc);
+        acc += static_cast<double>(x.at(r * inner + k)) *
+               static_cast<double>(w.at(k * w_cols + c));
+      y.at(r * cols + c) = static_cast<float>(acc);
     }
   return y;
 }
@@ -103,16 +123,19 @@ Tensor matmul(const Tensor& x, const Tensor& w, const Shape& out_shape) {
 Tensor bias_add(const Tensor& x, const Tensor& bias) {
   Tensor y = x;
   if (x.shape().rank() == 4) {
-    for (std::int64_t n = 0; n < x.shape().n(); ++n)
-      for (std::int64_t c = 0; c < x.shape().c(); ++c)
-        for (std::int64_t h = 0; h < x.shape().h(); ++h)
-          for (std::int64_t w = 0; w < x.shape().w(); ++w)
-            y.at4(n, c, h, w) += bias.at(c);
+    const Dims4 d(x.shape());
+    for (std::int64_t n = 0; n < d.n; ++n)
+      for (std::int64_t c = 0; c < d.c; ++c)
+        for (std::int64_t h = 0; h < d.h; ++h)
+          for (std::int64_t w = 0; w < d.w; ++w)
+            y.at(d.at(n, c, h, w)) += bias.at(c);
   } else {
     LP_CHECK(x.shape().rank() == 2);
-    for (std::int64_t r = 0; r < x.shape().dim(0); ++r)
-      for (std::int64_t c = 0; c < x.shape().dim(1); ++c)
-        y.at2(r, c) += bias.at(c);
+    const auto rows = x.shape().dim(0);
+    const auto cols = x.shape().dim(1);
+    for (std::int64_t r = 0; r < rows; ++r)
+      for (std::int64_t c = 0; c < cols; ++c)
+        y.at(r * cols + c) += bias.at(c);
   }
   return y;
 }
@@ -122,17 +145,18 @@ constexpr float kBatchNormEps = 1e-5f;
 Tensor batchnorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                  const Tensor& mean, const Tensor& var) {
   Tensor y = x;
-  for (std::int64_t n = 0; n < x.shape().n(); ++n)
-    for (std::int64_t c = 0; c < x.shape().c(); ++c) {
+  const Dims4 d(x.shape());
+  for (std::int64_t n = 0; n < d.n; ++n)
+    for (std::int64_t c = 0; c < d.c; ++c) {
       // Deterministic pseudo-random "variance" values can be negative;
       // clamp so normalization stays finite (value equality across the two
       // partition halves is what matters, not statistical realism).
       const float denom =
           std::sqrt(std::max(var.at(c), 0.0f) + kBatchNormEps);
-      for (std::int64_t h = 0; h < x.shape().h(); ++h)
-        for (std::int64_t w = 0; w < x.shape().w(); ++w)
-          y.at4(n, c, h, w) =
-              gamma.at(c) * (x.at4(n, c, h, w) - mean.at(c)) / denom +
+      for (std::int64_t h = 0; h < d.h; ++h)
+        for (std::int64_t w = 0; w < d.w; ++w)
+          y.at(d.at(n, c, h, w)) =
+              gamma.at(c) * (x.at(d.at(n, c, h, w)) - mean.at(c)) / denom +
               beta.at(c);
     }
   return y;
@@ -140,17 +164,18 @@ Tensor batchnorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 
 Tensor elementwise(const Tensor& x, OpType op) {
   Tensor y = x;
+  const auto count = y.elements();
   switch (op) {
     case OpType::kRelu:
-      for (std::int64_t i = 0; i < y.elements(); ++i)
+      for (std::int64_t i = 0; i < count; ++i)
         y.at(i) = std::max(0.0f, y.at(i));
       break;
     case OpType::kSigmoid:
-      for (std::int64_t i = 0; i < y.elements(); ++i)
+      for (std::int64_t i = 0; i < count; ++i)
         y.at(i) = 1.0f / (1.0f + std::exp(-y.at(i)));
       break;
     case OpType::kTanh:
-      for (std::int64_t i = 0; i < y.elements(); ++i)
+      for (std::int64_t i = 0; i < count; ++i)
         y.at(i) = std::tanh(y.at(i));
       break;
     default:
@@ -185,13 +210,15 @@ Tensor concat(const std::vector<const Tensor*>& xs, const Shape& out_shape) {
   // Channel (axis-1) concatenation of NCHW tensors.
   Tensor y(out_shape);
   std::int64_t c_off = 0;
+  const Dims4 yd(out_shape);
   for (const Tensor* x : xs) {
-    for (std::int64_t n = 0; n < x->shape().n(); ++n)
-      for (std::int64_t c = 0; c < x->shape().c(); ++c)
-        for (std::int64_t h = 0; h < x->shape().h(); ++h)
-          for (std::int64_t w = 0; w < x->shape().w(); ++w)
-            y.at4(0 + n, c_off + c, h, w) = x->at4(n, c, h, w);
-    c_off += x->shape().c();
+    const Dims4 xd(x->shape());
+    for (std::int64_t n = 0; n < xd.n; ++n)
+      for (std::int64_t c = 0; c < xd.c; ++c)
+        for (std::int64_t h = 0; h < xd.h; ++h)
+          for (std::int64_t w = 0; w < xd.w; ++w)
+            y.at(yd.at(n, c_off + c, h, w)) = x->at(xd.at(n, c, h, w));
+    c_off += xd.c;
   }
   return y;
 }
@@ -456,7 +483,8 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
       case OpType::kAdd: {
         Tensor y = ensure(node.inputs[0]);
         const Tensor& b = ensure(node.inputs[1]);
-        for (std::int64_t i = 0; i < y.elements(); ++i) y.at(i) += b.at(i);
+        const auto count = y.elements();
+        for (std::int64_t i = 0; i < count; ++i) y.at(i) += b.at(i);
         store(node.id, std::move(y));
         break;
       }

@@ -99,12 +99,6 @@ std::int64_t Graph::parameter_bytes() const {
   return total;
 }
 
-std::int64_t Graph::total_output_elements() const {
-  std::int64_t total = 0;
-  for (NodeId id : backbone_) total += node(id).output.shape.elements();
-  return total;
-}
-
 GraphBuilder::GraphBuilder(std::string name, DType dtype)
     : graph_(std::move(name)), dtype_(dtype) {}
 

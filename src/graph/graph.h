@@ -80,9 +80,6 @@ class Graph {
   /// Total parameter bytes (model size).
   std::int64_t parameter_bytes() const;
 
-  /// Total FLOPs-bearing work proxy: sum of output elements (sanity metric).
-  std::int64_t total_output_elements() const;
-
   // -- construction (used by GraphBuilder and the partitioner) --
   NodeId add_node(Node node);
   void set_input(NodeId id);

@@ -42,10 +42,6 @@ class LoadGenerator {
   void set_level(LoadLevel level) { level_ = level; }
   LoadLevel level() const { return level_; }
 
-  /// Contention-free GPU time of one background inference at the periodic
-  /// levels (AlexNet job).
-  DurationNs periodic_job_time() const { return periodic_job_time_; }
-
  private:
   sim::Task worker(int index);
   std::vector<DurationNs> jitter(const std::vector<DurationNs>& kernels,

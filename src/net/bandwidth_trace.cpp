@@ -1,7 +1,6 @@
 #include "net/bandwidth_trace.h"
 
 #include "common/check.h"
-#include "common/rng.h"
 #include "fault/fault_plan.h"
 
 namespace lp::net {
@@ -26,28 +25,6 @@ BandwidthTrace BandwidthTrace::fig6_sweep(DurationNs phase) {
   for (double m : sequence) {
     steps.push_back({t, mbps(m)});
     t += phase;
-  }
-  return BandwidthTrace(std::move(steps));
-}
-
-BandwidthTrace BandwidthTrace::gilbert_elliott(DurationNs total,
-                                               BitsPerSec good_bw,
-                                               BitsPerSec bad_bw,
-                                               DurationNs mean_good_dwell,
-                                               DurationNs mean_bad_dwell,
-                                               std::uint64_t seed) {
-  LP_CHECK(total > 0 && good_bw > 0.0 && bad_bw >= 0.0);
-  LP_CHECK(mean_good_dwell > 0 && mean_bad_dwell > 0);
-  Rng rng(seed);
-  std::vector<Step> steps;
-  TimeNs t = 0;
-  bool good = true;
-  while (t < total) {
-    steps.push_back({t, good ? good_bw : bad_bw});
-    const double mean =
-        static_cast<double>(good ? mean_good_dwell : mean_bad_dwell);
-    t += static_cast<DurationNs>(rng.exponential(mean));
-    good = !good;
   }
   return BandwidthTrace(std::move(steps));
 }

@@ -34,16 +34,6 @@ class BandwidthTrace {
   /// through 2, 4, 8, 16, 32, 64 Mbps, one phase every `phase` of sim time.
   static BandwidthTrace fig6_sweep(DurationNs phase);
 
-  /// Two-state Gilbert-Elliott channel: alternating good/bad dwell times
-  /// drawn exponentially with the given means. Models WiFi degradation
-  /// bursts (bad_bw may be 0 for hard disconnect bursts). Deterministic
-  /// given the seed.
-  static BandwidthTrace gilbert_elliott(DurationNs total, BitsPerSec good_bw,
-                                        BitsPerSec bad_bw,
-                                        DurationNs mean_good_dwell,
-                                        DurationNs mean_bad_dwell,
-                                        std::uint64_t seed);
-
   BitsPerSec bandwidth_at(TimeNs t) const;
 
   /// Earliest time >= t at which the bandwidth is positive, or -1 if the

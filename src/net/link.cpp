@@ -16,13 +16,6 @@ Link::Link(sim::Simulator& sim, BandwidthTrace up, BandwidthTrace down,
   LP_CHECK(rtt >= 0);
 }
 
-BitsPerSec Link::true_upload_bw() const {
-  return up_.bandwidth_at(sim_->now());
-}
-BitsPerSec Link::true_download_bw() const {
-  return down_.bandwidth_at(sim_->now());
-}
-
 void Link::set_telemetry(obs::Telemetry* telemetry, const std::string& track) {
   telemetry_ = telemetry;
   if (telemetry_ == nullptr) return;

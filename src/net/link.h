@@ -72,11 +72,6 @@ class Link {
   /// Purely observational — attaching never changes link behavior.
   void set_telemetry(obs::Telemetry* telemetry, const std::string& track);
 
-  /// True bandwidths right now (tests / oracle baselines only; the system
-  /// under test must use the estimator instead).
-  BitsPerSec true_upload_bw() const;
-  BitsPerSec true_download_bw() const;
-
   DurationNs rtt() const { return rtt_; }
 
  private:

@@ -101,12 +101,6 @@ const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
   return it == gauges_.end() ? nullptr : &it->second;
 }
 
-const Histogram* MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
 std::size_t MetricsRegistry::size() const {
   return counters_.size() + gauges_.size() + histograms_.size();
 }

@@ -112,7 +112,6 @@ class MetricsRegistry {
   /// Lookup without creation; null when absent (or a different kind).
   const Counter* find_counter(const std::string& name) const;
   const Gauge* find_gauge(const std::string& name) const;
-  const Histogram* find_histogram(const std::string& name) const;
 
   std::size_t size() const;
 

@@ -42,7 +42,7 @@ double LoadPredictor::forecast(DurationNs horizon) const {
   // A mis-extrapolating model degrades to naive, never to NaN/inf: the
   // decision path divides and compares with this value.
   if (!std::isfinite(f)) return last_value_;
-  return std::clamp(f, -params_.max_abs_forecast, params_.max_abs_forecast);
+  return std::clamp(f, -kMaxAbsForecast, kMaxAbsForecast);
 }
 
 double LoadPredictor::mae() const {
@@ -63,7 +63,7 @@ double LoadPredictor::confidence() const {
 
 double LoadPredictor::horizon_steps(double horizon_sec) const {
   if (gap_sec_ <= 0.0) return 0.0;
-  return std::min(horizon_sec / gap_sec_, params_.max_trend_steps);
+  return std::min(horizon_sec / gap_sec_, kMaxTrendSteps);
 }
 
 void LoadPredictor::reset() {
@@ -109,7 +109,6 @@ constexpr double kHoltBeta = 0.2;   ///< trend smoothing (holt)
 
 class LastValuePredictor final : public LoadPredictor {
  public:
-  using LoadPredictor::LoadPredictor;
   const char* name() const override { return "last-value"; }
 
  private:
@@ -127,7 +126,6 @@ class LastValuePredictor final : public LoadPredictor {
 
 class EwmaPredictor final : public LoadPredictor {
  public:
-  using LoadPredictor::LoadPredictor;
   const char* name() const override { return "ewma"; }
 
  private:
@@ -153,7 +151,6 @@ class EwmaPredictor final : public LoadPredictor {
 /// Holt double-exponential smoothing: a level and a per-step trend.
 class HoltPredictor final : public LoadPredictor {
  public:
-  using LoadPredictor::LoadPredictor;
   const char* name() const override { return "holt"; }
 
  private:
@@ -189,14 +186,14 @@ class HoltPredictor final : public LoadPredictor {
 };
 
 template <typename P>
-std::unique_ptr<LoadPredictor> construct(const PredictorParams& params) {
-  return std::unique_ptr<LoadPredictor>(new P(params));
+std::unique_ptr<LoadPredictor> construct() {
+  return std::make_unique<P>();
 }
 
 /// The built-in forecasters, sorted by name.
 struct Builtin {
   const char* name;
-  std::unique_ptr<LoadPredictor> (*make)(const PredictorParams&);
+  std::unique_ptr<LoadPredictor> (*make)();
 };
 constexpr Builtin kBuiltins[] = {
     {"ewma", &construct<EwmaPredictor>},
@@ -212,7 +209,7 @@ std::unique_ptr<LoadPredictor> make_predictor(const PredictorParams& params) {
       [&](const Builtin& b) { return params.kind == b.name; });
   LP_CHECK_MSG(it != std::end(kBuiltins),
                "unknown predictor kind: " + params.kind);
-  return it->make(params);
+  return it->make();
 }
 
 std::vector<std::string> registered_predictors() {

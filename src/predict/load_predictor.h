@@ -35,27 +35,26 @@
 
 namespace lp::predict {
 
-/// Construction-time knobs for every built-in predictor; `kind` selects
-/// the forecaster by name. One struct (not one per kind) so the
-/// runtime config stays a plain value that rides RuntimeParams.
+/// The forecaster choice that rides RuntimeParams: `kind` selects the
+/// built-in by name.
 struct PredictorParams {
   std::string kind = "last-value";
-
-  /// Trend extrapolation is capped at this many observation gaps: a load
-  /// series sampled every few hundred ms must not be extrapolated linearly
-  /// across a multi-second horizon.
-  double max_trend_steps = 8.0;
-
-  /// Forecasts are clamped into [-max_abs_forecast, +max_abs_forecast];
-  /// a non-finite projection degrades to the last observation. Keeps a
-  /// mis-extrapolating model from poisoning the decision path.
-  double max_abs_forecast = 1e6;
 };
+
+/// Trend extrapolation is capped at this many observation gaps: a load
+/// series sampled every few hundred ms must not be extrapolated linearly
+/// across a multi-second horizon.
+inline constexpr double kMaxTrendSteps = 8.0;
+
+/// Forecasts are clamped into [-kMaxAbsForecast, +kMaxAbsForecast]; a
+/// non-finite projection degrades to the last observation. Keeps a
+/// mis-extrapolating model from poisoning the decision path.
+inline constexpr double kMaxAbsForecast = 1e6;
 
 /// The exact serialized state of a predictor (live session migration).
 /// The fixed fields are the base class's accounting; derived predictors
 /// pack their model state into `scalars`. import_state into a predictor of
-/// the same kind and params is bit-identical; a kind mismatch throws.
+/// the same kind is bit-identical; a kind mismatch throws.
 struct PredictorState {
   TimeNs last_observed = 0;
   double last_value = 0.0;
@@ -76,7 +75,6 @@ std::int64_t state_wire_bytes(const PredictorState& state);
 
 class LoadPredictor {
  public:
-  explicit LoadPredictor(const PredictorParams& params) : params_(params) {}
   virtual ~LoadPredictor() = default;
 
   /// Registry name of this forecaster (matches PredictorParams::kind).
@@ -90,7 +88,8 @@ class LoadPredictor {
   double observe(TimeNs now, double value);
 
   /// Forecast of the series `horizon` past the last observation (0 = the
-  /// predictor's current level). Always finite; clamped per params.
+  /// predictor's current level). Always finite; clamped to
+  /// kMaxAbsForecast.
   /// With no observations yet, 0 — callers fall back to their live value.
   double forecast(DurationNs horizon) const;
 
@@ -118,10 +117,8 @@ class LoadPredictor {
   void import_state(const PredictorState& state);
 
  protected:
-  const PredictorParams& params() const { return params_; }
-
   /// Horizon expressed in (smoothed) observation gaps, capped at
-  /// params().max_trend_steps; 0 before a second sample establishes a gap.
+  /// kMaxTrendSteps; 0 before a second sample establishes a gap.
   double horizon_steps(double horizon_sec) const;
 
  private:
@@ -136,7 +133,6 @@ class LoadPredictor {
   virtual void pack(PredictorState* state) const = 0;
   virtual void unpack(const PredictorState& state) = 0;
 
-  PredictorParams params_;
   TimeNs last_observed_ = 0;
   double last_value_ = 0.0;
   double gap_sec_ = 0.0;

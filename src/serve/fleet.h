@@ -93,6 +93,8 @@ struct FleetConfig : TestbedConfig {
 struct ClientTrace {
   std::size_t tenant = 0;
   std::vector<core::InferenceRecord> records;
+
+  bool operator==(const ClientTrace&) const = default;
 };
 
 /// Steady-state summary of one tenant (or of the whole fleet): a typed

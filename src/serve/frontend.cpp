@@ -57,16 +57,14 @@ std::uint64_t EdgeServerFrontend::open_session(
   sessions_.push_back(Session{
       &profile, core::LoadFactorTracker(runtime_.k_window, runtime_.predictor),
       partition::PartitionCache(runtime_.cache_capacity),
-      net::BandwidthEstimator(runtime_.bandwidth_window)});
+      net::BandwidthEstimator()});
   return sessions_.size() - 1;
 }
 
 core::LoadSignal EdgeServerFrontend::load_signal(std::uint64_t session,
                                                  DurationNs horizon) const {
   LP_CHECK(session < sessions_.size());
-  core::LoadSignal sig = sessions_[session].k.signal(sim_->now(), horizon);
-  sig.backlog_sec = forecast_queue_delay_sec(horizon);
-  return sig;
+  return sessions_[session].k.signal(horizon);
 }
 
 double EdgeServerFrontend::forecast_queue_delay_sec(DurationNs horizon) const {
@@ -159,9 +157,7 @@ SessionExport EdgeServerFrontend::export_session(std::uint64_t session) {
   ex.state.bandwidth = s.bandwidth.export_state();
   // The local copy resets to fresh: stragglers submitted before the client
   // learns its new endpoint are still served here, against cold state.
-  s.k.reset();
-  s.cache.clear();
-  s.bandwidth = net::BandwidthEstimator(runtime_.bandwidth_window);
+  wipe(s);
 
   ex.jobs = queue_.take_session(session);
   counters_.migrated_out += ex.jobs.size();
@@ -273,10 +269,7 @@ std::size_t EdgeServerFrontend::fence_session(std::uint64_t session,
   // completion (execute_batch re-checks job.epoch against the fence).
   // Volatile state resets: a zombie's windows describe a placement the
   // session has left.
-  s.k.reset();
-  s.cache.clear();
-  s.cache.reset_stats();
-  s.bandwidth = net::BandwidthEstimator(runtime_.bandwidth_window);
+  wipe(s);
   if (auto* tr = trace()) {
     tr->instant(track_, "fence-session", sim_->now(),
                 obs::TraceArgs()
@@ -381,7 +374,6 @@ core::SubmitStatus EdgeServerFrontend::submit(core::SuffixRequest request) {
   job.deadline = request.deadline;
   job.enqueued = sim_->now();
   job.predicted_sec = predicted;
-  job.bandwidth_bps = request.bandwidth_bps;
   job.reply = std::move(request.reply);
   job.epoch = session.fence;
   LP_CHECK(queue_.push(job));
@@ -495,9 +487,8 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
   // for).
   const double straggle =
       faults_ != nullptr ? faults_->straggle_factor(sim_->now()) : 1.0;
-  auto kernels = core::suffix_kernels(
-      *gpu_, profile.graph(), p, profile.n(), batch.size(),
-      runtime_.fused_server_kernels, straggle, rng_);
+  auto kernels = core::suffix_kernels(*gpu_, profile.graph(), p, profile.n(),
+                                      batch.size(), straggle, rng_);
   const bool gpu_contended = core::gpu_contended(*scheduler_);
   const TimeNs begin = sim_->now();
   co_await scheduler_->run_batch(ctx_, std::move(kernels), batch.size());
@@ -625,14 +616,15 @@ void EdgeServerFrontend::crash() {
   // in-flight estimate. Sessions survive (they are the registration, not
   // the state) and re-warm through the ordinary profiler handshake after
   // restart().
-  for (Session& session : sessions_) {
-    session.k.reset();
-    session.cache.clear();
-    session.cache.reset_stats();
-    session.bandwidth = net::BandwidthEstimator(runtime_.bandwidth_window);
-  }
+  for (Session& session : sessions_) wipe(session);
   delay_predictor_->reset();
   in_flight_sec_ = 0.0;
+}
+
+void EdgeServerFrontend::wipe(Session& session) {
+  session.k.reset();
+  session.cache.clear();
+  session.bandwidth = net::BandwidthEstimator();
 }
 
 void EdgeServerFrontend::restart() {

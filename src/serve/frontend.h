@@ -194,9 +194,8 @@ class EdgeServerFrontend : public core::SuffixService {
 
   bool alive() const override { return !down_; }
 
-  /// The session's load signal: its tracker's k and k forecast at
-  /// `horizon` (>= 1, constraint 1c), and the frontend's queue delay
-  /// projected to the same horizon.
+  /// The session's load signal: its tracker's k forecast at `horizon`
+  /// (>= 1, constraint 1c).
   core::LoadSignal load_signal(std::uint64_t session,
                                DurationNs horizon) const override;
 
@@ -299,6 +298,11 @@ class EdgeServerFrontend : public core::SuffixService {
   sim::Task service();
   sim::Task execute_batch(std::vector<QueuedJob> batch);
   sim::Task crash_driver();
+
+  /// Resets a session's volatile state — k window and forecaster,
+  /// partition cache (entries and statistics), bandwidth window — to that
+  /// of a fresh registration (migration export, fencing, crash).
+  static void wipe(Session& session);
 
   /// Will-miss shedding: fails every queued job whose deadline has already
   /// passed with SuffixStatus::kDeadlineShed (params_.shed_will_miss path,

@@ -59,18 +59,29 @@ void RequestQueue::push_migrated(QueuedJob job) {
   jobs_.push_back(job);
 }
 
-std::vector<QueuedJob> RequestQueue::take_session(std::uint64_t session) {
+template <typename Match>
+std::vector<QueuedJob> RequestQueue::take_if(Match match) {
+  // One stable pass that neither allocates nor moves anything when no job
+  // matches (the dispatcher's will-miss check, every dispatch). Past the
+  // first match, `kept` trails `it`, so no job is moved onto itself.
   std::vector<QueuedJob> out;
-  for (std::size_t i = 0; i < jobs_.size();) {
-    if (jobs_[i].session == session) {
-      out.push_back(jobs_[i]);
-      jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(i));
+  auto kept = std::find_if(jobs_.begin(), jobs_.end(), match);
+  if (kept == jobs_.end()) return out;
+  for (auto it = kept; it != jobs_.end(); ++it) {
+    if (match(*it)) {
+      out.push_back(std::move(*it));
     } else {
-      ++i;
+      *kept++ = std::move(*it);
     }
   }
-  if (!out.empty()) backlog_sec_ = recompute_backlog();
+  jobs_.erase(kept, jobs_.end());
+  backlog_sec_ = recompute_backlog();
   return out;
+}
+
+std::vector<QueuedJob> RequestQueue::take_session(std::uint64_t session) {
+  return take_if(
+      [session](const QueuedJob& job) { return job.session == session; });
 }
 
 std::size_t RequestQueue::migrated_in_queue() const {
@@ -163,24 +174,12 @@ void RequestQueue::take_matching(const core::GraphCostProfile* profile,
 }
 
 std::vector<QueuedJob> RequestQueue::take_expired(TimeNs now) {
-  std::vector<QueuedJob> out;
-  for (std::size_t i = 0; i < jobs_.size();) {
-    if (expired_before(jobs_[i], now)) {
-      out.push_back(jobs_[i]);
-      jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
-  }
-  if (!out.empty()) backlog_sec_ = recompute_backlog();
-  return out;
+  return take_if(
+      [now](const QueuedJob& job) { return expired_before(job, now); });
 }
 
 std::vector<QueuedJob> RequestQueue::drain() {
-  std::vector<QueuedJob> out = std::move(jobs_);
-  jobs_.clear();
-  backlog_sec_ = 0.0;
-  return out;
+  return take_if([](const QueuedJob&) { return true; });
 }
 
 }  // namespace lp::serve

@@ -49,7 +49,6 @@ struct QueuedJob {
   TimeNs deadline = core::kNoDeadline;              ///< absolute deadline
   TimeNs enqueued = 0;
   double predicted_sec = 0.0;  ///< k-adjusted suffix prediction (SPJF key)
-  double bandwidth_bps = 0.0;  ///< client-reported bandwidth estimate
   /// The client's reply, shared with it and its deadline watcher: the job
   /// resolves it exactly once (served, server-down, fenced, deadline-shed),
   /// and it stays alive even if the client abandons the attempt.
@@ -132,6 +131,10 @@ class RequestQueue {
  private:
   bool before(const QueuedJob& a, const QueuedJob& b) const;
   double recompute_backlog() const;
+  /// Removes every job `match` accepts, in arrival order, and recomputes
+  /// the backlog from the survivors.
+  template <typename Match>
+  std::vector<QueuedJob> take_if(Match match);
 
   QueuePolicy policy_;
   std::size_t capacity_;

@@ -5,10 +5,8 @@
 namespace lp::sim {
 
 Simulator::~Simulator() {
-  // Drop pending callbacks (and their captures) without running them, then
-  // destroy root frames; child frames are destroyed recursively by their
-  // owners.
-  callbacks_.clear();
+  // Root frames only; child frames are destroyed recursively by their
+  // owners. A call_after process that never ran drops its captures here.
   for (auto h : roots_) h.destroy();
 }
 
@@ -16,39 +14,51 @@ void Simulator::spawn(Task task) {
   LP_CHECK(task.valid());
   auto h = task.release();
   roots_.push_back(h);
-  queue_.push({now_, seq_++, h, 0});
+  queue_.push({now_, seq_++, h});
 }
+
+namespace {
+
+// The call_after coroutine. Unlike a Task, whose exception waits for an
+// awaiting parent, it lets the callback's exception escape run().
+struct OneShot {
+  struct promise_type {
+    OneShot get_return_object() {
+      return {std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    void return_void() {}
+    void unhandled_exception() { throw; }
+  };
+  std::coroutine_handle<promise_type> handle;
+};
+
+OneShot run_once(std::function<void()> fn) {
+  // The frame lives until teardown; emptying fn first frees the captures
+  // as soon as the callback returns.
+  std::exchange(fn, nullptr)();
+  co_return;
+}
+
+}  // namespace
 
 void Simulator::call_after(DurationNs delay, std::function<void()> fn) {
   LP_CHECK(delay >= 0);
-  std::size_t slot = callbacks_.size();
-  if (free_slots_.empty()) {
-    callbacks_.push_back(std::move(fn));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    callbacks_[slot] = std::move(fn);
-  }
-  queue_.push({now_ + delay, seq_++, {}, slot});
+  const std::coroutine_handle<> h = run_once(std::move(fn)).handle;
+  roots_.push_back(h);
+  queue_.push({now_ + delay, seq_++, h});
 }
 
 void Simulator::schedule_handle(TimeNs t, std::coroutine_handle<> h) {
   LP_CHECK(t >= now_);
-  queue_.push({t, seq_++, h, 0});
+  queue_.push({t, seq_++, h});
 }
 
 void Simulator::step(const Entry& e) {
   now_ = e.time;
   ++executed_;
-  if (e.handle) {
-    if (!e.handle.done()) e.handle.resume();
-    return;
-  }
-  // Take the callback out and free its slot first: the callback may
-  // schedule more callbacks, which can reuse the slot or grow the table.
-  std::function<void()> fn = std::exchange(callbacks_[e.slot], nullptr);
-  free_slots_.push_back(e.slot);
-  fn();
+  if (!e.handle.done()) e.handle.resume();
 }
 
 TimeNs Simulator::run() {

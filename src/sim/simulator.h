@@ -32,9 +32,10 @@ class Simulator {
   /// Registers a detached root process; it starts when the clock next runs.
   void spawn(Task task);
 
-  /// Schedules a plain callback after `delay` (>= 0). The callback waits
-  /// in a side table, not in the event heap; its slot is freed before it
-  /// runs, so a callback that schedules another one reuses it.
+  /// Schedules a plain callback after `delay` (>= 0) as a one-shot root
+  /// coroutine: it takes its place in the event order at the call, its
+  /// captures die as soon as it has run (pending ones at teardown), and an
+  /// exception it throws escapes run().
   void call_after(DurationNs delay, std::function<void()> fn);
 
   /// Awaitable that resumes the caller after `delay` (>= 0) of virtual time.
@@ -67,21 +68,15 @@ class Simulator {
   /// True if no future work is scheduled.
   bool idle() const { return queue_.empty(); }
 
-  /// Size of the callback table: the peak number of callbacks pending at
-  /// once so far (freed slots are reused, never released).
-  std::size_t callback_slots() const { return callbacks_.size(); }
-
   // -- internal, used by awaitables in this module --
   void schedule_handle(TimeNs t, std::coroutine_handle<> h);
 
  private:
-  // Trivially copyable, so the heap moves 32-byte PODs and never a
-  // std::function.
+  // Trivially copyable, so the heap moves 24-byte PODs.
   struct Entry {
     TimeNs time;
     std::uint64_t seq;  // FIFO tie-break for equal timestamps
     std::coroutine_handle<> handle;
-    std::size_t slot;  // callbacks_ index; used when handle is null
   };
   static_assert(std::is_trivially_copyable_v<Entry>);
   struct Later {
@@ -97,11 +92,7 @@ class Simulator {
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  // Pending call_after callbacks, indexed by Entry::slot; free_slots_ holds
-  // the indices whose callback has already run.
-  std::vector<std::function<void()>> callbacks_;
-  std::vector<std::size_t> free_slots_;
-  std::vector<std::coroutine_handle<Task::promise_type>> roots_;
+  std::vector<std::coroutine_handle<>> roots_;  // spawned and call_after
 };
 
 /// One-shot broadcast event. Waiters resume (at the trigger time) once

@@ -52,33 +52,9 @@ TEST(FailureDetector, DeadlineModeWalksAliveSuspectDead) {
   EXPECT_EQ(detector.health(0), Health::kAlive);
 }
 
-TEST(FailureDetector, PhiModeAccruesWithTheGap) {
-  DetectorParams params;
-  params.mode = DetectorParams::Mode::kPhi;
-  params.suspect_phi = 1.0;
-  params.dead_phi = 2.0;
-  FailureDetector detector(1, params, milliseconds(100));
-  detector.arm(0);
-  for (int i = 1; i <= 5; ++i)
-    detector.heartbeat(0, milliseconds(100 * i), true);
-
-  // phi = 0.4343 * gap / mean_interarrival (mean = 0.1 s here): a 250 ms
-  // silence accrues past 1, a 500 ms silence past 2.
-  EXPECT_LT(detector.phi(0, milliseconds(600)), 1.0);
-  detector.tick(milliseconds(600));
-  EXPECT_EQ(detector.health(0), Health::kAlive);
-  detector.tick(milliseconds(750));
-  EXPECT_EQ(detector.health(0), Health::kSuspect);
-  detector.tick(milliseconds(1000));
-  EXPECT_EQ(detector.health(0), Health::kDead);
-  detector.heartbeat(0, milliseconds(1100), true);
-  EXPECT_EQ(detector.health(0), Health::kAlive);
-}
-
 TEST(FailureDetector, SelfReportedDeathIsAuthoritativeInEveryMode) {
   for (auto mode :
-       {DetectorParams::Mode::kOracle, DetectorParams::Mode::kDeadline,
-        DetectorParams::Mode::kPhi}) {
+       {DetectorParams::Mode::kOracle, DetectorParams::Mode::kDeadline}) {
     DetectorParams params;
     params.mode = mode;
     FailureDetector detector(1, params, milliseconds(100));
@@ -97,7 +73,7 @@ TEST(FailureDetector, SelfReportedDeathIsAuthoritativeInEveryMode) {
 
 TEST(ControlLink, NoPlanDeliversInlineWithoutRngDraws) {
   sim::Simulator sim;
-  ControlLink link(sim, /*delay=*/0, /*seed=*/1);
+  ControlLink link(sim, /*seed=*/1);
   serve::LoadSnapshot got;
   bool delivered = false;
   serve::LoadSnapshot snap;
@@ -120,7 +96,7 @@ TEST(ControlLink, PlanWindowsDropAndBlackout) {
   fault::FaultPlan plan;
   plan.packet_loss(seconds(0), seconds(1), 1.0);
   plan.link_blackout(seconds(2), seconds(3));
-  ControlLink link(sim, 0, 1);
+  ControlLink link(sim, 1);
   link.attach_faults(&plan);
 
   std::size_t delivered = 0;
@@ -133,17 +109,6 @@ TEST(ControlLink, PlanWindowsDropAndBlackout) {
   EXPECT_EQ(delivered, 1u);
   EXPECT_EQ(link.sent(), 3u);
   EXPECT_EQ(link.dropped(), 2u);
-}
-
-TEST(ControlLink, DelayDefersDelivery) {
-  sim::Simulator sim;
-  ControlLink link(sim, milliseconds(20), 1);
-  bool delivered = false;
-  link.send(serve::LoadSnapshot{},
-            [&](const serve::LoadSnapshot&) { delivered = true; });
-  EXPECT_FALSE(delivered);
-  sim.run_until(milliseconds(30));
-  EXPECT_TRUE(delivered);
 }
 
 // -------------------------------------------------- fencing harness --

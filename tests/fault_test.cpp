@@ -219,6 +219,50 @@ TEST(FaultPlan, GilbertElliottScheduleIsDeterministic) {
   }
 }
 
+TEST(FaultPlan, GilbertElliottWindowsAreOrderedDisjointAndSeeded) {
+  const auto a = FaultPlan::gilbert_elliott_link(
+      seconds(300), mbps(0.5), seconds(25), seconds(8), 7);
+  const auto& windows = a.link_faults();
+  ASSERT_GE(windows.size(), 2u);  // several bursts in 300 s
+  // Starting good: each bad window is preceded by a good dwell, so the
+  // windows are ordered, non-empty and never overlap.
+  EXPECT_GT(windows.front().window.begin, 0);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    EXPECT_LT(windows[i].window.begin, windows[i].window.end) << i;
+    EXPECT_LT(windows[i].window.begin, seconds(300)) << i;
+    if (i > 0) {
+      EXPECT_LE(windows[i - 1].window.end, windows[i].window.begin) << i;
+    }
+  }
+  // Different seeds give different burst boundaries.
+  const auto c = FaultPlan::gilbert_elliott_link(
+      seconds(300), mbps(0.5), seconds(25), seconds(8), 8);
+  bool any_diff = c.link_faults().size() != windows.size();
+  for (std::size_t i = 0;
+       !any_diff && i < std::min(windows.size(), c.link_faults().size());
+       ++i)
+    any_diff = windows[i].window.begin != c.link_faults()[i].window.begin;
+  EXPECT_TRUE(any_diff);
+}
+
+TEST(FaultPlan, GilbertElliottDwellMeansRoughlyRespected) {
+  const auto plan = FaultPlan::gilbert_elliott_link(
+      seconds(100000), mbps(1), seconds(30), seconds(10), 3);
+  const auto& windows = plan.link_faults();
+  ASSERT_FALSE(windows.empty());
+  // Each window is one bad dwell, preceded by one good dwell.
+  double good_total = 0.0, bad_total = 0.0;
+  TimeNs good_since = 0;
+  for (const FaultPlan::LinkFault& f : windows) {
+    good_total += to_seconds(f.window.begin - good_since);
+    bad_total += to_seconds(f.window.end - f.window.begin);
+    good_since = f.window.end;
+  }
+  const double n = static_cast<double>(windows.size());
+  EXPECT_NEAR(good_total / n, 30.0, 3.0);
+  EXPECT_NEAR(bad_total / n, 10.0, 1.5);
+}
+
 // ------------------------------------------------- link fault application --
 
 TEST(FaultPlan, SplicesIntoBandwidthTrace) {

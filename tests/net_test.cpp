@@ -29,45 +29,6 @@ TEST(BandwidthTrace, Fig6SweepShape) {
   EXPECT_DOUBLE_EQ(t.steps().back().bandwidth, mbps(64));
 }
 
-TEST(BandwidthTrace, GilbertElliottAlternatesAndIsDeterministic) {
-  const auto a = BandwidthTrace::gilbert_elliott(
-      seconds(300), mbps(16), mbps(0.5), seconds(25), seconds(8), 7);
-  const auto b = BandwidthTrace::gilbert_elliott(
-      seconds(300), mbps(16), mbps(0.5), seconds(25), seconds(8), 7);
-  ASSERT_EQ(a.steps().size(), b.steps().size());
-  ASSERT_GE(a.steps().size(), 4u);  // several bursts in 300 s
-  for (std::size_t i = 0; i < a.steps().size(); ++i) {
-    EXPECT_EQ(a.steps()[i].at, b.steps()[i].at);
-    EXPECT_DOUBLE_EQ(a.steps()[i].bandwidth, b.steps()[i].bandwidth);
-    // Strictly alternating good/bad starting good.
-    EXPECT_DOUBLE_EQ(a.steps()[i].bandwidth,
-                     i % 2 == 0 ? mbps(16) : mbps(0.5));
-  }
-  // Different seeds give different burst boundaries.
-  const auto c = BandwidthTrace::gilbert_elliott(
-      seconds(300), mbps(16), mbps(0.5), seconds(25), seconds(8), 8);
-  bool any_diff = c.steps().size() != a.steps().size();
-  for (std::size_t i = 1; !any_diff && i < std::min(a.steps().size(),
-                                                    c.steps().size());
-       ++i)
-    any_diff = a.steps()[i].at != c.steps()[i].at;
-  EXPECT_TRUE(any_diff);
-}
-
-TEST(BandwidthTrace, GilbertElliottDwellMeansRoughlyRespected) {
-  const auto t = BandwidthTrace::gilbert_elliott(
-      seconds(100000), mbps(10), mbps(1), seconds(30), seconds(10), 3);
-  double good_total = 0.0, bad_total = 0.0;
-  for (std::size_t i = 0; i + 1 < t.steps().size(); ++i) {
-    const double dwell =
-        to_seconds(t.steps()[i + 1].at - t.steps()[i].at);
-    (i % 2 == 0 ? good_total : bad_total) += dwell;
-  }
-  const double n = static_cast<double>(t.steps().size()) / 2.0;
-  EXPECT_NEAR(good_total / n, 30.0, 3.0);
-  EXPECT_NEAR(bad_total / n, 10.0, 1.5);
-}
-
 TEST(BandwidthTrace, RejectsBadInput) {
   EXPECT_THROW(BandwidthTrace({}), ContractError);
   EXPECT_THROW(BandwidthTrace({{0, -1.0}}), ContractError);

@@ -72,9 +72,7 @@ TEST(Holt, TracksALinearTrend) {
 }
 
 TEST(Holt, TrendExtrapolationIsCapped) {
-  PredictorParams params = params_of("holt");
-  params.max_trend_steps = 4.0;
-  const auto p = make_predictor(params);
+  const auto p = make_predictor(params_of("holt"));
   TimeNs now = 0;
   double v = 2.0;
   for (int i = 0; i < 60; ++i) {
@@ -82,17 +80,19 @@ TEST(Holt, TrendExtrapolationIsCapped) {
     v += 1.0;
     p->observe(now, v);
   }
-  // A 100s horizon is 100 gaps, but extrapolation stops at 4 steps.
-  EXPECT_NEAR(p->forecast(seconds(100)), v + 4.0, 0.2);
+  // A 100s horizon is 100 gaps, but extrapolation stops at 8 steps.
+  ASSERT_EQ(kMaxTrendSteps, 8.0);
+  EXPECT_NEAR(p->forecast(seconds(100)), v + 8.0, 0.2);
 }
 
 TEST(Forecast, ClampsRunawayExtrapolation) {
-  PredictorParams params = params_of("holt");
-  params.max_abs_forecast = 10.0;
-  const auto p = make_predictor(params);
+  const auto p = make_predictor(params_of("holt"));
   p->observe(milliseconds(1), 1.0);
-  p->observe(milliseconds(2), 100.0);  // level 40.6, trend +7.9 per step
-  EXPECT_EQ(p->forecast(seconds(60)), 10.0);
+  // Level 400000.6, trend +79999.9 per step: 8 steps out is ~1.04e6.
+  p->observe(milliseconds(2), 1e6);
+  ASSERT_EQ(kMaxAbsForecast, 1e6);
+  EXPECT_LT(p->forecast(0), kMaxAbsForecast);
+  EXPECT_EQ(p->forecast(seconds(60)), kMaxAbsForecast);
 }
 
 TEST(ErrorStats, ScoreTheStandingForecastBeforeAbsorbing) {

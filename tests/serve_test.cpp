@@ -4,6 +4,7 @@
 #include <limits>
 #include <vector>
 
+#include "check/invariants.h"
 #include "common/check.h"
 #include "serve/fleet.h"
 #include "serve/frontend.h"
@@ -210,6 +211,64 @@ TEST(RequestQueue, TakeExpiredSweepsPassedDeadlinesInArrivalOrder) {
   EXPECT_EQ(expired[1].seq, 3u);  // deadline == now counts: 0 slack left
   EXPECT_EQ(q.size(), 2u);
   EXPECT_DOUBLE_EQ(q.predicted_backlog_sec(), 0.2);
+}
+
+TEST(RequestQueue, TakeSessionKeepsArrivalOrderOnBothSides) {
+  // SPJF so that pop order differs from arrival order.
+  RequestQueue q(QueuePolicy::kSpjf, 8);
+  const std::uint64_t sessions[] = {1, 2, 1, 2, 2, 1};
+  const double predicted[] = {0.6, 0.5, 0.4, 0.3, 0.2, 0.1};
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    QueuedJob job = make_job(i, core::kNoDeadline, predicted[i]);
+    job.session = sessions[i];
+    ASSERT_TRUE(q.push(job));
+  }
+
+  const auto taken = q.take_session(1);
+  ASSERT_EQ(taken.size(), 3u);
+  EXPECT_EQ(taken[0].seq, 0u);
+  EXPECT_EQ(taken[1].seq, 2u);
+  EXPECT_EQ(taken[2].seq, 5u);
+  ASSERT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.jobs()[0].seq, 1u);
+  EXPECT_EQ(q.jobs()[1].seq, 3u);
+  EXPECT_EQ(q.jobs()[2].seq, 4u);
+  // The backlog is the survivors' left-to-right sum, bit for bit.
+  EXPECT_EQ(q.predicted_backlog_sec(), 0.0 + 0.5 + 0.3 + 0.2);
+
+  // A session with nothing queued takes nothing and changes nothing.
+  const double backlog = q.predicted_backlog_sec();
+  EXPECT_TRUE(q.take_session(7).empty());
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.predicted_backlog_sec(), backlog);
+
+  // The survivors still pop in policy order.
+  EXPECT_EQ(q.pop_next().seq, 4u);
+  EXPECT_EQ(q.pop_next().seq, 3u);
+  EXPECT_EQ(q.pop_next().seq, 1u);
+}
+
+TEST(RequestQueue, DrainReturnsArrivalOrderAndEmptiesTheQueue) {
+  RequestQueue q(QueuePolicy::kEdf, 2);
+  ASSERT_TRUE(q.push(make_job(0, seconds(9), 0.25)));
+  ASSERT_TRUE(q.push(make_job(1, seconds(1), 0.5)));
+  q.push_migrated(make_job(2, seconds(5), 1.0));  // past the capacity bound
+
+  const auto all = q.drain();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].seq, 0u);
+  EXPECT_EQ(all[1].seq, 1u);
+  EXPECT_EQ(all[2].seq, 2u);
+  EXPECT_TRUE(all[2].migrated);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.predicted_backlog_sec(), 0.0);
+  EXPECT_EQ(q.migrated_in_queue(), 0u);
+
+  // The drained queue admits up to its capacity again.
+  EXPECT_TRUE(q.push(make_job(3, seconds(2), 0.125)));
+  EXPECT_TRUE(q.push(make_job(4, seconds(2), 0.125)));
+  EXPECT_FALSE(q.push(make_job(5, seconds(2), 0.125)));
+  EXPECT_EQ(q.predicted_backlog_sec(), 0.25);
 }
 
 // ---------------------------------------------------------- frontend --
@@ -551,6 +610,52 @@ TEST(EdgeServerFrontend, CrashWipesPartitionCacheAndKWindow) {
   EXPECT_TRUE(cold.reply->done.triggered());
   EXPECT_GT(cold.reply->overhead, 0.0);
   EXPECT_EQ(h.frontend.session_cache(s).size(), 1u);
+}
+
+TEST(EdgeServerFrontend, CrashFenceAndExportLeaveTheSessionEquallyCold) {
+  // Each path that drops a session's volatile state leaves it like a
+  // session that was never used: an empty partition cache with zeroed
+  // statistics, a fresh k tracker and an empty bandwidth window.
+  enum class Path { kCrash, kFence, kExport };
+  for (Path path : {Path::kCrash, Path::kFence, Path::kExport}) {
+    SCOPED_TRACE(static_cast<int>(path));
+    FrontendHarness h(FrontendParams{});
+    const auto s = h.frontend.open_session(h.profile);
+    const auto unused = h.frontend.open_session(h.profile);
+
+    std::vector<std::unique_ptr<PendingRequest>> requests;
+    for (int i = 0; i < 12; ++i) {
+      requests.push_back(std::make_unique<PendingRequest>(h.sim));
+      core::SuffixRequest r = requests.back()->request(s, 5);
+      r.bandwidth_bps = 1e6 * (i + 1);
+      ASSERT_EQ(h.frontend.submit(r), core::SubmitStatus::kAccepted);
+    }
+    h.sim.run_until(seconds(60));
+    ASSERT_GT(h.frontend.session_tracker(s).k(), 1.5);
+    ASSERT_GT(h.frontend.session_cache(s).hits(), 0u);
+    ASSERT_GT(h.frontend.session_bandwidth_bps(s), 0.0);
+
+    switch (path) {
+      case Path::kCrash:
+        h.frontend.crash();
+        break;
+      case Path::kFence:
+        h.frontend.fence_session(s, 1);
+        break;
+      case Path::kExport:
+        h.frontend.export_session(s);
+        break;
+    }
+    const auto& cache = h.frontend.session_cache(s);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 0u);
+    EXPECT_EQ(cache.evictions(), 0u);
+    check::audit_equal(h.frontend.session_tracker(s).export_state(),
+                       h.frontend.session_tracker(unused).export_state());
+    EXPECT_EQ(h.frontend.session_bandwidth_bps(s),
+              h.frontend.session_bandwidth_bps(unused));
+  }
 }
 
 TEST(EdgeServerFrontend, ColdRequestCountsOneCacheMiss) {
@@ -897,6 +1002,53 @@ TEST(FleetDriver, LegacyConfigsAreUnaffectedByTheFaultLayer) {
   EXPECT_DOUBLE_EQ(sa.mean_ms, sb.mean_ms);
   EXPECT_EQ(sa.failed(), 0u);
   EXPECT_EQ(sa.recovered(), 0u);
+}
+
+TEST(ClientTrace, EqualityComparesEveryRecordField) {
+  // The benches' determinism checks compare whole record streams with ==,
+  // so a difference in any one field, the tenant or the length must show.
+  using Record = core::InferenceRecord;
+  const std::vector<void (*)(Record&)> edits = {
+      [](Record& r) { r.start += 1; },
+      [](Record& r) { r.p += 1; },
+      [](Record& r) { r.total_sec += 1e-9; },
+      [](Record& r) { r.device_sec += 1e-9; },
+      [](Record& r) { r.upload_sec += 1e-9; },
+      [](Record& r) { r.server_sec += 1e-9; },
+      [](Record& r) { r.download_sec += 1e-9; },
+      [](Record& r) { r.overhead_sec += 1e-9; },
+      [](Record& r) { r.weight_upload_sec += 1e-9; },
+      [](Record& r) { r.upload_bytes += 1; },
+      [](Record& r) { r.download_bytes += 1; },
+      [](Record& r) { r.k_used += 1e-9; },
+      [](Record& r) { r.bandwidth_est_bps += 1.0; },
+      [](Record& r) { r.predicted_sec += 1e-9; },
+      [](Record& r) { r.outcome = core::InferenceOutcome::kAdmitted; },
+      [](Record& r) { r.queue_wait_sec += 1e-9; },
+      [](Record& r) { r.last_failure = core::FailureKind::kTimeout; },
+      [](Record& r) { r.retries += 1; },
+      [](Record& r) { r.faults += 1; },
+      [](Record& r) { r.breaker_forced_local = true; },
+  };
+  Record base;
+  base.start = seconds(3);
+  base.p = 4;
+  base.total_sec = 0.25;
+  const ClientTrace a{1, {base, base}};
+  EXPECT_TRUE(a == a);
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    SCOPED_TRACE(i);
+    ClientTrace b = a;
+    edits[i](b.records[1]);
+    EXPECT_FALSE(b.records[1] == a.records[1]);
+    EXPECT_FALSE(b == a);
+  }
+  ClientTrace other_tenant = a;
+  other_tenant.tenant = 2;
+  EXPECT_FALSE(other_tenant == a);
+  ClientTrace shorter = a;
+  shorter.records.pop_back();
+  EXPECT_FALSE(shorter == a);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -287,8 +288,8 @@ Task tagger(Simulator& sim, std::vector<char>& order, char tag) {
 }
 
 TEST(Simulator, EqualTimestampsFifoAcrossResumesAndCallbacks) {
-  // Resumes wait in the heap and callbacks in a side table, but both draw
-  // from one sequence: at equal timestamps, scheduling order decides.
+  // A callback is a one-shot process that takes its sequence number at the
+  // call, like any resume: at equal timestamps, scheduling order decides.
   Simulator sim;
   std::vector<char> order;
   sim.spawn(tagger(sim, order, 'A'));
@@ -304,19 +305,16 @@ TEST(Simulator, EqualTimestampsFifoAcrossResumesAndCallbacks) {
   EXPECT_EQ(sim.now(), milliseconds(1));
 }
 
-TEST(Simulator, CallbackSchedulingACallbackReusesItsSlot) {
+TEST(Simulator, CallbackExceptionEscapesRun) {
   Simulator sim;
-  std::vector<int> fired;
-  sim.call_after(seconds(1), [&] {
-    fired.push_back(1);
-    sim.call_after(seconds(1), [&] { fired.push_back(2); });
-  });
-  EXPECT_EQ(sim.callback_slots(), 1u);
-  sim.run();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  // The first callback's slot was freed before it ran, so the second one
-  // took it instead of growing the table.
-  EXPECT_EQ(sim.callback_slots(), 1u);
+  auto payload = std::make_shared<int>(7);
+  sim.call_after(seconds(1), [payload] { throw std::runtime_error("cb"); });
+  sim.call_after(seconds(2), [] {});
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(sim.now(), seconds(1));
+  EXPECT_EQ(payload.use_count(), 1);  // the thrower's captures are gone
+  sim.run();  // the simulator keeps going past the failed callback
+  EXPECT_EQ(sim.now(), seconds(2));
 }
 
 TEST(Simulator, TeardownDestroysPendingCallbackCaptures) {

@@ -142,18 +142,6 @@ TEST(Experiment, BandwidthSweepMovesPartitionPoint) {
   EXPECT_LT(p64, model.n());  // 64 Mbps: offloads
 }
 
-TEST(Experiment, FusedServerKernelsLowerFullOffloadLatency) {
-  const auto model = models::resnet50();
-  ExperimentConfig config;
-  config.policy = Policy::kFullOffload;
-  config.duration = seconds(15);
-  config.warmup = seconds(3);
-  const auto plain = run_experiment(model, bundle(), config);
-  config.runtime.fused_server_kernels = true;
-  const auto fused = run_experiment(model, bundle(), config);
-  EXPECT_LT(fused.mean_latency_sec(), plain.mean_latency_sec());
-}
-
 TEST(ExperimentResult, SteadyFallsBackWhenWarmupSwallowsEverything) {
   const auto model = models::alexnet();
   ExperimentConfig config;
