@@ -42,6 +42,7 @@ struct RunStats {
   double shed_rate = 0.0;
   cluster::RouterCounters router;
   std::size_t failed = 0;
+  std::uint64_t audits = 0;  ///< conservation audits of this run
 };
 
 /// Zipf-skewed population of load-oblivious AlexNet clients: client i
@@ -69,15 +70,17 @@ cluster::ClusterConfig base_config(std::size_t servers, DurationNs duration,
   return config;
 }
 
+/// One run; `audited` runs it under its own check::ClusterAuditor (an
+/// auditor's clock monitor spans one simulation).
 RunStats run_policy(const cluster::ClusterConfig& base,
                     const PolicyChoice& policy,
-                    const core::PredictorBundle& bundle,
-                    check::ClusterAuditor* auditor) {
+                    const core::PredictorBundle& bundle, bool audited) {
   cluster::ClusterConfig config = base;
   config.router.placement = policy.placement;
   config.router.rebalance = policy.rebalance;
-  if (auditor != nullptr) {
-    config.on_audit = std::ref(*auditor);
+  check::ClusterAuditor auditor;
+  if (audited) {
+    config.on_audit = std::ref(auditor);
     config.audit_period = milliseconds(500);
   }
   const auto result = cluster::run_cluster(config, bundle);
@@ -99,6 +102,7 @@ RunStats run_policy(const cluster::ClusterConfig& base,
   stats.shed_rate = summary.shed_rate;
   stats.failed = summary.failed();
   stats.router = result;
+  stats.audits = auditor.audits();
   return stats;
 }
 
@@ -185,7 +189,7 @@ int main(int argc, char** argv) {
   // Acceptance bookkeeping: at how many cluster sizes does the migrating
   // router beat static hashing on p90 *and* served/s?
   std::size_t p90_wins = 0, served_wins = 0;
-  check::ClusterAuditor auditor;
+  std::uint64_t audits = 0;
   std::uint64_t total_migrations = 0;
   std::size_t migrating_failed = 0;
 
@@ -198,8 +202,9 @@ int main(int argc, char** argv) {
       const cluster::ClusterConfig config =
           base_config(servers, duration, warmup);
       // The conservation auditor rides along wherever migration runs.
-      const RunStats stats = run_policy(
-          config, policy, bundle, policy.rebalance ? &auditor : nullptr);
+      const RunStats stats =
+          run_policy(config, policy, bundle, policy.rebalance);
+      audits += stats.audits;
       if (policy.placement == cluster::Placement::kConsistentHash)
         hash_stats = stats;
       if (policy.rebalance) {
@@ -234,7 +239,7 @@ int main(int argc, char** argv) {
       "%zu requests lost (must be 0); p90 wins %zu/%zu, served/s wins "
       "%zu/%zu\n",
       static_cast<unsigned long long>(total_migrations),
-      static_cast<unsigned long long>(auditor.audits()),
+      static_cast<unsigned long long>(audits),
       migrating_failed, p90_wins, server_counts.size(), served_wins,
       server_counts.size());
 
@@ -242,8 +247,7 @@ int main(int argc, char** argv) {
   report.set("served_wins", served_wins);
   report.set("server_counts", server_counts.size());
   report.set("total_migrations", static_cast<std::size_t>(total_migrations));
-  report.set("conservation_audits",
-             static_cast<std::size_t>(auditor.audits()));
+  report.set("conservation_audits", static_cast<std::size_t>(audits));
   report.set("requests_lost", migrating_failed);
 
   determinism_check(bundle, report, duration / 2, warmup / 2);

@@ -394,11 +394,21 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
                                   node.op == OpType::kDWConv, ep, *pool_));
         break;
       }
-      case OpType::kMatMul:
-        store(out_id, matmul_fast(ensure(node.inputs[0]),
-                                  ensure(node.inputs[1]),
-                                  node.output.shape, ep, *pool_));
+      case OpType::kMatMul: {
+        // An unbound weight is streamed: the kernel synthesizes each row
+        // slice just before using it, so the weight is never resident.
+        const Node& w = g.node(node.inputs[1]);
+        const Tensor& x = ensure(node.inputs[0]);
+        if (w.is_param() && at(w.id).empty() && !bindings.contains(w.name)) {
+          const ParamGenerator synth(w.name, w.output.shape);
+          store(out_id, matmul_fast(x, WeightRows(synth), node.output.shape,
+                                    ep, *pool_));
+        } else {
+          store(out_id, matmul_fast(x, WeightRows(ensure(w.id)),
+                                    node.output.shape, ep, *pool_));
+        }
         break;
+      }
       case OpType::kMaxPool:
       case OpType::kAvgPool: {
         const auto& a = std::get<graph::PoolAttrs>(node.attrs);

@@ -7,7 +7,7 @@
 //
 // Two kernel families share one execution driver:
 //   * kReference — naive per-element loops, the bit-exact oracle;
-//   * kOptimized — im2col/GEMM convolution, blocked matmul, fused
+//   * kOptimized — im2col/GEMM convolution, row-order matmul, fused
 //     elementwise epilogues (driven by graph::fusion groups) and a thread
 //     pool. Optimized output is bit-identical to the reference because
 //     every output element keeps the reference's accumulation order (see
@@ -76,7 +76,8 @@ class Interpreter {
   /// Runs the graph. `bindings` provides the Input node's tensor (by node
   /// name) and overrides for any Parameter (by parameter name) — this is how
   /// partition-boundary tensors enter a server segment. Unbound Parameters
-  /// take deterministic_param(name) values.
+  /// take deterministic_param(name) values; in optimized mode an unbound
+  /// MatMul weight is streamed into the kernel and never resident.
   ///
   /// Returns one tensor per graph output: the output node's tensor, or, when
   /// the output is a Return over a MakeTuple, each tuple element in order.

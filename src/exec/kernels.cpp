@@ -176,44 +176,52 @@ Tensor conv2d_fast(const Tensor& x, const Tensor& w, const graph::ConvAttrs& a,
                    : conv2d_im2col(x, w, a, out_shape, ep, pool);
 }
 
-Tensor matmul_fast(const Tensor& x, const Tensor& w, const Shape& out_shape,
-                   const Epilogue& ep, ThreadPool& pool) {
+namespace {
+
+// Fewest output columns worth a matmul task of their own.
+constexpr std::int64_t kMinColSlice = 256;
+
+/// acc[j] += xv * w[j] for j < n, each product and sum in double as the
+/// reference computes it. Fixed-size blocks let the compiler vectorize;
+/// every element still gets exactly one multiply and one add.
+void axpy(double xv, const float* w, std::int64_t n, double* acc) {
+  constexpr std::int64_t kBlock = 16;
+  std::int64_t j = 0;
+  for (; j + kBlock <= n; j += kBlock)
+    for (std::int64_t b = 0; b < kBlock; ++b)
+      acc[j + b] += xv * static_cast<double>(w[j + b]);
+  for (; j < n; ++j) acc[j] += xv * static_cast<double>(w[j]);
+}
+
+}  // namespace
+
+Tensor matmul_fast(const Tensor& x, const WeightRows& w,
+                   const Shape& out_shape, const Epilogue& ep,
+                   ThreadPool& pool) {
   Tensor out(out_shape);
   const std::int64_t rows = x.shape().dim(0);
   const std::int64_t inner = x.shape().dim(1);
   const std::int64_t cols = out_shape.dim(1);
-  constexpr std::int64_t kColBlock = 8;
-  const std::int64_t blocks = (cols + kColBlock - 1) / kColBlock;
 
-  pool.parallel_for(0, rows * blocks, 1, [&](std::int64_t lo,
-                                             std::int64_t hi) {
-    for (std::int64_t t = lo; t < hi; ++t) {
-      const std::int64_t r = t / blocks;
-      const std::int64_t c0 = (t % blocks) * kColBlock;
-      const int nc =
-          static_cast<int>(std::min<std::int64_t>(kColBlock, cols - c0));
-      const float* xr = x.data() + r * inner;
-      const float* wc = w.data() + c0;
-      double acc[kColBlock] = {};
-      if (nc == kColBlock) {
-        for (std::int64_t k = 0; k < inner; ++k) {
-          const double xv = static_cast<double>(xr[k]);
-          const float* wrow = wc + k * cols;
-          for (int j = 0; j < kColBlock; ++j)
-            acc[j] += xv * static_cast<double>(wrow[j]);
-        }
-      } else {
-        for (std::int64_t k = 0; k < inner; ++k) {
-          const double xv = static_cast<double>(xr[k]);
-          const float* wrow = wc + k * cols;
-          for (int j = 0; j < nc; ++j)
-            acc[j] += xv * static_cast<double>(wrow[j]);
-        }
-      }
-      for (int j = 0; j < nc; ++j)
-        out.data()[r * cols + c0 + j] =
-            ep.apply(static_cast<float>(acc[j]), c0 + j);
+  // Each task owns the output columns [c0, c1) of every row and streams
+  // the matching slice of W's rows in order, so W is read front to back
+  // once per task and each accumulator sees ascending k.
+  pool.parallel_for(0, cols, kMinColSlice, [&](std::int64_t c0,
+                                               std::int64_t c1) {
+    const std::int64_t width = c1 - c0;
+    std::vector<double> acc(static_cast<std::size_t>(rows * width), 0.0);
+    std::vector<float> buf(static_cast<std::size_t>(width));
+    for (std::int64_t k = 0; k < inner; ++k) {
+      const float* wrow = w.row(k, cols, c0, width, buf.data());
+      for (std::int64_t r = 0; r < rows; ++r)
+        axpy(static_cast<double>(x.data()[r * inner + k]), wrow, width,
+             acc.data() + r * width);
     }
+    for (std::int64_t r = 0; r < rows; ++r)
+      for (std::int64_t j = 0; j < width; ++j)
+        out.data()[r * cols + c0 + j] = ep.apply(
+            static_cast<float>(acc[static_cast<std::size_t>(r * width + j)]),
+            c0 + j);
   });
   return out;
 }

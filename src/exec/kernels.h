@@ -1,6 +1,7 @@
 // Optimized execution kernels: im2col + register-tiled GEMM convolution,
-// blocked matmul, parallel pooling/elementwise, and a fused elementwise
-// epilogue driven by graph::fusion groups.
+// a row-order matmul over resident or streamed weights, parallel
+// pooling/elementwise, and a fused elementwise epilogue driven by
+// graph::fusion groups.
 //
 // Determinism contract: every kernel reproduces the reference interpreter's
 // per-output-element operation order exactly — double-precision
@@ -84,10 +85,34 @@ Tensor conv2d_fast(const Tensor& x, const Tensor& w, const graph::ConvAttrs& a,
                    const Shape& out_shape, bool depthwise, const Epilogue& ep,
                    ThreadPool& pool);
 
-/// Fully-connected matmul, register-blocked over output columns, epilogue
-/// fused into the store.
-Tensor matmul_fast(const Tensor& x, const Tensor& w, const Shape& out_shape,
-                   const Epilogue& ep, ThreadPool& pool);
+/// A matmul's [inner, cols] weight, read one row slice at a time: from a
+/// resident tensor, or synthesized into the reader's buffer just before it
+/// is used, so a streamed weight never exists in memory as a whole.
+class WeightRows {
+ public:
+  explicit WeightRows(const Tensor& resident) : resident_(&resident) {}
+  explicit WeightRows(const ParamGenerator& synth) : synth_(&synth) {}
+
+  /// Elements [c0, c0 + n) of row k of a weight with `cols` columns. `buf`
+  /// holds n floats and backs the slice when the weight is synthesized.
+  const float* row(std::int64_t k, std::int64_t cols, std::int64_t c0,
+                   std::int64_t n, float* buf) const {
+    if (resident_ != nullptr) return resident_->data() + k * cols + c0;
+    synth_->fill(k * cols + c0, n, buf);
+    return buf;
+  }
+
+ private:
+  const Tensor* resident_ = nullptr;
+  const ParamGenerator* synth_ = nullptr;
+};
+
+/// Fully-connected matmul. W is walked in row order, k outer, and the pool
+/// splits the output columns into fixed slices, each with one double
+/// accumulator per output fed in ascending k. Epilogue fused into the store.
+Tensor matmul_fast(const Tensor& x, const WeightRows& w,
+                   const Shape& out_shape, const Epilogue& ep,
+                   ThreadPool& pool);
 
 /// Max/avg pooling, parallel over (n, c) planes.
 Tensor pool2d_fast(const Tensor& x, const graph::PoolAttrs& a,

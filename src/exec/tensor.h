@@ -78,7 +78,9 @@ class Tensor {
   /// counts must match. Used to pass tensors through Flatten for free.
   static Tensor reshaped(Tensor&& t, Shape shape);
 
-  /// Largest absolute element-wise difference; shapes must match.
+  /// Largest absolute element-wise difference; shapes must match. NaN when
+  /// either tensor holds a NaN, so a comparison against 0 or a tolerance
+  /// fails on NaN outputs instead of reading them as equal.
   static double max_abs_diff(const Tensor& a, const Tensor& b);
 
  private:
@@ -89,10 +91,35 @@ class Tensor {
 /// Uniform [-1, 1) tensor from a seed.
 Tensor random_tensor(const Shape& shape, std::uint64_t seed);
 
-/// Deterministic pseudo-random parameter derived from the parameter's name,
-/// so both halves of a partitioned graph see identical weights without any
-/// shared state. Values are scaled down (~N(0, 0.05)) to keep deep-network
-/// activations finite.
+/// Counter-based synthesis of a parameter's stand-in values. Element i is a
+/// libm-free function of (FNV-1a(name), i): SplitMix64's output function
+/// applied to step i + 1 of a Weyl sequence seeded by the name's hash, and
+/// its four 16-bit lanes summed and centred (an Irwin-Hall(4) draw, roughly
+/// normal). Any slice can therefore be generated on its own, by any
+/// thread and in any order, and it equals the same elements of the whole
+/// tensor bit for bit.
+///
+/// Scaling keeps every zoo model's activations finite:
+///   * rank >= 2 (weights): mean 0, sd sqrt(2 / fan_in), where fan_in is
+///     dim 0 of an FC weight [in, out] and the product of dims 1.. of a
+///     conv weight [out, in, kh, kw] (He initialisation);
+///   * rank <= 1 (bias, BatchNorm gamma/beta/mean/var): mean 1, sd 0.25,
+///     so every value lies in (0.13, 1.87).
+class ParamGenerator {
+ public:
+  ParamGenerator(const std::string& name, const Shape& shape);
+
+  /// Writes elements [first, first + count) to out[0, count).
+  void fill(std::int64_t first, std::int64_t count, float* out) const;
+
+ private:
+  std::uint64_t seed_ = 0;
+  float mean_ = 0.0f;
+  float scale_ = 0.0f;  // target sd per unit of the centred lane sum
+};
+
+/// The whole of ParamGenerator(name, shape), so both halves of a partitioned
+/// graph see identical weights without any shared state.
 Tensor deterministic_param(const std::string& name, const Shape& shape);
 
 }  // namespace lp::exec

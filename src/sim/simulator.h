@@ -30,6 +30,7 @@ class Simulator {
   TimeNs now() const { return now_; }
 
   /// Registers a detached root process; it starts when the clock next runs.
+  /// An exception it throws escapes run().
   void spawn(Task task);
 
   /// Schedules a plain callback after `delay` (>= 0) as a one-shot root

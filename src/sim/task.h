@@ -8,6 +8,9 @@
 // Ownership: the Task object owns the coroutine frame. Detached root tasks
 // are owned by the Simulator; child tasks are owned by the awaiting frame,
 // so destroying a parent tears down its children.
+//
+// Exceptions: a child's exception is rethrown in the awaiting parent; a
+// root's has no parent to wait for, so it escapes Simulator::run().
 #pragma once
 
 #include <coroutine>
@@ -43,7 +46,10 @@ class [[nodiscard]] Task {
     FinalAwaiter final_suspend() noexcept { return {}; }
 
     void return_void() {}
-    void unhandled_exception() { exception = std::current_exception(); }
+    void unhandled_exception() {
+      if (!continuation) throw;  // a root process: escape the resume
+      exception = std::current_exception();
+    }
   };
 
   Task() = default;

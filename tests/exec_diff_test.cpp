@@ -1,9 +1,12 @@
 // Differential tests: the optimized execution engine must be bit-identical
 // to the reference interpreter — max_abs_diff == 0.0, not "close" — on
 // every evaluation model, whole-graph and across partition cuts. This is
-// the determinism contract of exec/kernels.h, checked end to end.
+// the determinism contract of exec/kernels.h, checked end to end. Every
+// output element must also be finite: a comparison of NaN or infinite
+// outputs proves nothing about the kernels.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -23,8 +26,17 @@ std::vector<Tensor> run_whole(const graph::Graph& g, ExecMode mode,
   return interp.run({{g.node(g.input_id()).name, input}});
 }
 
+/// Number of NaN or infinite elements of `t`.
+std::int64_t non_finite(const Tensor& t) {
+  std::int64_t count = 0;
+  for (std::int64_t i = 0; i < t.elements(); ++i)
+    if (!std::isfinite(t.at(i))) ++count;
+  return count;
+}
+
 void expect_bit_identical(const graph::Graph& g) {
   const auto ref = run_whole(g, ExecMode::kReference, 1);
+  for (const Tensor& t : ref) EXPECT_EQ(non_finite(t), 0);
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const auto opt = run_whole(g, ExecMode::kOptimized, threads);
@@ -56,6 +68,19 @@ TEST(ExecDiff, SqueezeNetBitIdentical) {
 
 TEST(ExecDiff, XceptionBitIdentical) {
   expect_bit_identical(models::make_model("xception"));
+}
+
+TEST(ExecDiff, DeepModelsGiveFiniteOutputs) {
+  // The four zoo models too slow for the reference interpreter, once each
+  // on the optimized engine: the synthesized weights' scaling is what keeps
+  // 100+ layers of activations finite.
+  for (const char* name :
+       {"resnet101", "resnet152", "inception_v3", "mobilenet_v2"}) {
+    SCOPED_TRACE(name);
+    for (const Tensor& t : run_whole(models::make_model(name),
+                                     ExecMode::kOptimized, 4))
+      EXPECT_EQ(non_finite(t), 0);
+  }
 }
 
 TEST(ExecDiff, AlexNetEveryCutBitIdentical) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -20,6 +25,63 @@ TEST(Tensor, AccessorsAndDiff) {
   EXPECT_FLOAT_EQ(a.at(7), 3.0f);
   Tensor b(Shape{1, 2, 2, 2});
   EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(a, b), 3.0);
+}
+
+TEST(Tensor, MaxAbsDiffIsNanWhenEitherSideHoldsNan) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor with_nan(Shape{2}, {5.0f, nan});
+  const Tensor finite(Shape{2}, {0.0f, 2.0f});
+  EXPECT_TRUE(std::isnan(Tensor::max_abs_diff(with_nan, finite)));
+  EXPECT_TRUE(std::isnan(Tensor::max_abs_diff(finite, with_nan)));
+  EXPECT_TRUE(std::isnan(Tensor::max_abs_diff(with_nan, with_nan)));
+  EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(finite, finite), 0.0);
+}
+
+/// True if `a` and `b` have the same shape and the same bits.
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.bytes())) == 0;
+}
+
+TEST(ParamGenerator, SliceAtOddOffsetEqualsTheWholeTensor) {
+  const Shape shape{37, 1001};
+  const Tensor whole = deterministic_param("fc.weight", shape);
+  const std::int64_t first = 12345, count = 777;
+  std::vector<float> slice(static_cast<std::size_t>(count));
+  ParamGenerator("fc.weight", shape).fill(first, count, slice.data());
+  EXPECT_EQ(std::memcmp(slice.data(), whole.data() + first,
+                        slice.size() * sizeof(float)),
+            0);
+}
+
+/// Checks a synthesized tensor's mean and standard deviation against the
+/// target ones, to within five standard errors of the mean and 3% of sd.
+void expect_moments(const Tensor& t, double want_mean, double want_sd) {
+  double sum = 0.0, sq = 0.0;
+  for (std::int64_t i = 0; i < t.elements(); ++i) {
+    sum += t.at(i);
+    sq += static_cast<double>(t.at(i)) * t.at(i);
+  }
+  const double n = static_cast<double>(t.elements());
+  const double mean = sum / n;
+  EXPECT_NEAR(mean, want_mean, 5.0 * want_sd / std::sqrt(n));
+  EXPECT_NEAR(std::sqrt(sq / n - mean * mean), want_sd, 0.03 * want_sd);
+}
+
+TEST(ParamGenerator, WeightsScaleWithFanInAndRankOneValuesArePositive) {
+  // fan_in is dim 0 of an FC weight [in, out] and the product of dims 1..
+  // of a conv weight [out, in, kh, kw].
+  expect_moments(deterministic_param("fc.weight", Shape{2048, 512}), 0.0,
+                 std::sqrt(2.0 / 2048));
+  expect_moments(deterministic_param("c.weight", Shape{96, 32, 3, 3}), 0.0,
+                 std::sqrt(2.0 / 288));
+  const Tensor var = deterministic_param("bn.var", Shape{100000});
+  expect_moments(var, 1.0, 0.25);
+  const auto [lo, hi] =
+      std::minmax_element(var.data(), var.data() + var.elements());
+  EXPECT_GT(*lo, 0.13f);
+  EXPECT_LT(*hi, 1.87f);
 }
 
 TEST(Tensor, DeterministicParamStableAcrossCalls) {
@@ -313,6 +375,38 @@ TEST(Interpreter, RunStatsReportLivenessSavings) {
   for (const auto& node : g.nodes())
     all_bytes += node.output.shape.elements() * 4;
   EXPECT_LT(stats.peak_resident_bytes, all_bytes);
+}
+
+TEST(Interpreter, StreamedFcWeightEqualsTheBoundOne) {
+  GraphBuilder b("odd-fc");
+  auto x = b.input({3, 37});
+  const graph::Graph g =
+      b.build(b.relu(b.fc(x, 1001, /*with_bias=*/true, "fc")));
+  const Tensor input = random_tensor(Shape{3, 37}, 5);
+  const Tensor weight = deterministic_param("fc.weight", Shape{37, 1001});
+  const auto ref = Interpreter(g, {ExecMode::kReference, 1})
+                       .run({{"input", input}});
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const Interpreter interp(g, {ExecMode::kOptimized, threads});
+    const auto streamed = interp.run({{"input", input}});
+    const auto bound =
+        interp.run({{"input", input}, {"fc.weight", weight}});
+    EXPECT_TRUE(same_bits(streamed[0], bound[0]));
+    EXPECT_TRUE(same_bits(streamed[0], ref[0]));
+  }
+}
+
+TEST(Interpreter, StreamedFcWeightIsNeverResident) {
+  GraphBuilder b("big-fc");
+  auto x = b.input({1, 512});
+  const graph::Graph g = b.build(b.fc(x, 2048, /*with_bias=*/false, "fc"));
+  const std::int64_t weight_bytes = 512 * 2048 * sizeof(float);
+  RunStats stats;
+  Interpreter(g, {ExecMode::kOptimized, 1})
+      .run({{"input", random_tensor(Shape{1, 512}, 9)}}, &stats);
+  EXPECT_GT(stats.peak_resident_bytes, 0);
+  EXPECT_LT(stats.peak_resident_bytes, weight_bytes);
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {

@@ -317,6 +317,16 @@ TEST(Simulator, CallbackExceptionEscapesRun) {
   EXPECT_EQ(sim.now(), seconds(2));
 }
 
+TEST(Simulator, RootProcessExceptionEscapesRun) {
+  Simulator sim;
+  sim.spawn(thrower(sim));
+  sim.call_after(seconds(2), [] {});
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(sim.now(), 1);
+  sim.run();  // the simulator keeps going past the failed process
+  EXPECT_EQ(sim.now(), seconds(2));
+}
+
 TEST(Simulator, TeardownDestroysPendingCallbackCaptures) {
   auto payload = std::make_shared<int>(7);
   {
