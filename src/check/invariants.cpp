@@ -108,15 +108,14 @@ void audit(const serve::EdgeServerFrontend& frontend) {
                  "crashed frontend still holds work");
   }
 
-  // The forecast delay placement reads is a well-formed projection of the
-  // same queue.
-  LP_CHECK(std::isfinite(s.forecast_delay_sec) && s.forecast_delay_sec >= 0.0);
+  // The predicted delay placement reads is well formed.
+  LP_CHECK(std::isfinite(s.predicted_delay_sec) &&
+           s.predicted_delay_sec >= 0.0);
 
   audit(frontend.queue());
   for (std::uint64_t s = 0; s < frontend.sessions(); ++s) {
     audit(frontend.session_tracker(s));
     audit(frontend.session_cache(s));
-    LP_CHECK(frontend.session_bandwidth_bps(s) > 0.0);
     // The session's signal honours constraint 1c on the forecast, and its
     // forecaster a trust in [0, 1] and a finite error score.
     const core::LoadSignal sig = frontend.load_signal(s, 0);
@@ -231,7 +230,6 @@ void audit_equal(const core::LoadFactorTracker::State& a,
 
 void audit_equal(const serve::SessionState& a, const serve::SessionState& b) {
   audit_equal(a.k, b.k);
-  audit_equal(a.bandwidth.window, b.bandwidth.window, "bandwidth");
 
   LP_CHECK_MSG(a.cache.plans.size() == b.cache.plans.size(),
                "cache occupancy differs");

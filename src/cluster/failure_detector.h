@@ -1,7 +1,7 @@
 // Suspicion-based failure detection for the cluster control plane.
 //
-// The router cannot read ground truth: heartbeats arrive over a lossy
-// ControlLink, so "I have not heard from server 3" is ambiguous
+// The router cannot read ground truth: heartbeats cross a lossy channel
+// (fault::FaultPlan::drops), so "I have not heard from server 3" is ambiguous
 // between a crash, a partition, and plain bad luck. The detector turns the
 // heartbeat arrival stream into an explicit health state per server,
 //

@@ -38,15 +38,6 @@ void HashRing::add_server(std::size_t server) {
   });
 }
 
-void HashRing::remove_server(std::size_t server) {
-  LP_CHECK_MSG(contains(server), "server not on the ring");
-  points_.erase(std::remove_if(points_.begin(), points_.end(),
-                               [server](const Point& p) {
-                                 return p.server == server;
-                               }),
-                points_.end());
-}
-
 bool HashRing::contains(std::size_t server) const {
   return std::any_of(points_.begin(), points_.end(),
                      [server](const Point& p) { return p.server == server; });

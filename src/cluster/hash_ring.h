@@ -4,9 +4,10 @@
 // points on a 64-bit ring (splitmix64 of server id and replica index); a
 // key maps to the first vnode clockwise from its own hash. Placement is
 // therefore deterministic across runs and independent of join order, and
-// adding or removing one server only remaps the keys that fall into that
-// server's arcs — in expectation servers_removed/servers of the key space,
-// not everything (the property cluster_test pins down).
+// adding one server only pulls in the keys that fall into its new arcs —
+// in expectation 1/servers of the key space, not everything (the property
+// cluster_test pins down). Servers never leave the ring: a crashed one is
+// walked past instead.
 //
 // place_if() walks clockwise past vnodes whose server fails a liveness
 // predicate, which is how the router keeps hashing deterministically while
@@ -30,9 +31,6 @@ class HashRing {
 
   /// Adds `server`'s vnodes to the ring. Adding twice is an error.
   void add_server(std::size_t server);
-
-  /// Removes `server`'s vnodes. Removing an absent server is an error.
-  void remove_server(std::size_t server);
 
   bool contains(std::size_t server) const;
 

@@ -48,15 +48,17 @@ ClusterRouter::ClusterRouter(sim::Simulator& sim,
   for (serve::EdgeServerFrontend* server : servers_)
     LP_CHECK(server != nullptr);
   for (std::size_t i = 0; i < servers_.size(); ++i) ring_.add_server(i);
-  links_.reserve(servers_.size());
-  for (std::uint64_t i = 0; i < servers_.size(); ++i)
-    links_.emplace_back(sim, kControlSeed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
+  channels_.reserve(servers_.size());
+  for (std::uint64_t i = 0; i < servers_.size(); ++i) {
+    const std::uint64_t seed = kControlSeed ^ (0x9e3779b97f4a7c15ull * (i + 1));
+    channels_.push_back(HeartbeatChannel{nullptr, Rng(seed)});
+  }
 }
 
 void ClusterRouter::attach_heartbeat_faults(std::size_t server,
                                             const fault::FaultPlan* plan) {
-  LP_CHECK(server < links_.size());
-  links_[server].attach_faults(plan);
+  LP_CHECK(server < channels_.size());
+  channels_[server].faults = plan;
 }
 
 void ClusterRouter::attach_interconnect_faults(const fault::FaultPlan* plan) {
@@ -83,7 +85,7 @@ std::uint64_t ClusterRouter::open_session(
   std::vector<serve::LoadSnapshot> loads;
   loads.reserve(servers_.size());
   for (const serve::EdgeServerFrontend* server : servers_)
-    loads.push_back(server->load_snapshot(params_.heartbeat_period));
+    loads.push_back(server->load_snapshot());
   const std::size_t home = place(session, loads);
   bindings_.push_back(SessionBinding{home, false, 0, 0});
   ++homed_[home];
@@ -132,13 +134,14 @@ sim::Task ClusterRouter::heartbeat_loop() {
 void ClusterRouter::collect_heartbeat() {
   if (last_heartbeat_.size() != servers_.size())
     last_heartbeat_.resize(servers_.size());
-  // Heartbeats forecast one refresh period ahead: the snapshot steers
-  // decisions until the next heartbeat lands.
-  for (std::size_t i = 0; i < servers_.size(); ++i)
-    links_[i].send(servers_[i]->load_snapshot(params_.heartbeat_period),
-                   [this, i](const serve::LoadSnapshot& snapshot) {
-                     on_heartbeat(i, snapshot);
-                   });
+  // A heartbeat that gets through arrives inline, at the send instant.
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    HeartbeatChannel& channel = channels_[i];
+    if (channel.faults != nullptr &&
+        channel.faults->drops(sim_->now(), channel.rng))
+      continue;
+    on_heartbeat(i, servers_[i]->load_snapshot());
+  }
   ++counters_.heartbeats;
   detector_.tick(sim_->now());
   if (telemetry_ != nullptr) {
@@ -148,7 +151,6 @@ void ClusterRouter::collect_heartbeat() {
       const std::string prefix = "cluster.s" + std::to_string(i);
       metrics.gauge(prefix + ".predicted_delay_sec")
           .set(s.predicted_delay_sec);
-      metrics.gauge(prefix + ".forecast_delay_sec").set(s.forecast_delay_sec);
       metrics.gauge(prefix + ".queue_depth")
           .set(static_cast<double>(s.queue_depth));
       if (auto* tr = telemetry_->trace())
@@ -218,11 +220,8 @@ std::size_t ClusterRouter::least_loaded_server(
       best = i;
       continue;
     }
-    // Forecast delay, not the instantaneous one: placement pays off over
-    // the coming heartbeat period. The last-value default makes this the
-    // reactive reading, bit for bit.
-    const double di = loads[i].forecast_delay_sec;
-    const double db = loads[best].forecast_delay_sec;
+    const double di = loads[i].predicted_delay_sec;
+    const double db = loads[best].predicted_delay_sec;
     if (di != db) {
       if (di < db) best = i;
       continue;
@@ -297,17 +296,17 @@ void ClusterRouter::maybe_rebalance() {
   for (std::size_t i = 0; i < last_heartbeat_.size(); ++i) {
     if (!last_heartbeat_[i].alive || !detector_.usable(i)) continue;
     if (hot == last_heartbeat_.size() ||
-        last_heartbeat_[i].forecast_delay_sec >
-            last_heartbeat_[hot].forecast_delay_sec)
+        last_heartbeat_[i].predicted_delay_sec >
+            last_heartbeat_[hot].predicted_delay_sec)
       hot = i;
     if (cold == last_heartbeat_.size() ||
-        last_heartbeat_[i].forecast_delay_sec <
-            last_heartbeat_[cold].forecast_delay_sec)
+        last_heartbeat_[i].predicted_delay_sec <
+            last_heartbeat_[cold].predicted_delay_sec)
       cold = i;
   }
   if (hot == cold) return;
-  const double skew = last_heartbeat_[hot].forecast_delay_sec -
-                      last_heartbeat_[cold].forecast_delay_sec;
+  const double skew = last_heartbeat_[hot].predicted_delay_sec -
+                      last_heartbeat_[cold].predicted_delay_sec;
   if (skew <= params_.skew_threshold_sec) return;
 
   // Victim: the session contributing the most queued work on the hot
@@ -377,15 +376,8 @@ sim::Task ClusterRouter::migrate(std::uint64_t session, std::size_t target) {
     // Sample the interconnect at the send instant: a blackout or sampled
     // loss silently eats the payload, and the router only learns at the
     // transfer timeout (attach_interconnect_faults requires one).
-    bool lost = false;
-    if (interconnect_faults_ != nullptr) {
-      if (interconnect_faults_->link_down(sim_->now())) {
-        lost = true;
-      } else {
-        const double p = interconnect_faults_->loss_prob(sim_->now());
-        if (p > 0.0 && rng_.uniform() < p) lost = true;
-      }
-    }
+    const bool lost = interconnect_faults_ != nullptr &&
+                      interconnect_faults_->drops(sim_->now(), rng_);
     const DurationNs wire =
         kMigrationRtt + transfer_time(ex.bytes, params_.migration_bandwidth);
     const bool late =

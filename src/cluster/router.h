@@ -8,11 +8,12 @@
 //   * placement — a new session lands on a server chosen by the configured
 //     policy: a consistent-hash ring over the cluster session id
 //     (deterministic, join-order independent, minimal movement), or
-//     least-loaded by forecast queue delay (a live O(1) snapshot per server
-//     at session open, the stored heartbeat on crash reroute);
+//     least-loaded by predicted queue delay (a live O(1) snapshot per
+//     server at session open, the stored heartbeat on crash reroute);
 //   * heartbeats — every heartbeat_period the router *sends itself* one
-//     serve::LoadSnapshot per server over a per-server ControlLink that can
-//     drop it (fault::FaultPlan loss/blackout windows). The router
+//     serve::LoadSnapshot per server over a per-server channel whose fault
+//     plan can drop it (fault::FaultPlan::drops: a blackout, or a sampled
+//     loss). A heartbeat that gets through arrives inline. The router
 //     keeps the last snapshot that actually arrived per server and drives
 //     every decision off that stored — possibly stale — view;
 //   * failure detection — a FailureDetector turns the heartbeat arrival
@@ -54,9 +55,9 @@
 #include <string>
 #include <vector>
 
-#include "cluster/control_link.h"
 #include "cluster/failure_detector.h"
 #include "cluster/hash_ring.h"
+#include "fault/fault_plan.h"
 #include "fault/retry.h"
 #include "obs/telemetry.h"
 #include "serve/frontend.h"
@@ -286,7 +287,13 @@ class ClusterRouter {
   std::vector<SessionBinding> bindings_;  ///< by cluster session id
   std::vector<std::size_t> homed_;        ///< sessions homed per server
   std::vector<serve::LoadSnapshot> last_heartbeat_;
-  std::vector<ControlLink> links_;  ///< per-server heartbeat channel
+  /// One heartbeat channel per server: its fault plan (null = lossless)
+  /// and the stream its loss sampling draws from.
+  struct HeartbeatChannel {
+    const fault::FaultPlan* faults = nullptr;
+    Rng rng;
+  };
+  std::vector<HeartbeatChannel> channels_;
   FailureDetector detector_;
   const fault::FaultPlan* interconnect_faults_ = nullptr;
   Rng rng_;  ///< migration loss sampling + retry jitter only

@@ -6,8 +6,8 @@
 // consumer's horizon. LoadFactorTracker::signal() fills it from the
 // tracker and the forecaster it owns (src/predict/), so swapping the
 // reactive value for a forecast needs no per-consumer surgery. The cluster
-// router reads only the server-wide backlog forecast, which
-// serve::LoadSnapshot carries as forecast_delay_sec.
+// router reads only the server-wide live queue delay, which
+// serve::LoadSnapshot carries as predicted_delay_sec.
 #pragma once
 
 namespace lp::core {

@@ -258,6 +258,23 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
   // Values indexed by node id; MakeTuple holds no tensor of its own.
   std::vector<Tensor> values(g.node_count());
 
+  // Bound tensors, resolved once: the Input node's and every bound
+  // Parameter's. They stay the caller's and are read in place.
+  std::vector<const Tensor*> bound(g.node_count(), nullptr);
+  for (const Node& node : g.nodes()) {
+    const bool input = node.is_cnode() && node.op == OpType::kInput;
+    if (!input && !node.is_param()) continue;
+    const auto it = bindings.find(node.name);
+    if (it == bindings.end()) {
+      LP_CHECK_MSG(!input, "missing input binding: " + node.name);
+      continue;
+    }
+    LP_CHECK_MSG(it->second.shape() == node.output.shape,
+                 input ? "input shape mismatch"
+                       : "bound tensor shape mismatch for " + node.name);
+    bound[static_cast<std::size_t>(node.id)] = &it->second;
+  }
+
   // Liveness: remaining reads per node. Each consumer's retirement is one
   // read; collecting a graph output at the end is one more.
   std::vector<std::int32_t> uses(g.node_count(), 0);
@@ -279,27 +296,25 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
   auto at = [&](graph::NodeId id) -> Tensor& {
     return values[static_cast<std::size_t>(id)];
   };
+  auto bound_at = [&](graph::NodeId id) {
+    return bound[static_cast<std::size_t>(id)];
+  };
 
   auto track = [&](const Tensor& t) {
     cur += t.bytes();
     peak = std::max(peak, cur);
   };
 
-  // Returns node id's tensor, materializing Parameters on first use (from
-  // `bindings` when bound, deterministically from the name otherwise).
+  // Returns node id's tensor: the bound one in place, or a computed value,
+  // or an unbound Parameter materialized deterministically on first use.
   auto ensure = [&](graph::NodeId id) -> const Tensor& {
+    if (const Tensor* b = bound_at(id)) return *b;
     Tensor& v = at(id);
     if (!v.empty()) return v;
     const Node& node = g.node(id);
     LP_CHECK_MSG(node.is_param(),
                  "use of an unmaterialized tensor: " + node.name);
-    auto it = bindings.find(node.name);
-    Tensor t = it != bindings.end()
-                   ? it->second
-                   : deterministic_param(node.name, node.output.shape);
-    LP_CHECK_MSG(t.shape() == node.output.shape,
-                 "bound tensor shape mismatch for " + node.name);
-    v = std::move(t);
+    v = deterministic_param(node.name, node.output.shape);
     track(v);
     return v;
   };
@@ -316,11 +331,12 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
     }
   };
 
-  // Moves the tensor out when this is its final read (in-place ops reuse
-  // the buffer); copies otherwise.
+  // Moves the tensor out when this is its final read and the interpreter
+  // owns it (in-place ops reuse the buffer); copies otherwise, so a bound
+  // tensor is never written.
   auto take_or_copy = [&](graph::NodeId id) -> Tensor {
     const Tensor& v = ensure(id);
-    if (uses[static_cast<std::size_t>(id)] == 1) {
+    if (bound_at(id) == nullptr && uses[static_cast<std::size_t>(id)] == 1) {
       ++moved;
       cur -= v.bytes();
       return std::move(at(id));
@@ -331,15 +347,6 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
   auto store = [&](graph::NodeId id, Tensor t) {
     track(t);
     at(id) = std::move(t);
-  };
-
-  auto bind_input = [&](const Node& node) {
-    auto it = bindings.find(node.name);
-    LP_CHECK_MSG(it != bindings.end(),
-                 "missing input binding: " + node.name);
-    LP_CHECK_MSG(it->second.shape() == node.output.shape,
-                 "input shape mismatch");
-    store(node.id, it->second);
   };
 
   // One fused-epilogue step from a BiasAdd/BatchNorm/activation node.
@@ -383,8 +390,7 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
 
     switch (node.op) {
       case OpType::kInput:
-        bind_input(node);
-        break;
+        break;  // bound before the schedule runs
       case OpType::kConv:
       case OpType::kDWConv: {
         const auto& a = std::get<graph::ConvAttrs>(node.attrs);
@@ -399,7 +405,7 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
         // slice just before using it, so the weight is never resident.
         const Node& w = g.node(node.inputs[1]);
         const Tensor& x = ensure(node.inputs[0]);
-        if (w.is_param() && at(w.id).empty() && !bindings.contains(w.name)) {
+        if (w.is_param() && bound_at(w.id) == nullptr && at(w.id).empty()) {
           const ParamGenerator synth(w.name, w.output.shape);
           store(out_id, matmul_fast(x, WeightRows(synth), node.output.shape,
                                     ep, *pool_));
@@ -465,8 +471,7 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
   auto exec_reference = [&](const Node& node) {
     switch (node.op) {
       case OpType::kInput:
-        bind_input(node);
-        break;
+        break;  // bound before the schedule runs
       case OpType::kConv:
       case OpType::kDWConv: {
         const auto& a = std::get<graph::ConvAttrs>(node.attrs);
@@ -532,61 +537,25 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
     }
   };
 
-  // Exec tracing lives on a synthetic step clock (one tick per kernel
-  // launch): the interpreter does real float math outside the simulated
-  // clock, so its spans form their own deterministic clock domain.
-  obs::TraceRecorder* tr =
-      options_.telemetry != nullptr ? options_.telemetry->trace() : nullptr;
-  obs::TrackId exec_track = tr != nullptr ? tr->track("exec") : 0;
-  constexpr DurationNs kStepNs = 1000;  // one tick renders as 1 µs
-  const TimeNs run_begin = exec_clock_;
-  auto step_span = [&](const Node& node, std::size_t group_size) {
-    if (tr == nullptr) return;
-    const TimeNs begin = exec_clock_;
-    exec_clock_ += kStepNs;
-    obs::TraceArgs args;
-    args.arg("node", node.name);
-    if (group_size > 1) args.arg("fused", group_size);
-    tr->span(exec_track, graph::op_name(node.op), begin, exec_clock_,
-             std::move(args));
-    tr->counter(exec_track, "resident_bytes", exec_clock_,
-                static_cast<double>(cur));
-  };
-
   if (optimized) {
     for (const auto& group : groups_) {
       exec_optimized(group);
       for (graph::NodeId nid : group.nodes)
         for (graph::NodeId in : g.node(nid).inputs) dec(in);
-      step_span(g.node(group.anchor()), group.size());
     }
   } else {
     for (graph::NodeId nid : g.backbone()) {
       const Node& node = g.node(nid);
       exec_reference(node);
       for (graph::NodeId in : node.inputs) dec(in);
-      step_span(node, 1);
     }
   }
 
-  if (tr != nullptr) {
-    tr->span(exec_track, "run", run_begin, exec_clock_,
-             obs::TraceArgs()
-                 .arg("peak_resident_bytes", peak)
-                 .arg("fused_groups", fused)
-                 .arg("moved_tensors", moved));
-  }
-  if (options_.telemetry != nullptr) {
-    auto& metrics = options_.telemetry->metrics();
-    metrics.counter("exec.runs").add();
-    metrics.gauge("exec.peak_resident_bytes")
-        .set(static_cast<double>(peak));
-    metrics.gauge("exec.final_resident_bytes")
-        .set(static_cast<double>(cur));
-    metrics.gauge("exec.released_bytes").set(static_cast<double>(released));
-    metrics.gauge("exec.moved_tensors").set(static_cast<double>(moved));
-    metrics.gauge("exec.fused_groups").set(static_cast<double>(fused));
-  }
+  // A bound tensor that is itself a graph output is returned as a copy:
+  // the caller keeps the original.
+  for (graph::NodeId id : out_ids)
+    if (const Tensor* b = bound_at(id); b != nullptr && at(id).empty())
+      store(id, *b);
 
   if (stats) {
     stats->peak_resident_bytes = peak;

@@ -14,7 +14,8 @@
 //     exec/kernels.h).
 // The driver runs a liveness pass either way: each tensor is released once
 // its last consumer retires, and (in optimized mode) tensors move rather
-// than copy through elementwise/Flatten ops.
+// than copy through elementwise/Flatten ops. Bound tensors (the input and
+// any bound Parameter) are read in place, never copied on the way in.
 #pragma once
 
 #include <memory>
@@ -23,7 +24,6 @@
 #include "exec/tensor.h"
 #include "graph/fusion.h"
 #include "graph/graph.h"
-#include "obs/telemetry.h"
 
 namespace lp::exec {
 
@@ -44,17 +44,12 @@ struct Options {
   /// 0 = std::thread::hardware_concurrency(). Thread count never changes
   /// results.
   int num_threads = 1;
-  /// Telemetry sink (null = off). run() then records one span per node
-  /// (or per fused group) on an "exec" track plus a resident-bytes counter
-  /// series, and mirrors RunStats into exec.* gauges. The interpreter does
-  /// real work off the simulated clock, so exec spans live on a synthetic
-  /// step clock (one fixed tick per kernel launch, monotonic across run()
-  /// calls) — a separate clock domain from the simulation tracks.
-  /// Recording never changes results. Must outlive the Interpreter.
-  obs::Telemetry* telemetry = nullptr;
 };
 
-/// Memory/fusion counters for a single run() call.
+/// Memory/fusion counters for a single run() call. They count only the
+/// tensors the interpreter allocates: a bound tensor is the caller's and
+/// is read in place, so it adds nothing (a copy it makes of one — for an
+/// in-place consumer, or because it is a graph output — does count).
 struct RunStats {
   std::int64_t peak_resident_bytes = 0;   ///< max live tensor bytes
   std::int64_t final_resident_bytes = 0;  ///< live at return (the outputs)
@@ -75,9 +70,10 @@ class Interpreter {
 
   /// Runs the graph. `bindings` provides the Input node's tensor (by node
   /// name) and overrides for any Parameter (by parameter name) — this is how
-  /// partition-boundary tensors enter a server segment. Unbound Parameters
-  /// take deterministic_param(name) values; in optimized mode an unbound
-  /// MatMul weight is streamed into the kernel and never resident.
+  /// partition-boundary tensors enter a server segment. Bound tensors are
+  /// read in place and never written. Unbound Parameters take
+  /// deterministic_param(name) values; in optimized mode an unbound MatMul
+  /// weight is streamed into the kernel and never resident.
   ///
   /// Returns one tensor per graph output: the output node's tensor, or, when
   /// the output is a Return over a MakeTuple, each tuple element in order.
@@ -90,16 +86,11 @@ class Interpreter {
   /// operands' names, or the single output node's name).
   std::vector<std::string> output_names() const;
 
-  const Options& options() const { return options_; }
-
  private:
   const graph::Graph* graph_;
   Options options_;
   std::vector<graph::FusionGroup> groups_;  // optimized-mode schedule
   std::unique_ptr<ThreadPool> pool_;        // optimized mode only
-  /// Synthetic exec-trace clock (see Options::telemetry); advances one
-  /// tick per kernel launch, monotonic across run() calls.
-  mutable TimeNs exec_clock_ = 0;
 };
 
 }  // namespace lp::exec

@@ -86,6 +86,12 @@ double FaultPlan::loss_prob(TimeNs t) const {
   return prob;
 }
 
+bool FaultPlan::drops(TimeNs t, Rng& rng) const {
+  if (link_down(t)) return true;
+  const double p = loss_prob(t);
+  return p > 0.0 && rng.uniform() < p;
+}
+
 bool FaultPlan::server_down(TimeNs t) const {
   for (const FaultWindow& w : server_crashes_)
     if (w.contains(t)) return true;

@@ -5,7 +5,8 @@
 //   * link faults (blackouts / bandwidth degrades) are spliced into the
 //     link's BandwidthTrace (net::apply_link_faults); a zero-bandwidth
 //     window is a hard blackout, see net/link.h for the stall contract;
-//   * packet-loss windows are sampled per transfer by net::Link;
+//   * packet-loss windows are sampled per transfer by net::Link, and per
+//     control message (heartbeat, migration payload) through drops();
 //   * server crash windows drive serve::EdgeServerFrontend::crash()/
 //     restart() through its crash driver process;
 //   * straggle windows multiply the server's kernel times (slow replica).
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/units.h"
 
 namespace lp::fault {
@@ -75,6 +77,12 @@ class FaultPlan {
 
   /// Drop probability at t (0 outside every loss window; last-added wins).
   double loss_prob(TimeNs t) const;
+
+  /// Whether a control message sent at t is lost: always inside a
+  /// blackout, otherwise with probability loss_prob(t). `rng` is drawn
+  /// only when that probability is positive, so a plan without loss
+  /// windows leaves the stream untouched.
+  bool drops(TimeNs t, Rng& rng) const;
 
   /// True when a crash window covers t.
   bool server_down(TimeNs t) const;

@@ -99,8 +99,7 @@ std::int64_t Graph::parameter_bytes() const {
   return total;
 }
 
-GraphBuilder::GraphBuilder(std::string name, DType dtype)
-    : graph_(std::move(name)), dtype_(dtype) {}
+GraphBuilder::GraphBuilder(std::string name) : graph_(std::move(name)) {}
 
 std::string GraphBuilder::auto_name(OpType op, const std::string& given) {
   if (!given.empty()) return given;
@@ -111,7 +110,7 @@ NodeId GraphBuilder::add_parameter(Shape shape, std::string name) {
   Node n;
   n.kind = NodeKind::kParameter;
   n.name = std::move(name);
-  n.output = TensorDesc{std::move(shape), dtype_};
+  n.output = TensorDesc{std::move(shape)};
   return graph_.add_node(std::move(n));
 }
 
@@ -130,9 +129,8 @@ NodeId GraphBuilder::add_cnode(OpType op, std::vector<NodeId> inputs,
 NodeId GraphBuilder::input(Shape shape, std::string name) {
   LP_CHECK_MSG(!have_input_, "input() may only be called once");
   have_input_ = true;
-  const NodeId id = add_cnode(OpType::kInput, {},
-                              TensorDesc{std::move(shape), dtype_}, {},
-                              std::move(name));
+  const NodeId id = add_cnode(OpType::kInput, {}, TensorDesc{std::move(shape)},
+                              {}, std::move(name));
   graph_.set_input(id);
   return id;
 }
@@ -155,8 +153,8 @@ NodeId GraphBuilder::conv2d(NodeId x, std::int64_t out_channels,
   const NodeId weight = add_parameter(
       Shape{out_channels, in.c(), kernel, kernel}, name + ".weight");
   const Shape out = conv_output_shape(in, attrs, /*depthwise=*/false);
-  NodeId y = add_cnode(OpType::kConv, {x, weight}, TensorDesc{out, dtype_},
-                       attrs, name);
+  NodeId y = add_cnode(OpType::kConv, {x, weight}, TensorDesc{out}, attrs,
+                       name);
   if (with_bias) y = bias_add(y, out_channels, name);
   return y;
 }
@@ -173,8 +171,8 @@ NodeId GraphBuilder::conv2d_rect(NodeId x, std::int64_t out_channels,
   const NodeId weight =
       add_parameter(Shape{out_channels, in.c(), kh, kw}, name + ".weight");
   const Shape out = conv_output_shape(in, attrs, /*depthwise=*/false);
-  NodeId y = add_cnode(OpType::kConv, {x, weight}, TensorDesc{out, dtype_},
-                       attrs, name);
+  NodeId y = add_cnode(OpType::kConv, {x, weight}, TensorDesc{out}, attrs,
+                       name);
   if (with_bias) y = bias_add(y, out_channels, name);
   return y;
 }
@@ -189,8 +187,8 @@ NodeId GraphBuilder::dwconv2d(NodeId x, std::int64_t kernel,
   const NodeId weight =
       add_parameter(Shape{in.c(), 1, kernel, kernel}, name + ".weight");
   const Shape out = conv_output_shape(in, attrs, /*depthwise=*/true);
-  NodeId y = add_cnode(OpType::kDWConv, {x, weight}, TensorDesc{out, dtype_},
-                       attrs, name);
+  NodeId y = add_cnode(OpType::kDWConv, {x, weight}, TensorDesc{out}, attrs,
+                       name);
   if (with_bias) y = bias_add(y, in.c(), name);
   return y;
 }
@@ -204,8 +202,8 @@ NodeId GraphBuilder::fc(NodeId x, std::int64_t out_features, bool with_bias,
   const NodeId weight =
       add_parameter(Shape{in.dim(1), out_features}, name + ".weight");
   const Shape out = matmul_output_shape(in, attrs);
-  NodeId y = add_cnode(OpType::kMatMul, {x, weight}, TensorDesc{out, dtype_},
-                       attrs, name);
+  NodeId y = add_cnode(OpType::kMatMul, {x, weight}, TensorDesc{out}, attrs,
+                       name);
   if (with_bias) y = bias_add(y, out_features, name);
   return y;
 }
@@ -215,7 +213,7 @@ NodeId GraphBuilder::maxpool(NodeId x, std::int64_t kernel,
                              bool ceil_mode, std::string name) {
   PoolAttrs attrs{kernel, kernel, stride, stride, pad, pad, ceil_mode};
   const Shape out = pool_output_shape(desc(x).shape, attrs);
-  return add_cnode(OpType::kMaxPool, {x}, TensorDesc{out, dtype_}, attrs,
+  return add_cnode(OpType::kMaxPool, {x}, TensorDesc{out}, attrs,
                    std::move(name));
 }
 
@@ -224,7 +222,7 @@ NodeId GraphBuilder::avgpool(NodeId x, std::int64_t kernel,
                              std::string name) {
   PoolAttrs attrs{kernel, kernel, stride, stride, pad, pad, false};
   const Shape out = pool_output_shape(desc(x).shape, attrs);
-  return add_cnode(OpType::kAvgPool, {x}, TensorDesc{out, dtype_}, attrs,
+  return add_cnode(OpType::kAvgPool, {x}, TensorDesc{out}, attrs,
                    std::move(name));
 }
 
@@ -270,14 +268,13 @@ NodeId GraphBuilder::concat(const std::vector<NodeId>& xs, std::string name) {
   for (NodeId x : xs) shapes.push_back(desc(x).shape);
   ConcatAttrs attrs{1};
   const Shape out = concat_output_shape(shapes, attrs.axis);
-  return add_cnode(OpType::kConcat, xs, TensorDesc{out, dtype_}, attrs,
+  return add_cnode(OpType::kConcat, xs, TensorDesc{out}, attrs,
                    std::move(name));
 }
 
 NodeId GraphBuilder::flatten(NodeId x, std::string name) {
   const Shape out = flatten_output_shape(desc(x).shape);
-  return add_cnode(OpType::kFlatten, {x}, TensorDesc{out, dtype_}, {},
-                   std::move(name));
+  return add_cnode(OpType::kFlatten, {x}, TensorDesc{out}, {}, std::move(name));
 }
 
 Graph GraphBuilder::build(NodeId output) {

@@ -100,7 +100,7 @@ class Graph {
 /// FC layer -> MatMul + BiasAdd).
 class GraphBuilder {
  public:
-  explicit GraphBuilder(std::string name, DType dtype = DType::kFloat32);
+  explicit GraphBuilder(std::string name);
 
   /// Declares the single graph input; must be called exactly once, first.
   NodeId input(Shape shape, std::string name = "input");
@@ -156,7 +156,6 @@ class GraphBuilder {
   std::string auto_name(OpType op, const std::string& given);
 
   Graph graph_;
-  DType dtype_;
   bool have_input_ = false;
   int counter_ = 0;
 };

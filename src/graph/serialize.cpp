@@ -9,28 +9,12 @@ namespace lp::graph {
 
 namespace {
 
-const char* dtype_token(DType dtype) {
-  switch (dtype) {
-    case DType::kFloat32:
-      return "f32";
-    case DType::kFloat16:
-      return "f16";
-    case DType::kInt8:
-      return "i8";
-  }
-  return "?";
-}
-
-DType dtype_from_token(const std::string& token) {
-  if (token == "f32") return DType::kFloat32;
-  if (token == "f16") return DType::kFloat16;
-  if (token == "i8") return DType::kInt8;
-  LP_CHECK_MSG(false, "unknown dtype token: " + token);
-  return DType::kFloat32;
-}
+// Every tensor is float32. The token stays in the format so that existing
+// model files read back unchanged.
+constexpr const char* kDtypeToken = "f32";
 
 void emit_desc(std::ostream& out, const TensorDesc& desc) {
-  out << ' ' << dtype_token(desc.dtype) << ' ' << desc.shape.rank();
+  out << ' ' << kDtypeToken << ' ' << desc.shape.rank();
   for (auto d : desc.shape.dims()) out << ' ' << d;
 }
 
@@ -38,10 +22,11 @@ TensorDesc read_desc(std::istream& in) {
   std::string dtype;
   std::size_t rank = 0;
   LP_CHECK_MSG(static_cast<bool>(in >> dtype >> rank), "truncated desc");
+  LP_CHECK_MSG(dtype == kDtypeToken, "unsupported dtype token: " + dtype);
   std::vector<std::int64_t> dims(rank);
   for (auto& d : dims)
     LP_CHECK_MSG(static_cast<bool>(in >> d), "truncated shape");
-  return TensorDesc{Shape(std::move(dims)), dtype_from_token(dtype)};
+  return TensorDesc{Shape(std::move(dims))};
 }
 
 void emit_attrs(std::ostream& out, const Node& node) {

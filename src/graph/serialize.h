@@ -6,12 +6,13 @@
 //
 // Format (whitespace-separated; one node per line, ids implicit by order):
 //   graph <name>
-//   param <name> <dtype> <rank> <dims...> <boundary:0|1>
-//   cnode <op> <name> <dtype> <rank> <dims...> <num_inputs> <input ids...>
+//   param <name> f32 <rank> <dims...> <boundary:0|1>
+//   cnode <op> <name> f32 <rank> <dims...> <num_inputs> <input ids...>
 //         [attr fields...]
 //   input <node id>
 //   output <node id>
 // Node names must not contain whitespace (the builders never produce any).
+// f32 is the only dtype token; any other is rejected.
 #pragma once
 
 #include <string>

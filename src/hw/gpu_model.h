@@ -48,19 +48,19 @@ class GpuModel {
                                                   std::size_t end,
                                                   std::size_t batch) const;
 
-  /// Like segment_kernels, but with framework operator fusion enabled
-  /// (extension; see graph/fusion.h): each fusion group executes as a
+  /// Contention-free execution time of a segment with framework operator
+  /// fusion enabled (extension; see graph/fusion.h).
+  DurationNs fused_segment_time(const graph::Graph& g, std::size_t begin,
+                                std::size_t end) const;
+
+ private:
+  /// Like segment_kernels, but fused: each fusion group executes as a
   /// single kernel — the anchor's full cost, a small residual for the
   /// absorbed epilogue, and one dispatch for the whole group.
   std::vector<DurationNs> fused_segment_kernels(const graph::Graph& g,
                                                 std::size_t begin,
                                                 std::size_t end) const;
 
-  /// Contention-free fused execution time of a segment.
-  DurationNs fused_segment_time(const graph::Graph& g, std::size_t begin,
-                                std::size_t end) const;
-
- private:
   GpuModelParams params_;
 };
 

@@ -3,7 +3,9 @@
 // The device-side runtime profiler feeds it two kinds of samples: active
 // probe transfers sent every period, and passive measurements of the real
 // offloading uploads. Probe size adapts to the current estimate so a probe
-// costs roughly a fixed (small) amount of air time.
+// costs roughly a fixed (small) amount of air time. Only the device keeps
+// one: the server reads the bandwidth a request reports and keeps no
+// window of its own.
 #pragma once
 
 #include <cstdint>
@@ -36,15 +38,6 @@ class BandwidthEstimator {
   std::int64_t next_probe_bytes(DurationNs target = milliseconds(25)) const;
 
   std::size_t samples() const { return window_.size(); }
-
-  /// Window contents for session migration; the initial seed is a config
-  /// constant and stays with the estimator. Round-tripping through
-  /// export_state()/import_state() (same window size) is bit-identical.
-  struct State {
-    SlidingWindow::Snapshot window;
-  };
-  State export_state() const { return State{window_.snapshot()}; }
-  void import_state(const State& state) { window_.restore(state.window); }
 
  private:
   SlidingWindow window_;

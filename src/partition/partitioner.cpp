@@ -111,8 +111,7 @@ Graph extract_segment(const Graph& g, std::size_t begin, std::size_t end,
     // A tuple's "tensor" is the concatenation of its elements for sizing
     // purposes; shape is a flat element count.
     tuple.output =
-        TensorDesc{Shape{std::max<std::int64_t>(1, result_bytes / 4)},
-                   DType::kFloat32};
+        TensorDesc{Shape{std::max<std::int64_t>(1, result_bytes / 4)}};
     result = seg.add_node(std::move(tuple));
   } else {
     result = id_map.at(boundary.front());

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "partition/partitioner.h"
+#include "predict/load_predictor.h"
 
 namespace lp::serve {
 
@@ -48,7 +49,6 @@ EdgeServerFrontend::EdgeServerFrontend(sim::Simulator& sim,
       work_arrived_(sim),
       rng_(seed) {
   LP_CHECK(params_.max_batch >= 1);
-  delay_predictor_ = predict::make_predictor(runtime_.predictor);
   sim_->spawn(service());
 }
 
@@ -56,8 +56,7 @@ std::uint64_t EdgeServerFrontend::open_session(
     const core::GraphCostProfile& profile) {
   sessions_.push_back(Session{
       &profile, core::LoadFactorTracker(runtime_.k_window, runtime_.predictor),
-      partition::PartitionCache(runtime_.cache_capacity),
-      net::BandwidthEstimator()});
+      partition::PartitionCache(runtime_.cache_capacity)});
   return sessions_.size() - 1;
 }
 
@@ -65,18 +64,6 @@ core::LoadSignal EdgeServerFrontend::load_signal(std::uint64_t session,
                                                  DurationNs horizon) const {
   LP_CHECK(session < sessions_.size());
   return sessions_[session].k.signal(horizon);
-}
-
-double EdgeServerFrontend::forecast_queue_delay_sec(DurationNs horizon) const {
-  const double live = predicted_queue_delay_sec();
-  if (delay_predictor_->samples() == 0) return live;
-  // Anchored drift: the live delay plus the forecast's movement relative
-  // to the last observation. The last-value default forecasts its last
-  // observation, so its drift is exactly zero and the forecast stays the
-  // reactive reading.
-  const double drift = delay_predictor_->forecast(horizon) -
-                       delay_predictor_->last_value();
-  return std::max(0.0, live + drift);
 }
 
 void EdgeServerFrontend::note_forecast_error(double err) {
@@ -104,24 +91,17 @@ const core::LoadFactorTracker& EdgeServerFrontend::session_tracker(
   return sessions_[session].k;
 }
 
-double EdgeServerFrontend::session_bandwidth_bps(
-    std::uint64_t session) const {
-  LP_CHECK(session < sessions_.size());
-  return sessions_[session].bandwidth.estimate();
-}
-
 double EdgeServerFrontend::predicted_queue_delay_sec() const {
   return queue_.predicted_backlog_sec() + in_flight_sec_;
 }
 
-LoadSnapshot EdgeServerFrontend::load_snapshot(DurationNs horizon) const {
+LoadSnapshot EdgeServerFrontend::load_snapshot() const {
   LoadSnapshot s;
   static_cast<FrontendCounters&>(s) = counters_;
   s.alive = !down_;
   s.queue_depth = queue_.size();
   s.inflight_jobs = inflight_jobs();
   s.predicted_delay_sec = predicted_queue_delay_sec();
-  s.forecast_delay_sec = forecast_queue_delay_sec(horizon);
   if (predict_scored_ > 0) {
     const double n = static_cast<double>(predict_scored_);
     s.predict_mae = predict_abs_err_ / n;
@@ -138,8 +118,8 @@ EdgeServerFrontend::SessionStats EdgeServerFrontend::session_stats(
 }
 
 namespace {
-// Modeled wire cost of a session export: a fixed header, the sliding
-// windows, a serialized plan per cache entry, and a header per re-routed
+// Modeled wire cost of a session export: a fixed header, the k windows, a
+// serialized plan per cache entry, and a header per re-routed
 // job (the boundary tensors themselves stay with the jobs' origin upload —
 // only control state crosses the interconnect).
 constexpr std::int64_t kExportHeaderBytes = 256;
@@ -154,7 +134,6 @@ SessionExport EdgeServerFrontend::export_session(std::uint64_t session) {
   SessionExport ex;
   ex.state.k = s.k.export_state();
   ex.state.cache = s.cache.export_contents();
-  ex.state.bandwidth = s.bandwidth.export_state();
   // The local copy resets to fresh: stragglers submitted before the client
   // learns its new endpoint are still served here, against cold state.
   wipe(s);
@@ -165,8 +144,7 @@ SessionExport EdgeServerFrontend::export_session(std::uint64_t session) {
   ex.bytes = kExportHeaderBytes +
              kSampleBytes * static_cast<std::int64_t>(
                                 ex.state.k.ratios.values.size() +
-                                ex.state.k.idle_ratios.values.size() +
-                                ex.state.bandwidth.window.values.size()) +
+                                ex.state.k.idle_ratios.values.size()) +
              kPlanBytes *
                  static_cast<std::int64_t>(ex.state.cache.plans.size()) +
              kJobHeaderBytes * static_cast<std::int64_t>(ex.jobs.size()) +
@@ -207,7 +185,6 @@ bool EdgeServerFrontend::import_session(std::uint64_t session,
     Session& s = sessions_[session];
     s.k.import_state(ex.state.k);
     s.cache.import_contents(std::move(ex.state.cache));
-    s.bandwidth.import_state(ex.state.bandwidth);
   }
   const std::size_t jobs = ex.jobs.size();
   for (QueuedJob& job : ex.jobs) {
@@ -322,8 +299,6 @@ core::SubmitStatus EdgeServerFrontend::submit(core::SuffixRequest request) {
                   obs::TraceArgs().arg("session", request.session));
     return core::SubmitStatus::kDown;
   }
-  if (request.bandwidth_bps > 0.0)
-    session.bandwidth.add_sample(request.bandwidth_bps);
 
   // Load shedding: a full queue always sheds; with admission control on,
   // so does a predicted queue delay beyond the budget. The server-side
@@ -352,7 +327,6 @@ core::SubmitStatus EdgeServerFrontend::submit(core::SuffixRequest request) {
   }
   if (queue_.full() || over_budget || over_deadline) {
     ++counters_.shed;
-    ++session.stats.shed;
     if (over_deadline) ++counters_.deadline_shed_admission;
     if (auto* tr = trace()) {
       obs::TraceArgs args;
@@ -378,7 +352,6 @@ core::SubmitStatus EdgeServerFrontend::submit(core::SuffixRequest request) {
   job.epoch = session.fence;
   LP_CHECK(queue_.push(job));
   ++counters_.admitted;
-  ++session.stats.admitted;
   if (auto* tr = trace()) {
     tr->async_begin(track_, "queue-wait", job.seq, sim_->now(),
                     obs::TraceArgs()
@@ -386,9 +359,6 @@ core::SubmitStatus EdgeServerFrontend::submit(core::SuffixRequest request) {
                         .arg("p", job.p));
     observe_queue_depth();
   }
-  // The queue delay just changed; the delay forecaster only ever learns at
-  // mutation points, so const readers never perturb it.
-  delay_predictor_->observe(sim_->now(), predicted_queue_delay_sec());
   work_arrived_.trigger();
   return core::SubmitStatus::kAccepted;
 }
@@ -454,7 +424,6 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
   in_flight_sec_ = 0.0;
   for (const QueuedJob& job : batch)
     in_flight_sec_ = std::max(in_flight_sec_, job.predicted_sec);
-  delay_predictor_->observe(dispatch_time, predicted_queue_delay_sec());
 
   // Partition caches are per session; one runtime preparation covers the
   // whole batch (it shares (model, p)). Each job looks the plan up once;
@@ -541,7 +510,6 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
                  .arg("exec_ms", exec * 1e3));
   in_flight_sec_ = 0.0;
   inflight_ = nullptr;
-  delay_predictor_->observe(finished, predicted_queue_delay_sec());
 }
 
 void EdgeServerFrontend::shed_expired_jobs() {
@@ -553,8 +521,6 @@ void EdgeServerFrontend::shed_expired_jobs() {
     ++counters_.deadline_shed;
     job.reply->resolve(core::SuffixStatus::kDeadlineShed);
   }
-  // The backlog shrank without a dispatch; teach the delay forecaster.
-  delay_predictor_->observe(now, predicted_queue_delay_sec());
   if (auto* tr = trace()) {
     for (const QueuedJob& job : expired)
       tr->async_end(track_, "queue-wait", job.seq, now);
@@ -612,19 +578,16 @@ void EdgeServerFrontend::crash() {
 
   // Volatile state dies with the process: partition caches (entries AND
   // hit/miss statistics — a re-warmed cache must not blend pre-crash
-  // traffic into its hit_rate), k windows, bandwidth windows, and the
-  // in-flight estimate. Sessions survive (they are the registration, not
-  // the state) and re-warm through the ordinary profiler handshake after
-  // restart().
+  // traffic into its hit_rate), k windows and the in-flight estimate.
+  // Sessions survive (they are the registration, not the state) and
+  // re-warm through the ordinary profiler handshake after restart().
   for (Session& session : sessions_) wipe(session);
-  delay_predictor_->reset();
   in_flight_sec_ = 0.0;
 }
 
 void EdgeServerFrontend::wipe(Session& session) {
   session.k.reset();
   session.cache.clear();
-  session.bandwidth = net::BandwidthEstimator();
 }
 
 void EdgeServerFrontend::restart() {

@@ -4,8 +4,8 @@
 // (the serving-system view of the paper's edge server, which "grows busy as
 // more devices offload to it"). It replaces the per-client OffloadServer
 // duplication with:
-//   * per-client sessions — each holds the client's influential factor k,
-//     its last-reported bandwidth estimate, and its partition cache;
+//   * per-client sessions — each holds the client's influential factor k
+//     and its partition cache;
 //   * a bounded request queue with pluggable ordering (FIFO / EDF / SPJF);
 //   * admission control: when the predicted queue delay (backlog of
 //     k-adjusted predictions plus the in-flight dispatch) exceeds a budget,
@@ -35,14 +35,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "core/load_signal.h"
 #include "core/offload_runtime.h"
 #include "fault/fault_plan.h"
 #include "obs/telemetry.h"
-#include "predict/load_predictor.h"
 #include "serve/queue.h"
 
 namespace lp::serve {
@@ -125,26 +123,20 @@ struct LoadSnapshot : FrontendCounters {
   bool alive = true;
   std::size_t queue_depth = 0;
   std::size_t inflight_jobs = 0;
-  /// Queued k-adjusted predictions plus the in-flight dispatch.
+  /// Queued k-adjusted predictions plus the in-flight dispatch. Placement,
+  /// the rebalancer and crash reroute read this field.
   double predicted_delay_sec = 0.0;
-  /// predicted_delay_sec projected to the snapshot's horizon: the live
-  /// delay plus the delay predictor's drift, clamped >= 0 (equal to
-  /// predicted_delay_sec under the last-value default). Placement, the
-  /// rebalancer and crash reroute read this field.
-  double forecast_delay_sec = 0.0;
   double predict_mae = 0.0;         ///< mean |forecast error| of session k
   double predict_bias = 0.0;        ///< mean signed forecast error
   std::uint64_t predict_scored = 0; ///< forecast errors scored so far
 };
 
 /// The volatile per-session state a live migration carries to the new
-/// server: the k window with its forecaster, the partition-cache contents,
-/// and the bandwidth window. Export→import (same RuntimeParams) is
-/// bit-identical.
+/// server: the k window with its forecaster and the partition-cache
+/// contents. Export→import (same RuntimeParams) is bit-identical.
 struct SessionState {
   core::LoadFactorTracker::State k;
   partition::PartitionCache::Contents cache;
-  net::BandwidthEstimator::State bandwidth;
 };
 
 /// A non-blocking session export (the Ceph MDS exporter shape): the state
@@ -183,8 +175,8 @@ class EdgeServerFrontend : public core::SuffixService {
 
   /// Fail-stop crash: refuses new submissions, fails every queued and
   /// in-flight job with SuffixStatus::kServerDown (no request ever hangs),
-  /// and wipes all volatile per-session state — partition caches, k
-  /// windows, bandwidth windows. Sessions themselves survive (they are the
+  /// and wipes all volatile per-session state — partition caches and k
+  /// windows. Sessions themselves survive (they are the
   /// registration, not the state); clients re-warm them through the
   /// ordinary profiler handshake after restart().
   void crash();
@@ -213,21 +205,18 @@ class EdgeServerFrontend : public core::SuffixService {
   const FrontendCounters& counters() const { return counters_; }
 
   /// One coherent snapshot of load and conservation counters: the cluster
-  /// heartbeat payload and the invariant layer's single read. `horizon`
-  /// sets how far ahead forecast_delay_sec projects (heartbeat consumers
-  /// pass their refresh period; 0 keeps it reactive). O(1) in sessions.
-  LoadSnapshot load_snapshot(DurationNs horizon = 0) const;
+  /// heartbeat payload and the invariant layer's single read. O(1) in
+  /// sessions.
+  LoadSnapshot load_snapshot() const;
 
-  /// Per-session admission counters (router victim selection and tests).
+  /// Per-session submission count (the router's victim tie-break).
   struct SessionStats {
     std::uint64_t submitted = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t shed = 0;
   };
   SessionStats session_stats(std::uint64_t session) const;
 
   /// Live-migration export: snapshots the session's volatile state (k
-  /// window and forecaster, partition cache, bandwidth window), resets it
+  /// window and forecaster, partition cache), resets it
   /// locally, and removes every queued job of the session (counted
   /// migrated-out). The in-flight dispatch, if it contains the session,
   /// completes here — the export never blocks or drops work. The session
@@ -259,7 +248,6 @@ class EdgeServerFrontend : public core::SuffixService {
 
   const partition::PartitionCache& session_cache(std::uint64_t session) const;
   const core::LoadFactorTracker& session_tracker(std::uint64_t session) const;
-  double session_bandwidth_bps(std::uint64_t session) const;
 
   /// The request queue itself — read-only, for the invariant layer
   /// (check::audit recomputes the backlog and conservation sums from it).
@@ -288,7 +276,6 @@ class EdgeServerFrontend : public core::SuffixService {
     const core::GraphCostProfile* profile;
     core::LoadFactorTracker k;
     partition::PartitionCache cache;
-    net::BandwidthEstimator bandwidth;
     SessionStats stats = {};
     /// Fencing epoch: raised by fence_session / accepted imports; jobs
     /// carry the fence at admission and die (kFenced) when it moves on.
@@ -299,9 +286,9 @@ class EdgeServerFrontend : public core::SuffixService {
   sim::Task execute_batch(std::vector<QueuedJob> batch);
   sim::Task crash_driver();
 
-  /// Resets a session's volatile state — k window and forecaster,
-  /// partition cache (entries and statistics), bandwidth window — to that
-  /// of a fresh registration (migration export, fencing, crash).
+  /// Resets a session's volatile state — k window and forecaster and
+  /// partition cache (entries and statistics) — to that of a fresh
+  /// registration (migration export, fencing, crash).
   static void wipe(Session& session);
 
   /// Will-miss shedding: fails every queued job whose deadline has already
@@ -312,10 +299,6 @@ class EdgeServerFrontend : public core::SuffixService {
   /// Folds a session-k forecast error into the frontend-wide predict.*
   /// aggregate (skips the unscored first sample).
   void note_forecast_error(double err);
-  /// Queue delay forecast at `horizon`: live delay + (forecast - last
-  /// observation), clamped >= 0. Anchoring on the live value keeps the
-  /// last-value default drift-free (bit-identical to the reactive reading).
-  double forecast_queue_delay_sec(DurationNs horizon) const;
 
   sim::Simulator* sim_;
   hw::GpuScheduler* scheduler_;
@@ -338,11 +321,6 @@ class EdgeServerFrontend : public core::SuffixService {
   std::uint64_t epoch_ = 0;
   std::vector<QueuedJob>* inflight_ = nullptr;
 
-  // Queue-delay forecaster (frontend-wide, not per session): observed only
-  // where the delay actually mutates (admission, dispatch, batch drain) so
-  // const readers never perturb it. Same pluggable kind as the sessions'
-  // k forecasters.
-  std::unique_ptr<predict::LoadPredictor> delay_predictor_;
   // Frontend-wide forecast-quality aggregate over session-k observations.
   // Survives crashes (it scores the predictors, not the sessions).
   double predict_abs_err_ = 0.0;

@@ -6,31 +6,6 @@
 
 namespace lp {
 
-std::int64_t dtype_size(DType dtype) {
-  switch (dtype) {
-    case DType::kFloat32:
-      return 4;
-    case DType::kFloat16:
-      return 2;
-    case DType::kInt8:
-      return 1;
-  }
-  LP_CHECK_MSG(false, "unknown dtype");
-  return 0;
-}
-
-std::string dtype_name(DType dtype) {
-  switch (dtype) {
-    case DType::kFloat32:
-      return "float32";
-    case DType::kFloat16:
-      return "float16";
-    case DType::kInt8:
-      return "int8";
-  }
-  return "?";
-}
-
 Shape::Shape(std::initializer_list<std::int64_t> dims) : dims_(dims) {
   for (auto d : dims_) LP_CHECK_MSG(d > 0, "axis sizes must be positive");
 }

@@ -1,8 +1,9 @@
-// Tensor shapes and dtypes.
+// Tensor shapes.
 //
 // Shapes are NCHW for feature maps; arbitrary ranks are supported for
 // flattened/FC tensors. Element counts and byte sizes drive both the FLOPs
 // formulas (Table I) and the transmission sizes s_i used by Algorithm 1.
+// Every tensor is float32.
 #pragma once
 
 #include <cstdint>
@@ -11,12 +12,6 @@
 #include <vector>
 
 namespace lp {
-
-enum class DType { kFloat32, kFloat16, kInt8 };
-
-/// Bytes per element of a dtype.
-std::int64_t dtype_size(DType dtype);
-std::string dtype_name(DType dtype);
 
 /// Dense tensor shape; axis sizes must be positive.
 class Shape {
@@ -47,15 +42,14 @@ class Shape {
   std::vector<std::int64_t> dims_;
 };
 
-/// Shape plus dtype: everything needed to size a transmission.
+/// A float32 tensor's shape: everything needed to size a transmission.
 struct TensorDesc {
   Shape shape;
-  DType dtype = DType::kFloat32;
 
-  std::int64_t bytes() const { return shape.elements() * dtype_size(dtype); }
-  bool operator==(const TensorDesc& other) const {
-    return shape == other.shape && dtype == other.dtype;
+  std::int64_t bytes() const {
+    return shape.elements() * static_cast<std::int64_t>(sizeof(float));
   }
+  bool operator==(const TensorDesc& other) const = default;
 };
 
 }  // namespace lp

@@ -7,7 +7,6 @@
 
 #include "check/generators.h"
 #include "check/invariants.h"
-#include "cluster/control_link.h"
 #include "cluster/failure_detector.h"
 #include "cluster/fleet.h"
 #include "common/check.h"
@@ -67,48 +66,6 @@ TEST(FailureDetector, SelfReportedDeathIsAuthoritativeInEveryMode) {
     detector.heartbeat(0, milliseconds(300), true);
     EXPECT_EQ(detector.health(0), Health::kAlive);
   }
-}
-
-// ------------------------------------------------------ control link --
-
-TEST(ControlLink, NoPlanDeliversInlineWithoutRngDraws) {
-  sim::Simulator sim;
-  ControlLink link(sim, /*seed=*/1);
-  serve::LoadSnapshot got;
-  bool delivered = false;
-  serve::LoadSnapshot snap;
-  snap.queue_depth = 7;
-  link.send(snap, [&](const serve::LoadSnapshot& s) {
-    got = s;
-    delivered = true;
-  });
-  // Inline: delivered before the simulator even runs — the lossless
-  // control plane is indistinguishable from a direct call.
-  EXPECT_TRUE(delivered);
-  EXPECT_EQ(got.queue_depth, 7u);
-  EXPECT_EQ(link.sent(), 1u);
-  EXPECT_EQ(link.delivered(), 1u);
-  EXPECT_EQ(link.dropped(), 0u);
-}
-
-TEST(ControlLink, PlanWindowsDropAndBlackout) {
-  sim::Simulator sim;
-  fault::FaultPlan plan;
-  plan.packet_loss(seconds(0), seconds(1), 1.0);
-  plan.link_blackout(seconds(2), seconds(3));
-  ControlLink link(sim, 1);
-  link.attach_faults(&plan);
-
-  std::size_t delivered = 0;
-  auto deliver = [&](const serve::LoadSnapshot&) { ++delivered; };
-  serve::LoadSnapshot snap;
-  EXPECT_FALSE(link.send(snap, deliver));  // loss prob 1 at t=0
-  sim.call_after(seconds(1.5), [&] { EXPECT_TRUE(link.send(snap, deliver)); });
-  sim.call_after(seconds(2.5), [&] { EXPECT_FALSE(link.send(snap, deliver)); });
-  sim.run_until(seconds(4));
-  EXPECT_EQ(delivered, 1u);
-  EXPECT_EQ(link.sent(), 3u);
-  EXPECT_EQ(link.dropped(), 2u);
 }
 
 // -------------------------------------------------- fencing harness --

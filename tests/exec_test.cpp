@@ -13,6 +13,7 @@
 #include "exec/interpreter.h"
 #include "exec/thread_pool.h"
 #include "graph/graph.h"
+#include "partition/partitioner.h"
 
 namespace lp::exec {
 namespace {
@@ -407,6 +408,82 @@ TEST(Interpreter, StreamedFcWeightIsNeverResident) {
       .run({{"input", random_tensor(Shape{1, 512}, 9)}}, &stats);
   EXPECT_GT(stats.peak_resident_bytes, 0);
   EXPECT_LT(stats.peak_resident_bytes, weight_bytes);
+}
+
+TEST(Interpreter, BoundFcWeightIsReadInPlace) {
+  // A weight bound once is read where the caller keeps it: the run holds
+  // less than the weight, and gives the bits of the streamed and the
+  // reference runs.
+  GraphBuilder b("bound-fc");
+  auto x = b.input({1, 512});
+  const graph::Graph g = b.build(b.fc(x, 2048, /*with_bias=*/false, "fc"));
+  const std::int64_t weight_bytes = 512 * 2048 * sizeof(float);
+  const Tensor input = random_tensor(Shape{1, 512}, 9);
+  const Tensor weight = deterministic_param("fc.weight", Shape{512, 2048});
+  const Interpreter interp(g, {ExecMode::kOptimized, 1});
+  RunStats stats;
+  const auto bound =
+      interp.run({{"input", input}, {"fc.weight", weight}}, &stats);
+  EXPECT_GT(stats.peak_resident_bytes, 0);
+  EXPECT_LT(stats.peak_resident_bytes, weight_bytes);
+  const auto streamed = interp.run({{"input", input}});
+  const auto ref = Interpreter(g, {ExecMode::kReference, 1})
+                       .run({{"input", input}});
+  EXPECT_TRUE(same_bits(bound[0], streamed[0]));
+  EXPECT_TRUE(same_bits(bound[0], ref[0]));
+}
+
+TEST(Interpreter, InPlaceConsumersLeaveTheBoundInputUnchanged) {
+  // ReLU and Flatten reuse their input's buffer when the interpreter owns
+  // it. A bound input is the caller's, so they must work on a copy.
+  const Tensor original = random_tensor(Shape{1, 2, 3, 3}, 4);
+  ASSERT_LT(*std::min_element(original.data(), original.data() + 18), 0.0f);
+  for (ExecMode mode : {ExecMode::kOptimized, ExecMode::kReference}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const Tensor input = original;
+
+    GraphBuilder rb("relu");
+    const graph::Graph relu = rb.build(rb.relu(rb.input({1, 2, 3, 3})));
+    const auto r = Interpreter(relu, {mode, 1}).run({{"input", input}});
+    EXPECT_TRUE(same_bits(input, original));
+    for (std::int64_t i = 0; i < input.elements(); ++i)
+      EXPECT_EQ(r[0].at(i), std::max(0.0f, original.at(i)));
+
+    GraphBuilder fb("flatten");
+    const graph::Graph flat = fb.build(fb.flatten(fb.input({1, 2, 3, 3})));
+    const auto f = Interpreter(flat, {mode, 1}).run({{"input", input}});
+    EXPECT_TRUE(same_bits(input, original));
+    EXPECT_EQ(f[0].shape(), (Shape{1, 18}));
+    for (std::int64_t i = 0; i < input.elements(); ++i)
+      EXPECT_EQ(f[0].at(i), original.at(i));
+  }
+}
+
+TEST(Interpreter, BoundInputThatIsAnOutputIsReturnedAsACopy) {
+  // A cut across a skip connection from the input makes the input itself
+  // a boundary tensor of the device segment.
+  GraphBuilder b("skip");
+  auto x = b.input({1, 3, 4, 4});
+  auto c = b.conv2d(x, 3, 1, 1, 0, /*with_bias=*/true, "c");
+  const graph::Graph g = b.build(b.add(x, c, "sum"));
+  const auto plan = partition::partition_at(g, 2);  // input, conv, bias
+  ASSERT_TRUE(plan.device_part.has_value());
+  const Tensor input = random_tensor(Shape{1, 3, 4, 4}, 8);
+  for (ExecMode mode : {ExecMode::kOptimized, ExecMode::kReference}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const Interpreter interp(*plan.device_part, {mode, 1});
+    const auto names = interp.output_names();
+    const auto it = std::find(names.begin(), names.end(), "input");
+    ASSERT_NE(it, names.end());
+    const auto k = static_cast<std::size_t>(it - names.begin());
+    RunStats stats;
+    const auto out = interp.run({{"input", input}}, &stats);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_TRUE(same_bits(out[k], input));
+    EXPECT_NE(out[k].data(), input.data());
+    // The copy is the interpreter's, so it counts as resident.
+    EXPECT_EQ(stats.final_resident_bytes, out[0].bytes() + out[1].bytes());
+  }
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {

@@ -193,6 +193,45 @@ TEST(FaultPlan, LastAddedLossWindowWins) {
   EXPECT_DOUBLE_EQ(plan.loss_prob(seconds(70)), 0.1);
 }
 
+// drops() is the one loss rule for control messages. A stream it leaves
+// untouched draws next exactly what a fresh stream of the same seed draws.
+
+TEST(FaultPlan, NoWindowDropsNothingAndLeavesTheStreamUntouched) {
+  const FaultPlan plan;
+  Rng rng(11);
+  for (TimeNs t : {TimeNs{0}, seconds(1), seconds(1000)})
+    EXPECT_FALSE(plan.drops(t, rng));
+  EXPECT_EQ(rng(), Rng(11)());
+}
+
+TEST(FaultPlan, LossOneWindowDrops) {
+  FaultPlan plan;
+  plan.packet_loss(seconds(0), seconds(1), 1.0);
+  Rng rng(11);
+  EXPECT_TRUE(plan.drops(0, rng));
+  EXPECT_TRUE(plan.drops(seconds(0.5), rng));
+}
+
+TEST(FaultPlan, BlackoutDropsWithoutDrawing) {
+  FaultPlan plan;
+  plan.link_blackout(seconds(2), seconds(3));
+  Rng rng(11);
+  EXPECT_TRUE(plan.drops(seconds(2), rng));
+  EXPECT_TRUE(plan.drops(seconds(2.5), rng));
+  EXPECT_EQ(rng(), Rng(11)());
+}
+
+TEST(FaultPlan, TimeOutsideEveryWindowDelivers) {
+  FaultPlan plan;
+  plan.packet_loss(seconds(0), seconds(1), 1.0);
+  plan.link_blackout(seconds(2), seconds(3));
+  Rng rng(11);
+  EXPECT_FALSE(plan.drops(seconds(1), rng));  // windows are half-open
+  EXPECT_FALSE(plan.drops(seconds(1.5), rng));
+  EXPECT_FALSE(plan.drops(seconds(3), rng));
+  EXPECT_EQ(rng(), Rng(11)());
+}
+
 TEST(FaultPlan, RejectsBadWindows) {
   FaultPlan plan;
   EXPECT_THROW(plan.link_blackout(seconds(5), seconds(5)), ContractError);

@@ -10,8 +10,6 @@
 
 #include "common/check.h"
 #include "common/stats.h"
-#include "exec/interpreter.h"
-#include "graph/graph.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/taxonomy.h"
@@ -458,35 +456,6 @@ TEST(Telemetry, SameSeedRunsEmitByteIdenticalTraces) {
     EXPECT_TRUE(JsonChecker(json[i]).valid());
   }
   EXPECT_EQ(json[0], json[1]);
-}
-
-TEST(Telemetry, InterpreterRecordsExecSpansWithoutChangingResults) {
-  graph::GraphBuilder b("tiny");
-  auto x = b.input({1, 1, 4, 4});
-  auto y = b.conv2d(x, 2, 3, 1, 1, /*with_bias=*/true, "c");
-  y = b.relu(y);
-  const graph::Graph g = b.build(y);
-  exec::Tensor input(Shape{1, 1, 4, 4});
-  for (int i = 0; i < 16; ++i) input.at(i) = static_cast<float>(i);
-
-  const auto plain = exec::Interpreter(g).run({{"input", input}});
-
-  Telemetry telemetry(/*tracing=*/true);
-  exec::Options options;
-  options.telemetry = &telemetry;
-  exec::RunStats stats;
-  const auto traced =
-      exec::Interpreter(g, options).run({{"input", input}}, &stats);
-
-  ASSERT_EQ(plain.size(), traced.size());
-  EXPECT_DOUBLE_EQ(exec::Tensor::max_abs_diff(plain[0], traced[0]), 0.0);
-  EXPECT_GT(telemetry.trace()->num_events(), 0u);
-  const Gauge* peak =
-      telemetry.metrics().find_gauge("exec.peak_resident_bytes");
-  ASSERT_NE(peak, nullptr);
-  EXPECT_DOUBLE_EQ(peak->value(),
-                   static_cast<double>(stats.peak_resident_bytes));
-  EXPECT_TRUE(JsonChecker(telemetry.trace()->to_chrome_json()).valid());
 }
 
 TEST(Telemetry, FleetRunPopulatesTheSharedTaxonomy) {

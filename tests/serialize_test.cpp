@@ -97,6 +97,21 @@ TEST(Serialize, MalformedInputsThrow) {
       ContractError);
 }
 
+TEST(Serialize, RejectsDtypesOtherThanF32) {
+  // Every tensor is f32: a file written today carries only that token and
+  // reads back, and any other dtype token is a typed error.
+  GraphBuilder b("tiny");
+  const Graph g = b.build(b.relu(b.input({1, 3})));
+  const std::string text = serialize(g);
+  ASSERT_NE(text.find(" f32 "), std::string::npos);
+  expect_equivalent(g, deserialize(text));
+  for (const char* token : {" f16 ", " i8 "}) {
+    std::string other = text;
+    other.replace(other.find(" f32 "), 5, token);
+    EXPECT_THROW(deserialize(other), ContractError) << token;
+  }
+}
+
 TEST(Serialize, RejectsWhitespaceInNames) {
   GraphBuilder b("bad name");
   auto x = b.input({1, 2});

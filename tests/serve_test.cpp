@@ -453,38 +453,6 @@ TEST(EdgeServerFrontend, SessionsTrackKIndependently) {
   EXPECT_EQ(h.frontend.session_cache(idle).size(), 0u);
 }
 
-TEST(EdgeServerFrontend, SnapshotForecastDelayProjectsThePredictedDelay) {
-  for (const char* kind : {"last-value", "ewma"}) {
-    SCOPED_TRACE(kind);
-    core::RuntimeParams runtime;
-    runtime.predictor.kind = kind;
-    FrontendHarness h(FrontendParams{}, runtime);
-    const auto s = h.frontend.open_session(h.profile);
-    std::vector<std::unique_ptr<PendingRequest>> requests;
-    for (int i = 0; i < 8; ++i) {
-      requests.push_back(std::make_unique<PendingRequest>(h.sim));
-      ASSERT_EQ(h.frontend.submit(requests.back()->request(s, 5)),
-                core::SubmitStatus::kAccepted);
-    }
-    // Sample while the queue drains, so the delay series moves.
-    std::size_t drifted = 0;
-    for (TimeNs t = 0; t <= seconds(3); t += milliseconds(20)) {
-      h.sim.run_until(t);
-      const LoadSnapshot snap = h.frontend.load_snapshot(milliseconds(500));
-      EXPECT_TRUE(std::isfinite(snap.forecast_delay_sec));
-      EXPECT_GE(snap.forecast_delay_sec, 0.0);
-      if (snap.forecast_delay_sec != snap.predicted_delay_sec) ++drifted;
-    }
-    // The last-value default forecasts no drift: every sample is bit for
-    // bit the live predicted delay. ewma projects the draining queue.
-    if (runtime.predictor.kind == "last-value") {
-      EXPECT_EQ(drifted, 0u);
-    } else {
-      EXPECT_GT(drifted, 0u);
-    }
-  }
-}
-
 TEST(EdgeServerFrontend, RejectsMalformedRequests) {
   FrontendHarness h(FrontendParams{});
   const auto s = h.frontend.open_session(h.profile);
@@ -615,7 +583,7 @@ TEST(EdgeServerFrontend, CrashWipesPartitionCacheAndKWindow) {
 TEST(EdgeServerFrontend, CrashFenceAndExportLeaveTheSessionEquallyCold) {
   // Each path that drops a session's volatile state leaves it like a
   // session that was never used: an empty partition cache with zeroed
-  // statistics, a fresh k tracker and an empty bandwidth window.
+  // statistics and a fresh k tracker.
   enum class Path { kCrash, kFence, kExport };
   for (Path path : {Path::kCrash, Path::kFence, Path::kExport}) {
     SCOPED_TRACE(static_cast<int>(path));
@@ -626,14 +594,12 @@ TEST(EdgeServerFrontend, CrashFenceAndExportLeaveTheSessionEquallyCold) {
     std::vector<std::unique_ptr<PendingRequest>> requests;
     for (int i = 0; i < 12; ++i) {
       requests.push_back(std::make_unique<PendingRequest>(h.sim));
-      core::SuffixRequest r = requests.back()->request(s, 5);
-      r.bandwidth_bps = 1e6 * (i + 1);
-      ASSERT_EQ(h.frontend.submit(r), core::SubmitStatus::kAccepted);
+      ASSERT_EQ(h.frontend.submit(requests.back()->request(s, 5)),
+                core::SubmitStatus::kAccepted);
     }
     h.sim.run_until(seconds(60));
     ASSERT_GT(h.frontend.session_tracker(s).k(), 1.5);
     ASSERT_GT(h.frontend.session_cache(s).hits(), 0u);
-    ASSERT_GT(h.frontend.session_bandwidth_bps(s), 0.0);
 
     switch (path) {
       case Path::kCrash:
@@ -653,8 +619,6 @@ TEST(EdgeServerFrontend, CrashFenceAndExportLeaveTheSessionEquallyCold) {
     EXPECT_EQ(cache.evictions(), 0u);
     check::audit_equal(h.frontend.session_tracker(s).export_state(),
                        h.frontend.session_tracker(unused).export_state());
-    EXPECT_EQ(h.frontend.session_bandwidth_bps(s),
-              h.frontend.session_bandwidth_bps(unused));
   }
 }
 
