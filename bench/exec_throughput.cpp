@@ -1,9 +1,10 @@
 // Execution-engine throughput: every evaluation model end-to-end and at its
 // LoADPart-chosen cut (best latency_breakdown point at 8 Mbps, the Fig. 1
 // setup), reference vs optimized kernels at 1/2/4/8 threads. Reports
-// ms/inference, peak resident tensor bytes (liveness), speedups, and checks
-// the optimized output is bit-identical before trusting any timing. Writes
-// the machine-readable summary to BENCH_exec.json (or argv[1]).
+// ms/inference, peak resident tensor bytes (liveness), speedups and the
+// vector path the optimized conv took, and checks the optimized output is
+// bit-identical before trusting any timing. Writes the machine-readable
+// summary to BENCH_exec.json (or argv[1]); exits 1 if that write fails.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -15,6 +16,7 @@
 #include "common/table.h"
 #include "core/baselines.h"
 #include "exec/interpreter.h"
+#include "exec/kernels.h"
 #include "graph/graph.h"
 #include "models/zoo.h"
 #include "partition/partitioner.h"
@@ -174,13 +176,15 @@ std::vector<ConvReport> bench_alexnet_convs() {
   return reports;
 }
 
-void write_json(const std::string& path,
+/// False if the file cannot be opened or any write to it fails, a full
+/// disk included.
+bool write_json(const std::string& path,
                 const std::vector<ModelReport>& models,
                 const std::vector<ConvReport>& convs) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  LP_CHECK_MSG(f != nullptr, "cannot open " + path);
-  std::fprintf(f, "{\n  \"host_cores\": %u,\n",
-               std::thread::hardware_concurrency());
+  if (f == nullptr) return false;
+  std::fprintf(f, "{\n  \"host_cores\": %u,\n  \"isa\": \"%s\",\n",
+               std::thread::hardware_concurrency(), lp::exec::kernel_isa());
   std::fprintf(f, "  \"threads\": [1, 2, 4, 8],\n  \"models\": [\n");
   for (std::size_t i = 0; i < models.size(); ++i) {
     const auto& m = models[i];
@@ -214,7 +218,8 @@ void write_json(const std::string& path,
                  i + 1 < convs.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  const bool written = std::ferror(f) == 0;
+  return std::fclose(f) == 0 && written;
 }
 
 }  // namespace
@@ -223,9 +228,10 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_exec.json";
 
   std::printf(
-      "Execution-engine throughput (bit-identity checked), host cores: %u\n"
+      "Execution-engine throughput (bit-identity checked), host cores: %u, "
+      "conv ISA: %s\n"
       "(thread scaling is only visible when the host has that many cores)\n\n",
-      std::thread::hardware_concurrency());
+      std::thread::hardware_concurrency(), lp::exec::kernel_isa());
   std::vector<ModelReport> models;
   Table table({"model", "reference(ms)", "opt 1t(ms)", "opt 2t", "opt 4t",
                "opt 8t", "speedup 1t", "speedup 4t", "peak MiB",
@@ -262,7 +268,10 @@ int main(int argc, char** argv) {
                         Table::num(c.reference_ms / c.optimized_ms)});
   conv_table.print();
 
-  write_json(out_path, models, convs);
+  if (!write_json(out_path, models, convs)) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
+    return 1;
+  }
   std::printf("\n[summary written to %s]\n", out_path.c_str());
 
   bool all_exact = true;

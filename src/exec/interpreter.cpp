@@ -191,7 +191,9 @@ Tensor softmax(const Tensor& x) {
   const auto width = x.shape().dim(static_cast<std::size_t>(last));
   const auto rows = x.elements() / width;
   for (std::int64_t r = 0; r < rows; ++r) {
-    float maxv = -1e30f;
+    // -inf is the true max identity, as in pool2d: a row wholly below any
+    // finite start still normalizes against its own maximum.
+    float maxv = -std::numeric_limits<float>::infinity();
     for (std::int64_t c = 0; c < width; ++c)
       maxv = std::max(maxv, x.at(r * width + c));
     double sum = 0.0;

@@ -3,134 +3,262 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "common/check.h"
+#include "exec/isa.h"
 
 namespace lp::exec {
 
+namespace isa {
+
+const char* name(Isa isa) {
+  switch (isa) {
+    case Isa::kBaseline:
+      return "baseline";
+    case Isa::kAvx2:
+      return "avx2";
+    case Isa::kAvx512:
+      return "avx512";
+  }
+  return "unknown";
+}
+
+bool supported(Isa isa) {
+  if (isa == Isa::kBaseline) return true;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (isa == Isa::kAvx2) return __builtin_cpu_supports("avx2");
+  if (isa == Isa::kAvx512)
+    return __builtin_cpu_supports("avx512f") &&
+           __builtin_cpu_supports("avx512dq");
+#endif
+  return false;
+}
+
+Isa host() {
+  static const Isa chosen = supported(Isa::kAvx512) ? Isa::kAvx512
+                            : supported(Isa::kAvx2) ? Isa::kAvx2
+                                                    : Isa::kBaseline;
+  return chosen;
+}
+
+}  // namespace isa
+
+const char* kernel_isa() { return isa::name(isa::host()); }
+
 namespace {
 
-// GEMM micro-kernel: an MR x NR tile of output elements, each accumulated
-// in its own double chain over the full K extent in ascending k order —
-// exactly the reference's per-element order, but with MR*NR independent
-// chains in flight for instruction-level parallelism.
-template <int MR, int NR>
-void micro_kernel(const float* const* wr, const float* const* cl,
-                  std::int64_t k_extent, double* acc) {
-  double a[MR * NR] = {};
-  for (std::int64_t k = 0; k < k_extent; ++k) {
-    double bv[NR];
-    for (int j = 0; j < NR; ++j) bv[j] = static_cast<double>(cl[j][k]);
-    for (int i = 0; i < MR; ++i) {
-      const double av = static_cast<double>(wr[i][k]);
-      for (int j = 0; j < NR; ++j) a[i * NR + j] += av * bv[j];
-    }
-  }
-  for (int i = 0; i < MR * NR; ++i) acc[i] = a[i];
-}
+// Doubles in one register of each ISA (one output's chain per lane), and
+// the panel floats that widen into them. Each path uses only its own
+// ISA's native width: a wider generic vector would be split by the
+// compiler and its halves shuffled through memory. No function takes or
+// returns one by value, so no ABI depends on the ISA.
+using V2d = double __attribute__((vector_size(16)));
+using V2f = float __attribute__((vector_size(8)));
+using V4d = double __attribute__((vector_size(32)));
+using V4f = float __attribute__((vector_size(16)));
+using V8d = double __attribute__((vector_size(64)));
+using V8f = float __attribute__((vector_size(32)));
 
-using MicroFn = void (*)(const float* const*, const float* const*,
-                         std::int64_t, double*);
+constexpr std::int64_t kPixelBlock = 64;  // output pixels per im2col panel
+constexpr int kMaxNr = 16;                // widest strip (AVX-512 tile)
 
-/// micro_kernel instantiation for a (possibly partial) mr x nr tile.
-MicroFn micro_for(int mr, int nr) {
-  static constexpr MicroFn kTable[4][4] = {
-      {micro_kernel<1, 1>, micro_kernel<1, 2>, micro_kernel<1, 3>,
-       micro_kernel<1, 4>},
-      {micro_kernel<2, 1>, micro_kernel<2, 2>, micro_kernel<2, 3>,
-       micro_kernel<2, 4>},
-      {micro_kernel<3, 1>, micro_kernel<3, 2>, micro_kernel<3, 3>,
-       micro_kernel<3, 4>},
-      {micro_kernel<4, 1>, micro_kernel<4, 2>, micro_kernel<4, 3>,
-       micro_kernel<4, 4>},
-  };
-  return kTable[mr - 1][nr - 1];
-}
-
-constexpr std::int64_t kPixelBlock = 64;  // im2col panel width (pixels)
+/// What every pixel block of one convolution reads and writes.
+struct ConvJob {
+  const float* x = nullptr;  // input, NCHW
+  const float* w = nullptr;  // weight, one row of k_extent floats per oc
+  float* y = nullptr;        // output, NCHW
+  const graph::ConvAttrs* attrs = nullptr;
+  const Epilogue* ep = nullptr;
+  std::int64_t ic_extent = 0, ih = 0, iw = 0;
+  std::int64_t oc_extent = 0, ow = 0, pixels = 0;  // pixels = oh * ow
+  std::int64_t k_extent = 0;                        // ic * kh * kw
+  std::int64_t blocks_per_image = 0;
+};
 
 /// Packs the im2col patches of output pixels [px0, px1) of image n into
-/// `panel`, one contiguous K-column per pixel, k ordered (ic, kh, kw) to
-/// match the reference accumulation order. Out-of-bounds taps become 0.0f.
-void pack_panel(const float* x, std::int64_t ic_extent, std::int64_t ih,
-                std::int64_t iw, const graph::ConvAttrs& a, std::int64_t ow,
-                std::int64_t px0, std::int64_t px1, float* panel) {
-  const std::int64_t k_extent = ic_extent * a.kernel_h * a.kernel_w;
-  for (std::int64_t px = px0; px < px1; ++px) {
-    float* dst = panel + (px - px0) * k_extent;
-    const std::int64_t oh = px / ow;
-    const std::int64_t h0 = oh * a.stride_h - a.pad_h;
-    const std::int64_t w0 = (px % ow) * a.stride_w - a.pad_w;
-    for (std::int64_t ic = 0; ic < ic_extent; ++ic) {
-      const float* plane = x + ic * ih * iw;
-      for (std::int64_t kh = 0; kh < a.kernel_h; ++kh) {
-        const std::int64_t y = h0 + kh;
-        if (y < 0 || y >= ih) {
-          std::memset(dst, 0, static_cast<std::size_t>(a.kernel_w) *
-                                  sizeof(float));
-          dst += a.kernel_w;
-          continue;
+/// k-major strips of nr pixels: strip s holds, for each k = (ic, kh, kw) in
+/// the reference's accumulation order, the nr pixels px0 + s * nr + j.
+/// Padding taps and lanes past px1 are 0.0f.
+void pack_strips(const ConvJob& job, std::int64_t n, std::int64_t px0,
+                 std::int64_t px1, int nr, float* panel) {
+  const graph::ConvAttrs& a = *job.attrs;
+  const std::int64_t plane = job.ih * job.iw;
+  const std::int64_t taps = a.kernel_h * a.kernel_w;
+  const float* xn = job.x + n * job.ic_extent * plane;
+  for (std::int64_t s0 = px0; s0 < px1; s0 += nr) {
+    float* strip = panel + (s0 - px0) * job.k_extent;
+    const int lanes = static_cast<int>(std::min<std::int64_t>(nr, px1 - s0));
+    std::int64_t h0[kMaxNr] = {}, w0[kMaxNr] = {};
+    for (int j = 0; j < lanes; ++j) {
+      h0[j] = (s0 + j) / job.ow * a.stride_h - a.pad_h;
+      w0[j] = (s0 + j) % job.ow * a.stride_w - a.pad_w;
+    }
+    for (std::int64_t kh = 0; kh < a.kernel_h; ++kh)
+      for (std::int64_t kw = 0; kw < a.kernel_w; ++kw) {
+        // Each lane's offset into an input plane, -1 where the tap is
+        // padding. It is the same for every ic.
+        std::int64_t off[kMaxNr] = {};
+        for (int j = 0; j < lanes; ++j) {
+          const std::int64_t y = h0[j] + kh, xw = w0[j] + kw;
+          off[j] = (y < 0 || y >= job.ih || xw < 0 || xw >= job.iw)
+                       ? -1
+                       : y * job.iw + xw;
         }
-        const float* row = plane + y * iw;
-        for (std::int64_t kw = 0; kw < a.kernel_w; ++kw) {
-          const std::int64_t xw = w0 + kw;
-          *dst++ = (xw < 0 || xw >= iw) ? 0.0f : row[xw];
+        float* dst = strip + (kh * a.kernel_w + kw) * nr;
+        const float* src = xn;
+        for (std::int64_t ic = 0; ic < job.ic_extent;
+             ++ic, dst += taps * nr, src += plane) {
+          for (int j = 0; j < lanes; ++j)
+            dst[j] = off[j] < 0 ? 0.0f : src[off[j]];
+          for (int j = lanes; j < nr; ++j) dst[j] = 0.0f;
         }
       }
-    }
   }
 }
 
-Tensor conv2d_im2col(const Tensor& x, const Tensor& w,
-                     const graph::ConvAttrs& a, const Shape& out_shape,
-                     const Epilogue& ep, ThreadPool& pool) {
+/// An MR x NR tile of outputs over the whole K extent, NR = NV vectors of
+/// VD's lanes. Row i reads W's row at w + i * k_extent and the strip holds
+/// NR floats per k. Each lane is one output's double chain, fed in
+/// ascending k by a separate multiply and add, so it rounds exactly as the
+/// reference's does.
+template <int MR, int NV, typename VD, typename VF>
+[[gnu::always_inline]] inline void micro_tile(const float* w,
+                                              std::int64_t k_extent,
+                                              const float* strip,
+                                              double* out) {
+  constexpr int kLanes = sizeof(VD) / sizeof(double);
+  VD acc[MR][NV] = {};
+  for (std::int64_t k = 0; k < k_extent; ++k) {
+    VD xv[NV] = {};
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) {
+      VF f = {};
+      std::memcpy(&f, strip + (k * NV + v) * kLanes, sizeof f);
+      xv[v] = __builtin_convertvector(f, VD);
+    }
+#pragma GCC unroll 8
+    for (int i = 0; i < MR; ++i) {
+      const double wv = w[i * k_extent + k];
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) acc[i][v] += wv * xv[v];
+    }
+  }
+  std::memcpy(out, acc, sizeof acc);
+}
+
+/// Stores the lanes of an mr x nr tile that hold pixels below px1, each
+/// through the epilogue.
+void store_tile(const ConvJob& job, float* yn, const double* acc, int mr,
+                int nr, std::int64_t oc0, std::int64_t p0, std::int64_t px1) {
+  const std::int64_t lanes = std::min<std::int64_t>(nr, px1 - p0);
+  for (int i = 0; i < mr; ++i) {
+    float* row = yn + (oc0 + i) * job.pixels + p0;
+    for (std::int64_t j = 0; j < lanes; ++j)
+      row[j] = job.ep->apply(static_cast<float>(acc[i * nr + j]), oc0 + i);
+  }
+}
+
+/// Output pixel block `blk` (image, then 64-pixel run) for every output
+/// channel: MR channels per tile, then leftover channels one at a time.
+template <int MR, int NV, typename VD, typename VF>
+[[gnu::always_inline]] inline void conv_block(const ConvJob& job,
+                                              std::int64_t blk,
+                                              float* panel) {
+  constexpr int kNr = NV * static_cast<int>(sizeof(VD) / sizeof(double));
+  const std::int64_t n = blk / job.blocks_per_image;
+  const std::int64_t px0 = (blk % job.blocks_per_image) * kPixelBlock;
+  const std::int64_t px1 = std::min(px0 + kPixelBlock, job.pixels);
+  pack_strips(job, n, px0, px1, kNr, panel);
+
+  const std::int64_t k_extent = job.k_extent;
+  float* yn = job.y + n * job.oc_extent * job.pixels;
+  double acc[MR * kNr] = {};
+  std::int64_t oc0 = 0;
+  for (; oc0 + MR <= job.oc_extent; oc0 += MR)
+    for (std::int64_t p0 = px0; p0 < px1; p0 += kNr) {
+      micro_tile<MR, NV, VD, VF>(job.w + oc0 * k_extent, k_extent,
+                                 panel + (p0 - px0) * k_extent, acc);
+      store_tile(job, yn, acc, MR, kNr, oc0, p0, px1);
+    }
+  for (; oc0 < job.oc_extent; ++oc0)
+    for (std::int64_t p0 = px0; p0 < px1; p0 += kNr) {
+      micro_tile<1, NV, VD, VF>(job.w + oc0 * k_extent, k_extent,
+                                panel + (p0 - px0) * k_extent, acc);
+      store_tile(job, yn, acc, 1, kNr, oc0, p0, px1);
+    }
+}
+
+// One conv_block instantiation per ISA, each compiled for its own target.
+// The tile grows with the register file: 2 x 8 lanes in SSE2's sixteen
+// 2-double registers, 4 x 8 in AVX2's sixteen 4-double ones, 8 x 16 in
+// AVX-512's thirty-two 8-double ones.
+using BlockFn = void (*)(const ConvJob&, std::int64_t, float*);
+
+void conv_block_baseline(const ConvJob& job, std::int64_t blk,
+                         float* panel) {
+  conv_block<2, 4, V2d, V2f>(job, blk, panel);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) void conv_block_avx2(const ConvJob& job,
+                                                     std::int64_t blk,
+                                                     float* panel) {
+  conv_block<4, 2, V4d, V4f>(job, blk, panel);
+}
+
+__attribute__((target("avx512f,avx512dq"))) void conv_block_avx512(
+    const ConvJob& job, std::int64_t blk, float* panel) {
+  conv_block<8, 2, V8d, V8f>(job, blk, panel);
+}
+#endif
+
+BlockFn block_fn(isa::Isa which) {
+  LP_CHECK_MSG(isa::supported(which),
+               std::string("this CPU cannot run the ") + isa::name(which) +
+                   " conv path");
+#if defined(__x86_64__)
+  if (which == isa::Isa::kAvx512) return conv_block_avx512;
+  if (which == isa::Isa::kAvx2) return conv_block_avx2;
+#endif
+  return conv_block_baseline;
+}
+
+}  // namespace
+
+Tensor isa::conv2d_im2col(Isa isa, const Tensor& x, const Tensor& w,
+                          const graph::ConvAttrs& a, const Shape& out_shape,
+                          const Epilogue& ep, ThreadPool& pool) {
+  const BlockFn block = block_fn(isa);
   Tensor out(out_shape);
-  const std::int64_t batch = out_shape.n(), oc_extent = out_shape.c();
-  const std::int64_t oh = out_shape.h(), ow = out_shape.w();
-  const std::int64_t ic_extent = x.shape().c();
-  const std::int64_t ih = x.shape().h(), iw = x.shape().w();
-  const std::int64_t k_extent = ic_extent * a.kernel_h * a.kernel_w;
-  const std::int64_t pixels = oh * ow;
-  const std::int64_t blocks_per_image =
-      (pixels + kPixelBlock - 1) / kPixelBlock;
+  const std::int64_t pixels = out_shape.h() * out_shape.w();
+  const ConvJob job{
+      .x = x.data(),
+      .w = w.data(),
+      .y = out.data(),
+      .attrs = &a,
+      .ep = &ep,
+      .ic_extent = x.shape().c(),
+      .ih = x.shape().h(),
+      .iw = x.shape().w(),
+      .oc_extent = out_shape.c(),
+      .ow = out_shape.w(),
+      .pixels = pixels,
+      .k_extent = x.shape().c() * a.kernel_h * a.kernel_w,
+      .blocks_per_image = (pixels + kPixelBlock - 1) / kPixelBlock};
 
-  pool.parallel_for(
-      0, batch * blocks_per_image, 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        std::vector<float> panel(
-            static_cast<std::size_t>(kPixelBlock * k_extent));
-        for (std::int64_t blk = lo; blk < hi; ++blk) {
-          const std::int64_t n = blk / blocks_per_image;
-          const std::int64_t px0 = (blk % blocks_per_image) * kPixelBlock;
-          const std::int64_t px1 = std::min(px0 + kPixelBlock, pixels);
-          const float* xn = x.data() + n * ic_extent * ih * iw;
-          pack_panel(xn, ic_extent, ih, iw, a, ow, px0, px1, panel.data());
-
-          float* yn = out.data() + n * oc_extent * pixels;
-          for (std::int64_t oc0 = 0; oc0 < oc_extent; oc0 += 4) {
-            const int mr = static_cast<int>(std::min<std::int64_t>(
-                4, oc_extent - oc0));
-            const float* wr[4];
-            for (int i = 0; i < mr; ++i)
-              wr[i] = w.data() + (oc0 + i) * k_extent;
-            for (std::int64_t p0 = px0; p0 < px1; p0 += 4) {
-              const int nr =
-                  static_cast<int>(std::min<std::int64_t>(4, px1 - p0));
-              const float* cl[4];
-              for (int j = 0; j < nr; ++j)
-                cl[j] = panel.data() + (p0 - px0 + j) * k_extent;
-              double acc[16];
-              micro_for(mr, nr)(wr, cl, k_extent, acc);
-              for (int i = 0; i < mr; ++i)
-                for (int j = 0; j < nr; ++j)
-                  yn[(oc0 + i) * pixels + p0 + j] = ep.apply(
-                      static_cast<float>(acc[i * nr + j]), oc0 + i);
-            }
-          }
-        }
-      });
+  pool.parallel_for(0, out_shape.n() * job.blocks_per_image, 1,
+                    [&](std::int64_t lo, std::int64_t hi) {
+                      std::vector<float> panel(static_cast<std::size_t>(
+                          kPixelBlock * job.k_extent));
+                      for (std::int64_t blk = lo; blk < hi; ++blk)
+                        block(job, blk, panel.data());
+                    });
   return out;
 }
+
+namespace {
 
 Tensor conv2d_depthwise(const Tensor& x, const Tensor& w,
                         const graph::ConvAttrs& a, const Shape& out_shape,
@@ -173,7 +301,8 @@ Tensor conv2d_fast(const Tensor& x, const Tensor& w, const graph::ConvAttrs& a,
                    const Shape& out_shape, bool depthwise, const Epilogue& ep,
                    ThreadPool& pool) {
   return depthwise ? conv2d_depthwise(x, w, a, out_shape, ep, pool)
-                   : conv2d_im2col(x, w, a, out_shape, ep, pool);
+                   : isa::conv2d_im2col(isa::host(), x, w, a, out_shape, ep,
+                                        pool);
 }
 
 namespace {
@@ -319,7 +448,7 @@ void softmax_inplace(Tensor& t) {
   float* d = t.data();
   for (std::int64_t r = 0; r < rows; ++r) {
     float* p = d + r * width;
-    float maxv = -1e30f;
+    float maxv = -std::numeric_limits<float>::infinity();
     for (std::int64_t c = 0; c < width; ++c) maxv = std::max(maxv, p[c]);
     double sum = 0.0;
     for (std::int64_t c = 0; c < width; ++c) {

@@ -1,14 +1,16 @@
-// Optimized execution kernels: im2col + register-tiled GEMM convolution,
-// a row-order matmul over resident or streamed weights, parallel
-// pooling/elementwise, and a fused elementwise epilogue driven by
-// graph::fusion groups.
+// Optimized execution kernels: im2col convolution on vector lanes (a
+// micro-kernel per ISA, chosen once per process by CPU), a row-order matmul
+// over resident or streamed weights, parallel pooling/elementwise, and a
+// fused elementwise epilogue driven by graph::fusion groups.
 //
 // Determinism contract: every kernel reproduces the reference interpreter's
 // per-output-element operation order exactly — double-precision
 // accumulation in ascending (ic, kh, kw) / k order, identical float
 // expressions for the epilogue ops — so optimized output is bit-identical
-// to the reference. Parallelism and blocking only re-partition the output
-// index space; no single element's accumulation chain is ever split or
+// to the reference. Parallelism, blocking and vector lanes only
+// re-partition the output index space: each lane holds one output's
+// chain, widened from float exactly and fed by a separate multiply and add
+// (no FMA), so no single element's accumulation is ever split or
 // reordered. Padding contributes exact 0.0f entries to the im2col panel,
 // which leave a running double accumulator bit-unchanged (weights must be
 // finite, which graph parameters are).
@@ -79,8 +81,13 @@ struct Epilogue {
   }
 };
 
-/// Convolution (im2col + cache-blocked GEMM; direct loops for depthwise)
-/// with the epilogue fused into the output store.
+/// The vector path the optimized conv and the weight fill take on this
+/// CPU: "avx512", "avx2" or "baseline", chosen once per process.
+const char* kernel_isa();
+
+/// Convolution (im2col into k-major strips and a vector micro-kernel;
+/// direct loops for depthwise) with the epilogue fused into the output
+/// store.
 Tensor conv2d_fast(const Tensor& x, const Tensor& w, const graph::ConvAttrs& a,
                    const Shape& out_shape, bool depthwise, const Epilogue& ep,
                    ThreadPool& pool);

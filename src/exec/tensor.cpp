@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "exec/isa.h"
 
 namespace lp::exec {
 
@@ -90,11 +93,12 @@ ParamGenerator::ParamGenerator(const std::string& name, const Shape& shape) {
   scale_ = static_cast<float>(sd / std::sqrt(kLaneSumVar));
 }
 
-void ParamGenerator::fill(std::int64_t first, std::int64_t count,
-                          float* out) const {
-  // Locals, so stores through `out` cannot force reloads of the members.
-  const float mean = mean_, scale = scale_;
-  std::uint64_t z = seed_ + static_cast<std::uint64_t>(first) * kWeylStep;
+namespace {
+
+/// ParamGenerator::fill's loop, one element at a time.
+void fill_scalar(std::uint64_t seed, float mean, float scale,
+                 std::int64_t first, std::int64_t count, float* out) {
+  std::uint64_t z = seed + static_cast<std::uint64_t>(first) * kWeylStep;
   for (std::int64_t j = 0; j < count; ++j) {
     z += kWeylStep;
     const std::uint64_t r = mix64(z);
@@ -105,6 +109,60 @@ void ParamGenerator::fill(std::int64_t first, std::int64_t count,
         static_cast<std::int32_t>((pairs & 0xFFFFFFFFull) + (pairs >> 32));
     out[j] = mean + scale * static_cast<float>(lanes - kLaneSumMean);
   }
+}
+
+#if defined(__x86_64__)
+/// fill_scalar eight elements per step, one SplitMix64 stream per lane:
+/// each lane computes the scalar loop's int32 lane sum, its conversion to
+/// float and mean + scale * x (a float multiply, then an add). AVX-512DQ
+/// multiplies 64-bit lanes natively; where that multiply must be emulated
+/// (AVX2), the scalar loop is faster, so only this path has one.
+__attribute__((target("avx512f,avx512dq"))) void fill_avx512(
+    std::uint64_t seed, float mean, float scale, std::int64_t first,
+    std::int64_t count, float* out) {
+  using V8u = std::uint64_t __attribute__((vector_size(64)));
+  using V8i = std::int32_t __attribute__((vector_size(32)));
+  using V8f = float __attribute__((vector_size(32)));
+  const V8u lane = {0, 1, 2, 3, 4, 5, 6, 7};
+  // Lane l's counter before element j + l: step first + j + l.
+  V8u z = seed + (static_cast<std::uint64_t>(first) + lane) * kWeylStep;
+  std::int64_t j = 0;
+  for (; j + 8 <= count; j += 8) {
+    V8u r = z + kWeylStep;
+    z += 8 * kWeylStep;
+    r = (r ^ (r >> 30)) * 0xBF58476D1CE4E5B9ull;
+    r = (r ^ (r >> 27)) * 0x94D049BB133111EBull;
+    r ^= r >> 31;
+    const V8u pairs = (r & 0x0000FFFF0000FFFFull) +
+                      ((r >> 16) & 0x0000FFFF0000FFFFull);
+    const V8i lanes =
+        __builtin_convertvector((pairs & 0xFFFFFFFFull) + (pairs >> 32), V8i);
+    const V8f x = __builtin_convertvector(lanes - kLaneSumMean, V8f);
+    const V8f v = mean + scale * x;
+    std::memcpy(out + j, &v, sizeof v);
+  }
+  fill_scalar(seed, mean, scale, first + j, count - j, out + j);
+}
+#endif
+
+}  // namespace
+
+void isa::fill_params(Isa isa, std::uint64_t seed, float mean, float scale,
+                      std::int64_t first, std::int64_t count, float* out) {
+  LP_CHECK_MSG(supported(isa), std::string("this CPU cannot run the ") +
+                                   name(isa) + " fill path");
+#if defined(__x86_64__)
+  if (isa == Isa::kAvx512) {
+    fill_avx512(seed, mean, scale, first, count, out);
+    return;
+  }
+#endif
+  fill_scalar(seed, mean, scale, first, count, out);
+}
+
+void ParamGenerator::fill(std::int64_t first, std::int64_t count,
+                          float* out) const {
+  isa::fill_params(isa::host(), seed_, mean_, scale_, first, count, out);
 }
 
 Tensor deterministic_param(const std::string& name, const Shape& shape) {

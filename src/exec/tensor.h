@@ -109,7 +109,8 @@ class ParamGenerator {
  public:
   ParamGenerator(const std::string& name, const Shape& shape);
 
-  /// Writes elements [first, first + count) to out[0, count).
+  /// Writes elements [first, first + count) to out[0, count): eight at a
+  /// time on CPUs with AVX-512DQ, one at a time elsewhere, same bits.
   void fill(std::int64_t first, std::int64_t count, float* out) const;
 
  private:

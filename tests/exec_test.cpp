@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "exec/interpreter.h"
+#include "exec/isa.h"
 #include "exec/thread_pool.h"
 #include "graph/graph.h"
 #include "partition/partitioner.h"
@@ -83,6 +85,37 @@ TEST(ParamGenerator, WeightsScaleWithFanInAndRankOneValuesArePositive) {
       std::minmax_element(var.data(), var.data() + var.elements());
   EXPECT_GT(*lo, 0.13f);
   EXPECT_LT(*hi, 1.87f);
+}
+
+/// FNV-1a over the bytes of n floats.
+std::uint64_t fnv1a(const float* p, std::int64_t n) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(p);
+  for (std::int64_t i = 0; i < n * 4; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t fnv1a(const Tensor& t) { return fnv1a(t.data(), t.elements()); }
+
+TEST(ParamGenerator, StandInWeightsKeepTheirBits) {
+  // Hashes of the counter-based weights as first generated. Every zoo
+  // output and snapshot rests on them, so no vector path and no later
+  // edit may move a bit.
+  EXPECT_EQ(fnv1a(deterministic_param("conv1.weight", Shape{64, 3, 7, 7})),
+            0x0d7362a9f2387be6ull);
+  EXPECT_EQ(fnv1a(deterministic_param("fire2.squeeze.bias", Shape{16})),
+            0xcff3788594b0e81dull);
+  EXPECT_EQ(fnv1a(deterministic_param("fc.weight", Shape{37, 1001})),
+            0x5d6cb9d7c2bf843eull);
+  EXPECT_EQ(fnv1a(deterministic_param("bn.var", Shape{100})),
+            0xf90a8f03de08edb1ull);
+  std::vector<float> slice(1001);
+  ParamGenerator("fc6.weight", Shape{9216, 4096})
+      .fill(123456789, 1001, slice.data());
+  EXPECT_EQ(fnv1a(slice.data(), 1001), 0x503457f9346407b7ull);
 }
 
 TEST(Tensor, DeterministicParamStableAcrossCalls) {
@@ -175,6 +208,24 @@ TEST(Interpreter, ActivationsAndSoftmax) {
   // ReLU zeroed the negatives, so the first two logits are equal.
   EXPECT_FLOAT_EQ(out[0].at(0), out[0].at(1));
   EXPECT_GT(out[0].at(3), out[0].at(2));
+}
+
+TEST(Interpreter, SoftmaxOfARowBelowMinusOneE30) {
+  // Row 0 is ordinary and keeps its bits. Row 1 lies wholly below -1e30,
+  // where a finite max identity made every exp 0 and the row 0/0.
+  GraphBuilder b("softmax");
+  auto x = b.input({2, 4});
+  const graph::Graph g = b.build(b.softmax(x));
+  const Tensor input(Shape{2, 4}, {-1.0f, 0.5f, 2.0f, 3.25f, -2e30f, -2e30f,
+                                   -2e30f, -3e30f});
+  const float third = static_cast<float>(1.0 / 3.0);
+  const float want[] = {0x1.568054p-7f, 0x1.7fbefcp-5f, 0x1.adf528p-3f,
+                        0x1.772cc6p-1f, third,          third,
+                        third,          0.0f};
+  for (auto mode : {ExecMode::kReference, ExecMode::kOptimized}) {
+    const auto out = Interpreter(g, {mode, 1}).run({{"input", input}});
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(out[0].at(i), want[i]) << i;
+  }
 }
 
 TEST(Interpreter, AddAndConcat) {
@@ -485,6 +536,129 @@ TEST(Interpreter, BoundInputThatIsAnOutputIsReturnedAsACopy) {
     EXPECT_EQ(stats.final_resident_bytes, out[0].bytes() + out[1].bytes());
   }
 }
+
+// Every compiled vector path on its own, on the CPUs that have it: the
+// conv against the reference interpreter, the weight fill against the
+// scalar loop.
+class IsaPath : public ::testing::TestWithParam<isa::Isa> {
+ protected:
+  void SetUp() override {
+    if (!isa::supported(GetParam()))
+      GTEST_SKIP() << "this CPU cannot run the " << isa::name(GetParam())
+                   << " path";
+  }
+};
+
+TEST_P(IsaPath, RandomConvLayersMatchTheReferenceBitForBit) {
+  // Kernels 1-11 and 1x7 / 7x1, strides 1-4, padding, 1-37 output channels
+  // (mostly not a multiple of a tile's rows), pixel counts mostly not a
+  // multiple of a strip, some over one 64-pixel block, batch 1 or 2, and a
+  // bias + ReLU epilogue on every other layer.
+  constexpr std::int64_t kKernels[][2] = {{1, 1}, {3, 3}, {5, 5},  {7, 7},
+                                          {11, 11}, {1, 7}, {7, 1}};
+  Rng rng(2026);
+  ThreadPool one(1), three(3);
+  for (int c = 0; c < 60; ++c) {
+    const std::int64_t kh = kKernels[c % 7][0], kw = kKernels[c % 7][1];
+    const std::int64_t stride = rng.uniform_int(1, 4);
+    const std::int64_t pad_h = rng.uniform_int(0, kh / 2);
+    const std::int64_t pad_w = rng.uniform_int(0, kw / 2);
+    const Shape in{c % 4 == 3 ? 2 : 1, rng.uniform_int(1, 4),
+                   kh - 2 * pad_h + rng.uniform_int(0, 14),
+                   kw - 2 * pad_w + rng.uniform_int(0, 14)};
+    const std::int64_t oc = rng.uniform_int(1, 37);
+    const bool epilogue = c % 2 == 1;
+    SCOPED_TRACE("layer " + std::to_string(c) + ": " + in.to_string() +
+                 " oc=" + std::to_string(oc) + " k=" + std::to_string(kh) +
+                 "x" + std::to_string(kw) + " s=" + std::to_string(stride));
+
+    GraphBuilder b("layer");
+    auto y = b.conv2d_rect(b.input(in), oc, kh, kw, stride, pad_h, pad_w,
+                           epilogue, "c");
+    if (epilogue) y = b.relu(y, "r");
+    const graph::Graph g = b.build(y);
+    const Tensor input = random_tensor(in, 100 + c);
+    const Tensor weight = random_tensor(Shape{oc, in.c(), kh, kw}, 200 + c);
+    const Tensor bias = random_tensor(Shape{oc}, 300 + c);
+    TensorMap bind = {{"input", input}, {"c.weight", weight}};
+    if (epilogue) bind.emplace("c.bias", bias);
+    const Tensor want = Interpreter(g, {ExecMode::kReference, 1}).run(bind)[0];
+
+    Epilogue ep;
+    if (epilogue) {
+      EpilogueStep add_bias, relu;
+      add_bias.op = graph::OpType::kBiasAdd;
+      add_bias.bias = bias.data();
+      relu.op = graph::OpType::kRelu;
+      ep.steps = {add_bias, relu};
+    }
+    const graph::ConvAttrs attrs{oc, kh, kw, stride, stride, pad_h, pad_w};
+    for (ThreadPool* pool : {&one, &three})
+      EXPECT_TRUE(same_bits(isa::conv2d_im2col(GetParam(), input, weight,
+                                               attrs, want.shape(), ep,
+                                               *pool),
+                            want));
+  }
+}
+
+TEST_P(IsaPath, ConvKeepsTheReferenceAccumulationOrder) {
+  // Random data hides a reordered chain: float products are exact in
+  // double, and the double sum has 29 bits to spare before the float
+  // store. Here input channel 0 is scaled by 2^30, channel 1 is its
+  // negative, and both share weights, so their products cancel. Only the
+  // reference order, ic 0 then 1 then 2, rounds channel 2's small
+  // products as the reference does.
+  const Shape in{1, 3, 9, 13};
+  Tensor input = random_tensor(in, 7);
+  Tensor weight = random_tensor(Shape{11, 3, 3, 3}, 8);
+  const std::int64_t plane = 9 * 13;
+  for (std::int64_t i = 0; i < plane; ++i) {
+    input.at(i) = std::ldexp(input.at(i), 30);
+    input.at(plane + i) = -input.at(i);
+  }
+  for (std::int64_t oc = 0; oc < 11; ++oc)
+    for (std::int64_t t = 0; t < 9; ++t)
+      weight.at((oc * 3 + 1) * 9 + t) = weight.at(oc * 3 * 9 + t);
+
+  GraphBuilder b("cancel");
+  const graph::Graph g =
+      b.build(b.conv2d(b.input(in), 11, 3, 1, 1, false, "c"));
+  const Tensor want = Interpreter(g, {ExecMode::kReference, 1})
+                          .run({{"input", input}, {"c.weight", weight}})[0];
+  ThreadPool pool(1);
+  EXPECT_TRUE(same_bits(isa::conv2d_im2col(GetParam(), input, weight,
+                                           {11, 3, 3, 1, 1, 1, 1},
+                                           want.shape(), Epilogue{}, pool),
+                        want));
+}
+
+TEST_P(IsaPath, WeightFillMatchesTheScalarLoopAtEveryOffsetAndLength) {
+  // A conv weight's (mean 0) and a BatchNorm variance's (mean 1) scaling.
+  const struct {
+    std::uint64_t seed;
+    float mean, scale;
+  } streams[] = {{0x0d7362a9f2387be6ull, 0.0f, 2.7e-7f},
+                 {0xcbf29ce484222325ull, 1.0f, 1.9e-6f}};
+  for (const auto& st : streams)
+    for (std::int64_t first = 0; first <= 13; ++first)
+      for (std::int64_t count = 0; count <= 18; ++count) {
+        const std::int64_t n = count == 18 ? 64 : count;
+        std::vector<float> want(static_cast<std::size_t>(n));
+        std::vector<float> got(static_cast<std::size_t>(n));
+        isa::fill_params(isa::Isa::kBaseline, st.seed, st.mean, st.scale,
+                         first, n, want.data());
+        isa::fill_params(GetParam(), st.seed, st.mean, st.scale, first, n,
+                         got.data());
+        EXPECT_TRUE(n == 0 || std::memcmp(want.data(), got.data(),
+                                          want.size() * sizeof(float)) == 0)
+            << "first=" << first << " count=" << n;
+      }
+}
+
+INSTANTIATE_TEST_SUITE_P(Exec, IsaPath, ::testing::ValuesIn(isa::kAll),
+                         [](const auto& info) {
+                           return std::string(isa::name(info.param));
+                         });
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);

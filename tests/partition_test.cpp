@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+#include <vector>
+
 #include "common/check.h"
 #include "exec/interpreter.h"
 #include "graph/cut.h"
@@ -14,15 +18,12 @@ using exec::Interpreter;
 using exec::Tensor;
 using exec::TensorMap;
 
-/// Runs the device segment, ships its outputs by name, runs the server
-/// segment, and compares against whole-graph execution.
-void check_partition_equivalence(const graph::Graph& g, std::size_t p,
-                                 std::uint64_t seed) {
+/// Runs the device segment of cut p, ships its outputs by name, runs the
+/// server segment, and checks the result equals whole-graph execution
+/// (`whole`, on the same input) bit for bit, as DESIGN §10 promises.
+void check_cut(const graph::Graph& g, std::size_t p, const Tensor& input,
+               const std::vector<Tensor>& whole) {
   SCOPED_TRACE("p=" + std::to_string(p));
-  const auto input = exec::random_tensor(g.input_desc().shape, seed);
-  const auto whole = Interpreter(g).run(
-      {{g.node(g.input_id()).name, input}});
-
   const auto plan = partition_at(g, p);
   EXPECT_EQ(plan.p, p);
 
@@ -57,7 +58,17 @@ void check_partition_equivalence(const graph::Graph& g, std::size_t p,
 
   ASSERT_EQ(final_out.size(), whole.size());
   for (std::size_t i = 0; i < whole.size(); ++i)
-    EXPECT_LE(Tensor::max_abs_diff(final_out[i], whole[i]), 1e-5);
+    EXPECT_EQ(Tensor::max_abs_diff(final_out[i], whole[i]), 0.0);
+}
+
+/// check_cut at each of `cuts`, all against one whole-graph run.
+void check_partition_equivalence(const graph::Graph& g,
+                                 std::initializer_list<std::size_t> cuts,
+                                 std::uint64_t seed) {
+  const auto input = exec::random_tensor(g.input_desc().shape, seed);
+  const auto whole = Interpreter(g).run(
+      {{g.node(g.input_id()).name, input}});
+  for (std::size_t p : cuts) check_cut(g, p, input, whole);
 }
 
 graph::Graph tiny_dag() {
@@ -76,14 +87,15 @@ graph::Graph tiny_dag() {
 TEST(Partitioner, EveryCutOfTinyDagIsEquivalent) {
   const auto g = tiny_dag();
   for (std::size_t p = 0; p <= g.n(); ++p)
-    check_partition_equivalence(g, p, 1000 + p);
+    check_partition_equivalence(g, {p}, 1000 + p);
 }
 
 TEST(Partitioner, AlexNetSelectedCuts) {
   const auto g = models::alexnet();
-  for (std::size_t p : {std::size_t{0}, std::size_t{4}, std::size_t{8},
-                        std::size_t{19}, g.n() - 1, g.n()})
-    check_partition_equivalence(g, p, 7);
+  check_partition_equivalence(g,
+                              {std::size_t{0}, std::size_t{4}, std::size_t{8},
+                               std::size_t{19}, g.n() - 1, g.n()},
+                              7);
 }
 
 TEST(Partitioner, SqueezeNetCutsIncludingBlockInterior) {
@@ -97,8 +109,7 @@ TEST(Partitioner, SqueezeNetCutsIncludingBlockInterior) {
       break;
     }
   ASSERT_GT(interior, 0u);
-  for (std::size_t p : {std::size_t{0}, interior, g.n()})
-    check_partition_equivalence(g, p, 99);
+  check_partition_equivalence(g, {std::size_t{0}, interior, g.n()}, 99);
 }
 
 TEST(Partitioner, InteriorCutShipsMultipleTensors) {
