@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "check/generators.h"
@@ -464,9 +465,8 @@ void predict_case(std::uint64_t seed, int level) {
   predict::PredictorParams params;
   for (const std::string& kind : predict::registered_predictors()) {
     params.kind = kind;
-    auto predictor = predict::make_predictor(params);
-    auto clone = predict::make_predictor(params);
-    bool cloned = false;
+    predict::LoadPredictor predictor(params);
+    std::optional<predict::LoadPredictor> clone;
 
     // Every predictor sees the same regime-switching walk (re-seeded per
     // kind): load-like values, occasionally jumping regimes, occasionally
@@ -482,18 +482,18 @@ void predict_case(std::uint64_t seed, int level) {
       if (walk.bernoulli(0.05)) value = walk.uniform(1.0, 8.0);
       value = std::clamp(value + drift + 0.2 * walk.normal(), 1.0, 1e4);
 
-      const double err = predictor->observe(now, value);
+      const double err = predictor.observe(now, value);
       if (i == 0)
         LP_CHECK_MSG(std::isnan(err), "first observation must be unscored");
       else
         LP_CHECK_MSG(std::isfinite(err),
                      "forecast error must be finite after the first sample");
-      if (cloned) clone->observe(now, value);
+      if (clone) clone->observe(now, value);
 
       const DurationNs horizons[] = {0, milliseconds(50), seconds(1),
                                      seconds(30)};
       for (DurationNs h : horizons) {
-        const double f = predictor->forecast(h);
+        const double f = predictor.forecast(h);
         LP_CHECK_MSG(std::isfinite(f), "forecast must be finite");
         LP_CHECK_MSG(std::abs(f) <= predict::kMaxAbsForecast,
                      "forecast escaped the clamp");
@@ -503,24 +503,23 @@ void predict_case(std::uint64_t seed, int level) {
         if (kind == "last-value")
           LP_CHECK_MSG(f == value,
                        "last-value forecast diverged from the observation");
-        if (cloned)
+        if (clone)
           LP_CHECK_MSG(f == clone->forecast(h),
-                       "restored clone forecasts different bits");
+                       "migrated copy forecasts different bits");
       }
-      LP_CHECK(predictor->confidence() >= 0.0 &&
-               predictor->confidence() <= 1.0);
-      if (predictor->scored() > 0)
-        LP_CHECK(std::isfinite(predictor->mae()) &&
-                 std::isfinite(predictor->bias()));
+      LP_CHECK(predictor.confidence() >= 0.0 &&
+               predictor.confidence() <= 1.0);
+      if (predictor.scored() > 0)
+        LP_CHECK(std::isfinite(predictor.mae()) &&
+                 std::isfinite(predictor.bias()));
+      if (clone)
+        LP_CHECK_MSG(*clone == predictor,
+                     "migrated copy diverged from the original");
 
       if (i == steps / 2) {
-        // Mid-stream migration: the exported state restores bit-identically
-        // and the clone tracks the original exactly from here on.
-        const predict::PredictorState state = predictor->export_state();
-        clone->import_state(state);
-        audit_equal(state, clone->export_state());
-        LP_CHECK(predict::state_wire_bytes(state) >= 0);
-        cloned = true;
+        // Mid-stream migration: the copy tracks the original exactly from
+        // here on.
+        clone = predictor;
       }
     }
   }

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/check.h"
+#include "predict/load_predictor.h"
 
 namespace lp::check {
 
@@ -189,65 +190,6 @@ void audit(const cluster::ClusterRouter& router) {
       LP_CHECK_MSG(router.server(i).session_fence(s) <= b.epoch,
                    "server fence ahead of the binding epoch");
   }
-}
-
-namespace {
-
-void audit_equal(const SlidingWindow::Snapshot& a,
-                 const SlidingWindow::Snapshot& b, const char* what) {
-  LP_CHECK_MSG(a.values.size() == b.values.size(),
-               std::string(what) + ": window sizes differ");
-  for (std::size_t i = 0; i < a.values.size(); ++i)
-    LP_CHECK_MSG(a.values[i] == b.values[i],
-                 std::string(what) + ": window values differ");
-  // Bit-identity includes the incrementally maintained sum: a restore that
-  // replayed add() would recompute it and drift from the FP-subtraction
-  // history the source window carried.
-  LP_CHECK_MSG(a.sum == b.sum, std::string(what) + ": window sums differ");
-}
-
-}  // namespace
-
-void audit_equal(const predict::PredictorState& a,
-                 const predict::PredictorState& b) {
-  LP_CHECK_MSG(a.last_observed == b.last_observed &&
-                   a.last_value == b.last_value && a.gap_sec == b.gap_sec &&
-                   a.samples == b.samples,
-               "predictor observation state differs");
-  LP_CHECK_MSG(a.abs_err_sum == b.abs_err_sum && a.err_sum == b.err_sum &&
-                   a.scored == b.scored,
-               "predictor error statistics differ");
-  LP_CHECK_MSG(a.scalars == b.scalars, "predictor scalars differ");
-}
-
-void audit_equal(const core::LoadFactorTracker::State& a,
-                 const core::LoadFactorTracker::State& b) {
-  audit_equal(a.ratios, b.ratios, "k ratios");
-  audit_equal(a.idle_ratios, b.idle_ratios, "k idle ratios");
-  LP_CHECK_MSG(a.records == b.records, "k record counts differ");
-  audit_equal(a.predictor, b.predictor);
-}
-
-void audit_equal(const serve::SessionState& a, const serve::SessionState& b) {
-  audit_equal(a.k, b.k);
-
-  LP_CHECK_MSG(a.cache.plans.size() == b.cache.plans.size(),
-               "cache occupancy differs");
-  for (std::size_t i = 0; i < a.cache.plans.size(); ++i) {
-    const partition::PartitionPlan& pa = *a.cache.plans[i];
-    const partition::PartitionPlan& pb = *b.cache.plans[i];
-    LP_CHECK_MSG(pa.p == pb.p, "cache recency order differs");
-    LP_CHECK_MSG(pa.boundary == pb.boundary, "plan boundaries differ");
-    LP_CHECK_MSG(pa.boundary_bytes == pb.boundary_bytes,
-                 "plan boundary sizes differ");
-    LP_CHECK_MSG(pa.device_part.has_value() == pb.device_part.has_value() &&
-                     pa.server_part.has_value() == pb.server_part.has_value(),
-                 "plan segment presence differs");
-  }
-  LP_CHECK_MSG(a.cache.hits == b.cache.hits &&
-                   a.cache.misses == b.cache.misses &&
-                   a.cache.evictions == b.cache.evictions,
-               "cache statistics differ");
 }
 
 void ClockMonitor::observe(TimeNs now) {

@@ -15,7 +15,6 @@
 #include "core/load_factor.h"
 #include "net/estimator.h"
 #include "partition/cache.h"
-#include "predict/load_predictor.h"
 #include "serve/frontend.h"
 #include "serve/queue.h"
 
@@ -69,24 +68,6 @@ void audit(const serve::EdgeServerFrontend& frontend);
 /// (stamped at or below the binding's epoch) and a settled binding none;
 /// no server's session fence ever runs ahead of the binding's epoch.
 void audit(const cluster::ClusterRouter& router);
-
-/// Tracker-state bit-identity: both ratio windows (values *and*
-/// incrementally-maintained sums), the record count and the forecaster
-/// state must match exactly.
-void audit_equal(const core::LoadFactorTracker::State& a,
-                 const core::LoadFactorTracker::State& b);
-
-/// Migration round-trip equivalence: the two session-state snapshots must
-/// be bit-identical (the tracker states as above, the same bandwidth
-/// window, the same cache plans/recency/statistics) — the
-/// export→import→export property cluster_test pins on live frontends.
-void audit_equal(const serve::SessionState& a, const serve::SessionState& b);
-
-/// Predictor-state bit-identity: every fixed field and every packed model
-/// vector must match exactly (a predictor restored from the state must
-/// forecast the same bits).
-void audit_equal(const predict::PredictorState& a,
-                 const predict::PredictorState& b);
 
 /// Sim-clock monotonicity: successive observations of a simulator's now()
 /// must never decrease. Feed it from a periodic audit callback.

@@ -64,20 +64,6 @@ void SlidingWindow::clear() {
   sum_ = 0.0;
 }
 
-SlidingWindow::Snapshot SlidingWindow::snapshot() const {
-  Snapshot s{std::vector<double>(ring_.begin() + head_, ring_.end()), sum_};
-  s.values.insert(s.values.end(), ring_.begin(), ring_.begin() + head_);
-  return s;
-}
-
-void SlidingWindow::restore(const Snapshot& s) {
-  LP_CHECK_MSG(s.values.size() <= capacity_,
-               "snapshot does not fit the window capacity");
-  ring_.assign(s.values.begin(), s.values.end());
-  head_ = 0;
-  sum_ = s.sum;
-}
-
 double SlidingWindow::mean() const {
   LP_CHECK(!ring_.empty());
   return sum_ / static_cast<double>(ring_.size());

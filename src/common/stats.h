@@ -34,7 +34,10 @@ class RunningStats {
 /// Used by the bandwidth estimator and the influential-factor tracker, both
 /// of which average "records in the most recent monitoring period". A ring
 /// buffer that allocates on its first sample, so a window that never sees
-/// one (an idle session's) costs no heap memory.
+/// one (an idle session's) costs no heap memory. A plain value: a copy
+/// carries the incrementally maintained sum verbatim (replaying only the
+/// surviving samples could differ in the last bit), so it reads the same
+/// mean() as its source.
 class SlidingWindow {
  public:
   explicit SlidingWindow(std::size_t capacity);
@@ -47,19 +50,8 @@ class SlidingWindow {
   double mean() const;  ///< Requires !empty().
   double latest() const;  ///< Requires !empty().
 
-  /// Verbatim copy of the window for session migration. The running sum is
-  /// captured too (not recomputed from the values): evictions subtract from
-  /// it incrementally, so replaying only the surviving values could differ
-  /// in the last bit — restore() must reproduce mean() exactly.
-  struct Snapshot {
-    std::vector<double> values;  ///< oldest first
-    double sum = 0.0;
-  };
-  Snapshot snapshot() const;
-
-  /// Restores a snapshot taken from a window of the same capacity; the
-  /// restored window is bit-identical (values, sum, hence mean).
-  void restore(const Snapshot& s);
+  /// Capacity, samples in ring order, head and sum all match.
+  bool operator==(const SlidingWindow&) const = default;
 
  private:
   std::size_t capacity_;

@@ -10,7 +10,7 @@ LoadFactorTracker::LoadFactorTracker(
     std::size_t window, const predict::PredictorParams& forecaster)
     : ratios_(window),
       idle_ratios_(std::max<std::size_t>(4, window / 2)),
-      predictor_(predict::make_predictor(forecaster)) {}
+      predictor_(forecaster) {}
 
 double LoadFactorTracker::record(double measured_sec, double predicted_sec,
                                  bool contended, TimeNs now) {
@@ -25,7 +25,7 @@ double LoadFactorTracker::record(double measured_sec, double predicted_sec,
     ++records_;
     if (!contended) idle_ratios_.add(ratio);
   }
-  return predictor_->observe(now, k());
+  return predictor_.observe(now, k());
 }
 
 double LoadFactorTracker::k() const {
@@ -39,21 +39,16 @@ double LoadFactorTracker::idle_baseline() const {
 }
 
 LoadSignal LoadFactorTracker::signal(DurationNs horizon) const {
-  if (predictor_->samples() == 0) return LoadSignal{k()};
+  if (predictor_.samples() == 0) return LoadSignal{k()};
   // Constraint 1c applies to the forecast as much as to the measurement.
-  return LoadSignal{std::max(1.0, predictor_->forecast(horizon))};
+  return LoadSignal{std::max(1.0, predictor_.forecast(horizon))};
 }
 
-LoadFactorTracker::State LoadFactorTracker::export_state() const {
-  return State{ratios_.snapshot(), idle_ratios_.snapshot(), records_,
-               predictor_->export_state()};
-}
-
-void LoadFactorTracker::import_state(const State& state) {
-  ratios_.restore(state.ratios);
-  idle_ratios_.restore(state.idle_ratios);
-  records_ = state.records;
-  predictor_->import_state(state.predictor);
+std::int64_t LoadFactorTracker::wire_bytes() const {
+  constexpr std::int64_t kSampleBytes = 8;
+  return kSampleBytes *
+             static_cast<std::int64_t>(ratios_.size() + idle_ratios_.size()) +
+         predictor_.wire_bytes();
 }
 
 void LoadFactorTracker::reset_idle(TimeNs now) {
@@ -63,7 +58,7 @@ void LoadFactorTracker::reset_idle(TimeNs now) {
   // reading records() right after must not see the pre-reset count (the
   // re-seeded baseline is a synthetic sample, not a measurement).
   records_ = 0;
-  predictor_->observe(now, k());
+  predictor_.observe(now, k());
 }
 
 void LoadFactorTracker::reset() {
@@ -71,7 +66,7 @@ void LoadFactorTracker::reset() {
   ratios_ = SlidingWindow(ratios_.capacity());
   idle_ratios_ = SlidingWindow(idle_ratios_.capacity());
   records_ = 0;
-  predictor_->reset();
+  predictor_.reset();
 }
 
 }  // namespace lp::core

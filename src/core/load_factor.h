@@ -11,11 +11,11 @@
 // The tracker owns the forecaster over the k series it publishes
 // (src/predict/): every record() and reset_idle() feeds it the new k, so
 // signal() under the default last-value kind forecasts exactly the reactive
-// value, and the forecaster's state travels inside the tracker's State.
+// value. The tracker is a plain value — both windows and the forecaster are
+// held by value — so session migration copies it whole.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/stats.h"
 #include "common/units.h"
@@ -59,8 +59,7 @@ class LoadFactorTracker {
   /// once and calibrate from that.
   void reset_idle(TimeNs now);
 
-  /// Back to a just-constructed tracker (crash, fence, export-side wipe),
-  /// reusing the forecaster object.
+  /// Back to a just-constructed tracker (crash, fence, export-side wipe).
   void reset();
 
   /// The published k forecast `horizon` ahead (>= 1, constraint 1c); the
@@ -78,27 +77,22 @@ class LoadFactorTracker {
   std::size_t window_size() const { return ratios_.size(); }
   std::size_t window_capacity() const { return ratios_.capacity(); }
 
-  const predict::LoadPredictor& predictor() const { return *predictor_; }
+  const predict::LoadPredictor& predictor() const { return predictor_; }
 
-  /// Full tracker state for session migration: both ratio windows, the
-  /// monitoring-period counter and the forecaster. export_state() on the
-  /// source and import_state() on a tracker constructed with the same
-  /// window size and forecaster params leave the two bit-identical (k(),
-  /// idle_baseline(), records(), every forecast).
-  struct State {
-    SlidingWindow::Snapshot ratios;
-    SlidingWindow::Snapshot idle_ratios;
-    std::uint64_t records = 0;
-    predict::PredictorState predictor;
-  };
-  State export_state() const;
-  void import_state(const State& state);
+  /// Modeled wire size in a session migration: 8 bytes per sample held in
+  /// either ratio window, plus the forecaster's model scalars.
+  std::int64_t wire_bytes() const;
+
+  /// Both windows (ring order and incrementally maintained sums), the
+  /// record count and the forecaster: equal trackers publish the same bits
+  /// from here on.
+  bool operator==(const LoadFactorTracker&) const = default;
 
  private:
   SlidingWindow ratios_;
   SlidingWindow idle_ratios_;
   std::uint64_t records_ = 0;
-  std::unique_ptr<predict::LoadPredictor> predictor_;
+  predict::LoadPredictor predictor_;
 };
 
 }  // namespace lp::core

@@ -62,10 +62,9 @@ struct RuntimeParams {
 
   /// Load predictor behind every LoadSignal this runtime publishes
   /// (src/predict/): each LoadFactorTracker builds its k forecaster from
-  /// it, and the frontend its queue-delay forecaster. The default
-  /// "last-value" kind reproduces the reactive behavior bit-identically;
-  /// swap `predictor.kind` for "ewma" or "holt" to forecast k and the queue
-  /// backlog at the consumer's horizon instead.
+  /// it. The default "last-value" kind reproduces the reactive behavior
+  /// bit-identically; swap `predictor.kind` for "ewma" or "holt" to
+  /// forecast k at the consumer's horizon instead.
   predict::PredictorParams predictor;
 
   /// Partition point used by Policy::kFixedPoint (clamped to [0, n]).

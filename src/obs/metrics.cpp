@@ -161,36 +161,8 @@ std::string MetricsRegistry::to_json() const {
   return out;
 }
 
-std::string MetricsRegistry::to_csv() const {
-  std::string out = "name,kind,field,value\n";
-  for (const auto& [name, counter] : counters_)
-    out += name + ",counter,value," + std::to_string(counter.value()) + "\n";
-  for (const auto& [name, gauge] : gauges_) {
-    out += name + ",gauge,value," + fmt_double(gauge.value()) + "\n";
-    out += name + ",gauge,max," + fmt_double(gauge.max()) + "\n";
-  }
-  for (const auto& [name, hist] : histograms_) {
-    out += name + ",histogram,count," + std::to_string(hist.count()) + "\n";
-    out += name + ",histogram,sum," + fmt_double(hist.sum()) + "\n";
-    out += name + ",histogram,min," + fmt_double(hist.min()) + "\n";
-    out += name + ",histogram,max," + fmt_double(hist.max()) + "\n";
-    out += name + ",histogram,underflow," +
-           std::to_string(hist.underflow()) + "\n";
-    out +=
-        name + ",histogram,overflow," + std::to_string(hist.overflow()) + "\n";
-    for (std::size_t i = 0; i < hist.buckets(); ++i)
-      out += name + ",histogram,bucket" + std::to_string(i) + "," +
-             std::to_string(hist.bucket_count(i)) + "\n";
-  }
-  return out;
-}
-
 bool MetricsRegistry::write_json(const std::string& path) const {
   return detail::write_file(path, to_json());
-}
-
-bool MetricsRegistry::write_csv(const std::string& path) const {
-  return detail::write_file(path, to_csv());
 }
 
 }  // namespace lp::obs

@@ -10,8 +10,8 @@
 //
 // Recording never allocates, reads clocks, or draws randomness, so
 // instrumented simulation runs stay bit-identical to uninstrumented ones.
-// Snapshots export as JSON or CSV in name order, byte-identical across two
-// runs of the same seed.
+// Snapshots export as JSON in name order, byte-identical across two runs
+// of the same seed.
 #pragma once
 
 #include <cstdint>
@@ -117,12 +117,9 @@ class MetricsRegistry {
 
   /// Snapshot as a JSON object keyed by metric name, in name order.
   std::string to_json() const;
-  /// Snapshot as CSV rows: name,kind,field,value — one row per field.
-  std::string to_csv() const;
   /// Write the snapshot to `path`; false when the file cannot be written
   /// in full.
   bool write_json(const std::string& path) const;
-  bool write_csv(const std::string& path) const;
 
  private:
   // std::map iterates in name order (deterministic export) and never

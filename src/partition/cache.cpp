@@ -60,22 +60,6 @@ std::vector<std::size_t> PartitionCache::lru_keys() const {
   return keys;
 }
 
-PartitionCache::Contents PartitionCache::export_contents() const {
-  return Contents{plans_, hits_, misses_, evictions_};
-}
-
-void PartitionCache::import_contents(Contents contents) {
-  LP_CHECK_MSG(contents.plans.size() <= capacity_,
-               "imported cache contents exceed capacity");
-  clear();
-  // Insert oldest first so the rebuilt recency order matches the export.
-  for (auto it = contents.plans.rbegin(); it != contents.plans.rend(); ++it)
-    insert(std::move(*it));
-  hits_ = contents.hits;
-  misses_ = contents.misses;
-  evictions_ = contents.evictions;
-}
-
 void PartitionCache::reset_stats() {
   hits_ = 0;
   misses_ = 0;

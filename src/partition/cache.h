@@ -7,8 +7,9 @@
 //
 // The cache holds shared pointers to immutable plans: every cache of one
 // model shares the profile's single plan per p, so an entry costs a pointer
-// and a migrated cache moves pointers, not graphs. A session holds a few
-// plans, so the LRU is one small vector in recency order.
+// and a copy of the cache (live session migration) copies pointers, not
+// graphs. A session holds a few plans, so the LRU is one small vector in
+// recency order.
 #pragma once
 
 #include <cstddef>
@@ -45,19 +46,6 @@ class PartitionCache {
   /// Keys in recency order (most recent first); for audits and tests.
   std::vector<std::size_t> lru_keys() const;
 
-  /// Full cache contents for session migration: the plans in recency order
-  /// (most recent first) plus the statistics. import_contents() into a
-  /// cache of the same capacity reproduces the source bit-identically
-  /// (lru_keys(), hit/miss/eviction counters, the very same plans).
-  struct Contents {
-    std::vector<PlanPtr> plans;  ///< most recent first
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
-  Contents export_contents() const;
-  void import_contents(Contents contents);
-
   /// Zeroes hits/misses/evictions without touching the entries. Called on
   /// session wipe so a re-warmed cache's hit_rate() never blends pre-crash
   /// traffic into the fresh epoch.
@@ -66,6 +54,10 @@ class PartitionCache {
   /// Drops every entry AND the statistics: a cleared cache is
   /// indistinguishable from a newly constructed one.
   void clear();
+
+  /// Capacity, statistics, and the very same plan objects in the same
+  /// recency order.
+  bool operator==(const PartitionCache&) const = default;
 
  private:
   /// Position of p in plans_, or size() when absent.

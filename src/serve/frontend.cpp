@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "partition/partitioner.h"
-#include "predict/load_predictor.h"
 
 namespace lp::serve {
 
@@ -118,12 +117,11 @@ EdgeServerFrontend::SessionStats EdgeServerFrontend::session_stats(
 }
 
 namespace {
-// Modeled wire cost of a session export: a fixed header, the k windows, a
-// serialized plan per cache entry, and a header per re-routed
-// job (the boundary tensors themselves stay with the jobs' origin upload —
-// only control state crosses the interconnect).
+// Modeled wire cost of a session export: a fixed header, the k tracker
+// (LoadFactorTracker::wire_bytes), a serialized plan per cache entry, and a
+// header per re-routed job (the boundary tensors themselves stay with the
+// jobs' origin upload — only control state crosses the interconnect).
 constexpr std::int64_t kExportHeaderBytes = 256;
-constexpr std::int64_t kSampleBytes = 8;
 constexpr std::int64_t kPlanBytes = 4096;
 constexpr std::int64_t kJobHeaderBytes = 256;
 }  // namespace
@@ -132,8 +130,7 @@ SessionExport EdgeServerFrontend::export_session(std::uint64_t session) {
   LP_CHECK(session < sessions_.size());
   Session& s = sessions_[session];
   SessionExport ex;
-  ex.state.k = s.k.export_state();
-  ex.state.cache = s.cache.export_contents();
+  ex.state = {s.k, s.cache};
   // The local copy resets to fresh: stragglers submitted before the client
   // learns its new endpoint are still served here, against cold state.
   wipe(s);
@@ -141,14 +138,9 @@ SessionExport EdgeServerFrontend::export_session(std::uint64_t session) {
   ex.jobs = queue_.take_session(session);
   counters_.migrated_out += ex.jobs.size();
 
-  ex.bytes = kExportHeaderBytes +
-             kSampleBytes * static_cast<std::int64_t>(
-                                ex.state.k.ratios.values.size() +
-                                ex.state.k.idle_ratios.values.size()) +
-             kPlanBytes *
-                 static_cast<std::int64_t>(ex.state.cache.plans.size()) +
-             kJobHeaderBytes * static_cast<std::int64_t>(ex.jobs.size()) +
-             predict::state_wire_bytes(ex.state.k.predictor);
+  ex.bytes = kExportHeaderBytes + ex.state.k.wire_bytes() +
+             kPlanBytes * static_cast<std::int64_t>(ex.state.cache.size()) +
+             kJobHeaderBytes * static_cast<std::int64_t>(ex.jobs.size());
 
   if (auto* tr = trace()) {
     // The exported jobs' queue-wait intervals close here; the importer
@@ -168,6 +160,14 @@ SessionExport EdgeServerFrontend::export_session(std::uint64_t session) {
 bool EdgeServerFrontend::import_session(std::uint64_t session,
                                         SessionExport ex) {
   LP_CHECK(session < sessions_.size());
+  // Every server of a cluster shares one RuntimeParams; a payload shaped
+  // by other params would not read the same bits here.
+  LP_CHECK_MSG(ex.state.k.window_capacity() == runtime_.k_window,
+               "imported k window capacity differs from this server's");
+  LP_CHECK_MSG(ex.state.k.predictor().name() == runtime_.predictor.kind,
+               "imported forecaster kind differs from this server's");
+  LP_CHECK_MSG(ex.state.cache.capacity() == runtime_.cache_capacity,
+               "imported cache capacity differs from this server's");
   if (ex.epoch < sessions_[session].fence) {
     // Zombie payload: a newer fence already superseded this transfer (the
     // migration was aborted or the session re-homed). The caller keeps
@@ -183,8 +183,8 @@ bool EdgeServerFrontend::import_session(std::uint64_t session,
   }
   if (!down_) {
     Session& s = sessions_[session];
-    s.k.import_state(ex.state.k);
-    s.cache.import_contents(std::move(ex.state.cache));
+    s.k = std::move(ex.state.k);
+    s.cache = std::move(ex.state.cache);
   }
   const std::size_t jobs = ex.jobs.size();
   for (QueuedJob& job : ex.jobs) {

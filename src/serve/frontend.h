@@ -132,11 +132,13 @@ struct LoadSnapshot : FrontendCounters {
 };
 
 /// The volatile per-session state a live migration carries to the new
-/// server: the k window with its forecaster and the partition-cache
-/// contents. Export→import (same RuntimeParams) is bit-identical.
+/// server: copies of the session's k tracker (windows and forecaster) and
+/// its partition cache. Export→import (same RuntimeParams) is bit-identical.
 struct SessionState {
-  core::LoadFactorTracker::State k;
-  partition::PartitionCache::Contents cache;
+  core::LoadFactorTracker k;
+  partition::PartitionCache cache;
+
+  bool operator==(const SessionState&) const = default;
 };
 
 /// A non-blocking session export (the Ceph MDS exporter shape): the state
@@ -215,8 +217,8 @@ class EdgeServerFrontend : public core::SuffixService {
   };
   SessionStats session_stats(std::uint64_t session) const;
 
-  /// Live-migration export: snapshots the session's volatile state (k
-  /// window and forecaster, partition cache), resets it
+  /// Live-migration export: copies the session's volatile state (k
+  /// tracker with its forecaster, partition cache), resets it
   /// locally, and removes every queued job of the session (counted
   /// migrated-out). The in-flight dispatch, if it contains the session,
   /// completes here — the export never blocks or drops work. The session
@@ -224,7 +226,7 @@ class EdgeServerFrontend : public core::SuffixService {
   /// is redirected are still admitted here and served normally).
   SessionExport export_session(std::uint64_t session);
 
-  /// Live-migration import into a previously opened local session: restores
+  /// Live-migration import into a previously opened local session: assigns
   /// the state and re-enqueues the jobs past the capacity bound (they were
   /// admitted once already; counted migrated-in). Importing into a crashed
   /// server fails the jobs with kServerDown instead — migration never turns
@@ -232,6 +234,9 @@ class EdgeServerFrontend : public core::SuffixService {
   /// Returns false — touching NO counters or jobs — when the export's
   /// fencing epoch is older than the session's current fence: a zombie
   /// duplicate of a superseded transfer, which the caller still owns.
+  /// Throws ContractError — before touching anything — when the payload
+  /// comes from a differently configured server: its k window capacity,
+  /// forecaster kind or cache capacity differs from this server's.
   bool import_session(std::uint64_t session, SessionExport ex);
 
   /// Raises the session's fencing epoch (idempotent, raising-only; a lower
@@ -277,8 +282,10 @@ class EdgeServerFrontend : public core::SuffixService {
     core::LoadFactorTracker k;
     partition::PartitionCache cache;
     SessionStats stats = {};
-    /// Fencing epoch: raised by fence_session / accepted imports; jobs
-    /// carry the fence at admission and die (kFenced) when it moves on.
+    /// Fencing epoch: raised only by fence_session. Jobs carry the fence
+    /// at admission and die (kFenced) when it moves on; an accepted import
+    /// stamps its jobs with the transfer's epoch and leaves the fence as
+    /// it is.
     std::uint64_t fence = 0;
   };
 

@@ -117,8 +117,6 @@ TEST(MetricsRegistry, ExportIsSortedAndDeterministic) {
   EXPECT_EQ(j1, j2);
   EXPECT_LT(j1.find("\"aa\""), j1.find("\"mm\""));
   EXPECT_LT(j1.find("\"mm\""), j1.find("\"zz\""));
-  const std::string csv = reg.to_csv();
-  EXPECT_NE(csv.find("zz,counter,value,1"), std::string::npos);
 }
 
 // ---------------------------------------------------------- taxonomy --
@@ -370,7 +368,6 @@ TEST(Writers, ReportAFullDiskAsFailure) {
   MetricsRegistry metrics;
   metrics.counter("c").add();
   EXPECT_FALSE(metrics.write_json(full));
-  EXPECT_FALSE(metrics.write_csv(full));
   TraceRecorder trace;
   trace.instant(trace.track("t"), "i", 0);
   EXPECT_FALSE(trace.write_chrome_json(full));

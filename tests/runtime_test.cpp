@@ -1,7 +1,6 @@
 #include "common/check.h"
 #include <gtest/gtest.h>
 
-#include "check/invariants.h"
 #include "core/load_factor.h"
 #include "core/offload_runtime.h"
 #include "hw/load_generator.h"
@@ -117,7 +116,7 @@ TEST(LoadFactorTracker, ResetEqualsAFreshTracker) {
   k.reset_idle(milliseconds(70));
   k.reset();
   const LoadFactorTracker fresh(4, holt);
-  check::audit_equal(k.export_state(), fresh.export_state());
+  EXPECT_TRUE(k == fresh);
   EXPECT_EQ(k.predictor().confidence(), 0.0);
 }
 
@@ -240,12 +239,14 @@ TEST(GraphCostProfile, PlanIsBuiltOnceAndMatchesPartitionAt) {
       EXPECT_EQ(memo->boundary_bytes, fresh.boundary_bytes);
       ASSERT_EQ(memo->device_part.has_value(), fresh.device_part.has_value());
       ASSERT_EQ(memo->server_part.has_value(), fresh.server_part.has_value());
-      if (fresh.device_part)
+      if (fresh.device_part) {
         EXPECT_EQ(memo->device_part->backbone().size(),
                   fresh.device_part->backbone().size());
-      if (fresh.server_part)
+      }
+      if (fresh.server_part) {
         EXPECT_EQ(memo->server_part->backbone().size(),
                   fresh.server_part->backbone().size());
+      }
     }
     EXPECT_THROW(profile.plan(g.n() + 1), ContractError);
   }

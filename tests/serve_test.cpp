@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "check/invariants.h"
 #include "common/check.h"
+#include "obs/metrics.h"
 #include "serve/fleet.h"
 #include "serve/frontend.h"
 #include "serve/queue.h"
@@ -617,8 +619,71 @@ TEST(EdgeServerFrontend, CrashFenceAndExportLeaveTheSessionEquallyCold) {
     EXPECT_EQ(cache.hits(), 0u);
     EXPECT_EQ(cache.misses(), 0u);
     EXPECT_EQ(cache.evictions(), 0u);
-    check::audit_equal(h.frontend.session_tracker(s).export_state(),
-                       h.frontend.session_tracker(unused).export_state());
+    EXPECT_TRUE(h.frontend.session_tracker(s) ==
+                h.frontend.session_tracker(unused));
+  }
+}
+
+TEST(EdgeServerFrontend, ImportFromADifferentlyConfiguredServerThrows) {
+  // A payload shaped by other RuntimeParams would not read the same bits
+  // here, so import refuses it typed, before touching a counter, a job or
+  // the session.
+  core::RuntimeParams target_runtime;
+  target_runtime.predictor.kind = "ewma";
+  core::RuntimeParams holt = target_runtime;
+  holt.predictor.kind = "holt";
+  core::RuntimeParams window = target_runtime;
+  window.k_window = 8;
+  core::RuntimeParams cache = target_runtime;
+  cache.cache_capacity = 4;
+
+  // Warms session `s` on `h`, then leaves two more jobs queued.
+  auto warm = [](FrontendHarness& h, std::uint64_t s,
+                 std::vector<std::unique_ptr<PendingRequest>>& requests) {
+    for (int i = 0; i < 8; ++i) {
+      if (i == 6) h.sim.run_until(seconds(60));
+      requests.push_back(std::make_unique<PendingRequest>(h.sim));
+      ASSERT_EQ(h.frontend.submit(requests.back()->request(s, 5)),
+                core::SubmitStatus::kAccepted);
+    }
+  };
+  auto counters_json = [](const EdgeServerFrontend& frontend) {
+    obs::MetricsRegistry registry;
+    frontend.counters().publish(registry, "serve");
+    return registry.to_json();
+  };
+  auto queued_seqs = [](const EdgeServerFrontend& frontend) {
+    std::vector<std::uint64_t> seqs;
+    for (const QueuedJob& job : frontend.queue().jobs())
+      seqs.push_back(job.seq);
+    return seqs;
+  };
+
+  for (const core::RuntimeParams& source_runtime : {holt, window, cache}) {
+    FrontendHarness source(FrontendParams{}, source_runtime);
+    const auto s = source.frontend.open_session(source.profile);
+    std::vector<std::unique_ptr<PendingRequest>> source_requests;
+    warm(source, s, source_requests);
+    SessionExport ex = source.frontend.export_session(s);
+    ASSERT_EQ(ex.jobs.size(), 2u);
+
+    FrontendHarness target(FrontendParams{}, target_runtime);
+    const auto t = target.frontend.open_session(target.profile);
+    ASSERT_EQ(t, s);
+    std::vector<std::unique_ptr<PendingRequest>> target_requests;
+    warm(target, t, target_requests);
+    const std::string counters = counters_json(target.frontend);
+    const std::vector<std::uint64_t> queued = queued_seqs(target.frontend);
+    const SessionState session{target.frontend.session_tracker(t),
+                               target.frontend.session_cache(t)};
+
+    EXPECT_THROW(target.frontend.import_session(t, std::move(ex)),
+                 ContractError);
+    EXPECT_EQ(counters_json(target.frontend), counters);
+    EXPECT_EQ(queued_seqs(target.frontend), queued);
+    EXPECT_TRUE((SessionState{target.frontend.session_tracker(t),
+                              target.frontend.session_cache(t)} == session));
+    EXPECT_EQ(target.frontend.session_fence(t), 0u);
   }
 }
 
@@ -851,9 +916,11 @@ TEST(FleetDriver, FailStopLosesRequestsAcrossTheCrash) {
   EXPECT_EQ(summary.recovered(), 0u);
   // Lost requests still terminated (typed, no hang): they carry the
   // server-down taxonomy rather than a latency.
-  for (const auto* rec : result.steady())
-    if (rec->outcome == core::InferenceOutcome::kFailed)
+  for (const auto* rec : result.steady()) {
+    if (rec->outcome == core::InferenceOutcome::kFailed) {
       EXPECT_NE(rec->last_failure, core::FailureKind::kNone);
+    }
+  }
 }
 
 TEST(FleetDriver, FaultRunsAreDeterministic) {
