@@ -1,6 +1,6 @@
 // Differential-testing harness for the decision and serving planes.
 //
-// Five case families, each reproducible from a single case seed and a
+// Six case families, each reproducible from a single case seed and a
 // shrink level (level 0 = full-size, higher = smaller instance):
 //   * decision — random graph / predictors / k / bandwidth through
 //     core::decide vs decide_brute_force vs the verbatim pseudocode vs the
@@ -20,10 +20,11 @@
 //     heartbeat period — no chaos schedule may lose an admitted job;
 //   * predict  — random regime-switching load traces through every
 //     registered load predictor: forecasts stay finite and bounded at all
-//     horizons, error statistics stay finite, export→import round-trips
-//     bit-identically mid-stream (the clone forecasts the same bits ever
-//     after), and the last-value default always forecasts exactly its
-//     last observation (the reactive-equivalence invariant).
+//     horizons, error statistics stay finite, a copy taken mid-stream (as
+//     a live migration takes one) forecasts the same bits ever after and
+//     stays equal to the original, and the last-value default always
+//     forecasts exactly its last observation (the reactive-equivalence
+//     invariant).
 // A case throws lp::ContractError on divergence; run_diff() adds the case
 // index/seed context so any failure is replayable via tools/check_fuzz.
 #pragma once

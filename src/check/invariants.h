@@ -28,10 +28,9 @@ namespace lp::check {
 void audit(const serve::RequestQueue& queue);
 
 /// PartitionCache: the recency order holds each key once and as many keys
-/// as the cache holds plans; occupancy respects capacity; every key
-/// resolves to a plan for its own p. (Hit/miss/eviction counters need
-/// history to check; the cache differential compares them against
-/// ReferenceLru.)
+/// as the cache holds entries; occupancy respects capacity. (Hit/miss/
+/// eviction counters need history to check; the cache differential
+/// compares them against ReferenceLru.)
 void audit(const partition::PartitionCache& cache);
 
 /// LoadFactorTracker: published k and idle baseline respect constraint 1c
@@ -45,7 +44,7 @@ void audit(const net::BandwidthEstimator& estimator);
 ///     submitted == admitted + shed + refused
 ///     admitted + migrated_in
 ///               == served + failed_jobs + queued + in-flight + migrated_out
-/// plus the queue audit, and per-session k / cache / bandwidth audits.
+/// plus the queue audit, and per-session k and cache audits.
 /// A crashed frontend must hold no queued or in-flight work.
 void audit(const serve::EdgeServerFrontend& frontend);
 

@@ -1,10 +1,10 @@
 // Reference models for differential testing.
 //
 // Deliberately naive re-implementations of state machines the production
-// code keeps clever (in-place recency rotation over shared plans,
-// incremental sums): the reference does the obviously-correct O(n) thing,
-// and the differential harness asserts the production structure agrees
-// after every operation.
+// code keeps clever (in-place recency rotation, incremental sums): the
+// reference does the obviously-correct thing, erase and re-insert, and the
+// differential harness asserts the production structure agrees after every
+// operation.
 #pragma once
 
 #include <algorithm>
@@ -17,8 +17,7 @@ namespace lp::check {
 /// Obviously-correct mirror of partition::PartitionCache: a recency vector
 /// (front = most recent) of keys plus hit/miss/eviction tallies, with the
 /// same semantics — find refreshes recency, insert-over-existing refreshes,
-/// a full insert evicts the back, clear() forgets entries and stats,
-/// reset_stats() forgets only stats.
+/// a full insert evicts the back, clear() forgets entries and stats.
 class ReferenceLru {
  public:
   explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
@@ -47,11 +46,9 @@ class ReferenceLru {
     keys_.insert(keys_.begin(), p);
   }
 
-  void reset_stats() { hits = misses = evictions = 0; }
-
   void clear() {
     keys_.clear();
-    reset_stats();
+    hits = misses = evictions = 0;
   }
 
   /// Keys most-recent-first — directly comparable to

@@ -7,40 +7,6 @@
 
 namespace lp {
 
-void RunningStats::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::clear() { *this = RunningStats{}; }
-
-double RunningStats::mean() const { return count_ == 0 ? 0.0 : mean_; }
-
-double RunningStats::variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const {
-  LP_CHECK(count_ > 0);
-  return min_;
-}
-
-double RunningStats::max() const {
-  LP_CHECK(count_ > 0);
-  return max_;
-}
-
 SlidingWindow::SlidingWindow(std::size_t capacity) : capacity_(capacity) {
   LP_CHECK(capacity > 0);
 }
@@ -67,11 +33,6 @@ void SlidingWindow::clear() {
 double SlidingWindow::mean() const {
   LP_CHECK(!ring_.empty());
   return sum_ / static_cast<double>(ring_.size());
-}
-
-double SlidingWindow::latest() const {
-  LP_CHECK(!ring_.empty());
-  return ring_[head_ == 0 ? ring_.size() - 1 : head_ - 1];
 }
 
 double percentile(std::vector<double> values, double q) {

@@ -1,33 +1,10 @@
-// Streaming and batch statistics used by profilers and benches.
+// Sliding-window and batch statistics used by estimators and benches.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace lp {
-
-/// Online mean/variance/min/max accumulator (Welford).
-class RunningStats {
- public:
-  void add(double x);
-  void clear();
-
-  std::size_t count() const { return count_; }
-  double mean() const;
-  double variance() const;  ///< Sample variance; 0 with fewer than 2 points.
-  double stddev() const;
-  double min() const;  ///< Requires count() > 0.
-  double max() const;  ///< Requires count() > 0.
-  double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Fixed-capacity sliding window of recent samples with mean queries.
 ///
@@ -48,7 +25,6 @@ class SlidingWindow {
   std::size_t capacity() const { return capacity_; }
   bool empty() const { return ring_.empty(); }
   double mean() const;  ///< Requires !empty().
-  double latest() const;  ///< Requires !empty().
 
   /// Capacity, samples in ring order, head and sum all match.
   bool operator==(const SlidingWindow&) const = default;

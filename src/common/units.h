@@ -34,9 +34,6 @@ constexpr double to_seconds(DurationNs ns) {
 constexpr double to_millis(DurationNs ns) {
   return static_cast<double>(ns) / static_cast<double>(kNsPerMs);
 }
-constexpr double to_micros(DurationNs ns) {
-  return static_cast<double>(ns) / static_cast<double>(kNsPerUs);
-}
 
 /// Bandwidth in bits per second.
 using BitsPerSec = double;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "partition/partitioner.h"
 
 namespace lp::core {
 
@@ -67,15 +66,16 @@ sim::Task idle_watcher(sim::Simulator& sim, const hw::GpuScheduler& scheduler,
 
 // ------------------------------------------------- shared server mechanics --
 
-Preparation preparation(const partition::PartitionPlan& plan, Side side) {
+Preparation preparation(const GraphCostProfile& profile, std::size_t p,
+                        Side side) {
+  LP_CHECK(p <= profile.n());
   const bool device = side == Side::kDevice;
-  const auto& part = device ? plan.device_part : plan.server_part;
   const double base =
       device ? hw::kDevicePartitionBaseSec : hw::kServerPartitionBaseSec;
   const double per_node =
       device ? hw::kDevicePartitionPerNodeSec : hw::kServerPartitionPerNodeSec;
   Preparation prep;
-  prep.nodes = part ? part->backbone().size() : 0;
+  prep.nodes = device ? profile.device_nodes(p) : profile.server_nodes(p);
   prep.sec = base + per_node * static_cast<double>(prep.nodes);
   return prep;
 }
@@ -120,7 +120,7 @@ OffloadServer::OffloadServer(sim::Simulator& sim, hw::GpuScheduler& scheduler,
       ctx_(scheduler.create_context("offload-service")),
       cache_(params.cache_capacity),
       k_(params.k_window, params.predictor),
-      requests_(sim),
+      work_arrived_(sim),
       rng_(seed) {
   sim_->spawn(service());
 }
@@ -130,7 +130,8 @@ SubmitStatus OffloadServer::submit(SuffixRequest request) {
   LP_CHECK_MSG(request.p < profile_->n(),
                "nothing to execute on the server at p = n");
   request.enqueued = sim_->now();
-  requests_.send(request);
+  requests_.push_back(std::move(request));
+  work_arrived_.trigger();
   return SubmitStatus::kAccepted;
 }
 
@@ -138,7 +139,12 @@ sim::Task OffloadServer::service() {
   // Fig. 3: the main service thread — receive a request, partition/execute,
   // signal the result ready for download.
   for (;;) {
-    const SuffixRequest request = co_await requests_.receive();
+    while (requests_.empty()) {
+      work_arrived_.reset();
+      co_await work_arrived_.wait();
+    }
+    const SuffixRequest request = std::move(requests_.front());
+    requests_.pop_front();
     request.reply->queue_wait = to_seconds(sim_->now() - request.enqueued);
     co_await execute_suffix(request.p, *request.reply);
     request.reply->resolve(SuffixStatus::kServed);
@@ -151,11 +157,10 @@ sim::Task OffloadServer::execute_suffix(std::size_t p, SuffixReply& reply) {
 
   // Partition cache: a miss pays graph partitioning + runtime preparation.
   double overhead = 0.0;
-  if (cache_.find(p) == nullptr) {
-    partition::PlanPtr plan = profile_->plan(p);
-    overhead = preparation(*plan, Side::kServer).sec;
+  if (!cache_.find(p)) {
+    overhead = preparation(*profile_, p, Side::kServer).sec;
     co_await sim_->delay(seconds(overhead));
-    cache_.insert(std::move(plan));
+    cache_.insert(p);
   }
   reply.overhead = overhead;
 
@@ -355,18 +360,15 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
   }
 
   // Device-side partition cache.
-  const partition::PartitionPlan* plan = cache_.find(p);
-  if (plan == nullptr) {
-    partition::PlanPtr fresh = profile_->plan(p);
-    const Preparation prep = preparation(*fresh, Side::kDevice);
+  if (!cache_.find(p)) {
+    const Preparation prep = preparation(*profile_, p, Side::kDevice);
     rec.overhead_sec += prep.sec;
     const TimeNs prep_begin = sim_->now();
     co_await sim_->delay(seconds(prep.sec));
     if (auto* tr = trace())
       tr->span(track_, "partition-prepare", prep_begin, sim_->now(),
                obs::TraceArgs().arg("p", p).arg("nodes", prep.nodes));
-    plan = fresh.get();
-    cache_.insert(std::move(fresh));
+    cache_.insert(p);
   }
 
   // Execute the device prefix {L1..Lp}.
@@ -418,7 +420,7 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
     // can fault; the device still holds the boundary tensor at the cut, so
     // a failed attempt is retried (with backoff) or failed over to local
     // execution of {Lp+1..Ln} — never re-run from scratch.
-    const std::int64_t payload = plan->boundary_bytes + kHeaderBytes;
+    const std::int64_t payload = profile_->s(p) + kHeaderBytes;
     const auto& fp = params_.fault;
     bool resolved = false;
     for (int attempt = 0; !resolved;) {

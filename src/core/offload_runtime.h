@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -215,13 +216,15 @@ struct SuffixRequest {
 enum class Side : std::uint8_t { kDevice, kServer };
 
 /// Cache-miss cost of partitioning the graph and preparing the framework
-/// runtime for one side of a plan (Section III-A): linear in the nodes
-/// that side executes (hw/calibration.h holds the constants).
+/// runtime for one side of cut p (Section III-A): linear in the nodes of
+/// that side's segment (GraphCostProfile::device_nodes / server_nodes;
+/// hw/calibration.h holds the constants).
 struct Preparation {
   std::size_t nodes = 0;
   double sec = 0.0;
 };
-Preparation preparation(const partition::PartitionPlan& plan, Side side);
+Preparation preparation(const GraphCostProfile& profile, std::size_t p,
+                        Side side);
 
 /// The jittered kernels of one suffix dispatch {Lp+1..Ln}: one coalesced
 /// stream for batch > 1, else one kernel per op. Each duration is scaled
@@ -278,7 +281,7 @@ class SuffixService {
   virtual bool alive() const { return true; }
 };
 
-/// The paper's single-tenant server (Fig. 3): a FIFO channel into one
+/// The paper's single-tenant server (Fig. 3): a FIFO request queue into one
 /// service process. Its k is measured against kernel execution alone —
 /// the window Figures 1-9 rest on (DESIGN.md §8).
 class OffloadServer : public SuffixService {
@@ -319,7 +322,8 @@ class OffloadServer : public SuffixService {
   hw::GpuScheduler::ContextId ctx_;
   partition::PartitionCache cache_;
   LoadFactorTracker k_;
-  sim::Channel<SuffixRequest> requests_;
+  std::deque<SuffixRequest> requests_;
+  sim::Event work_arrived_;  ///< triggered by submit(), reset when drained
   Rng rng_;
 };
 

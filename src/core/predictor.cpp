@@ -44,7 +44,11 @@ GraphCostProfile::GraphCostProfile(const graph::Graph& g,
     suffix_g_[n - i + 1] = suffix_g_[n - i + 2] + g_[n - i + 1];
   }
   s_ = graph::cut_sizes(g);
-  plans_.resize(n + 1);
+  // The partitioner's device segment: p + 1 positions and a Return, plus a
+  // MakeTuple when the cut severs more than one tensor.
+  device_nodes_.assign(n + 1, 0);
+  for (std::size_t p = 1; p <= n; ++p)
+    device_nodes_[p] = p + 2 + (graph::cut_inside_block(g, p) ? 1 : 0);
 }
 
 double GraphCostProfile::predicted_latency(std::size_t p, double k,
@@ -59,15 +63,6 @@ double GraphCostProfile::predicted_latency(std::size_t p, double k,
   if (download_bps > 0.0)
     t += static_cast<double>(s_[n()]) * 8.0 / download_bps;
   return t;
-}
-
-const partition::PlanPtr& GraphCostProfile::plan(std::size_t p) const {
-  LP_CHECK(p <= n());
-  partition::PlanPtr& slot = plans_[p];
-  if (slot == nullptr)
-    slot = std::make_shared<const partition::PartitionPlan>(
-        partition::partition_at(*graph_, p));
-  return slot;
 }
 
 double fused_edge_prediction(const graph::Graph& g,

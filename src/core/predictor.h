@@ -1,16 +1,18 @@
-// Per-graph predicted costs consumed by the partition decision algorithm.
+// Per-graph predicted costs consumed by the partition decision algorithm
+// and the simulated runtime.
 //
 // f(L_i) = M_user(L_i) and g(L_i, k) = k * M_edge(L_i) (Section IV). The
-// profile precomputes f, the base M_edge, their prefix/suffix sums, and the
-// transmission sizes s_i once per (model, predictor) pair; Algorithm 1 then
-// answers each query in O(n) with the most recent k and bandwidth.
+// profile precomputes f, the base M_edge, their prefix/suffix sums, the
+// transmission sizes s_i, and the size of each side's partition once per
+// (model, predictor) pair; Algorithm 1 then answers each query in O(n) with
+// the most recent k and bandwidth, and the runtime prices every partition
+// cache miss and upload from the same profile without building a partition.
 #pragma once
 
 #include <vector>
 
 #include "graph/cut.h"
 #include "graph/graph.h"
-#include "partition/partitioner.h"
 #include "profile/trainer.h"
 
 namespace lp::core {
@@ -54,11 +56,16 @@ class GraphCostProfile {
   double predicted_latency(std::size_t p, double k, double upload_bps,
                            double download_bps = 0.0) const;
 
-  /// The partition plan for cut point p (0 <= p <= n): built by
-  /// partition::partition_at on first use and kept for the profile's
-  /// lifetime, so every partition cache of this model shares one immutable
-  /// plan per p. Not thread-safe (no simulation layer runs threads).
-  const partition::PlanPtr& plan(std::size_t p) const;
+  /// Computation nodes of the device segment the partitioner
+  /// (partition/partitioner.h) builds for cut p: {L0..Lp}, a Return, and a
+  /// MakeTuple when more than one tensor crosses the cut; 0 at p = 0
+  /// (nothing runs on the device).
+  std::size_t device_nodes(std::size_t p) const { return device_nodes_[p]; }
+  /// Computation nodes of the server segment: {Lp+1..Ln} and a Return; 0 at
+  /// p = n (nothing runs on the server).
+  std::size_t server_nodes(std::size_t p) const {
+    return p < n() ? n() - p + 1 : 0;
+  }
 
  private:
   const graph::Graph* graph_;
@@ -67,7 +74,7 @@ class GraphCostProfile {
   std::vector<double> prefix_f_;  // prefix_f_[i] = sum f over first i nodes
   std::vector<double> suffix_g_;  // suffix_g_[i] = sum g over positions >= i
   std::vector<std::int64_t> s_;
-  mutable std::vector<partition::PlanPtr> plans_;  // one slot per p
+  std::vector<std::size_t> device_nodes_;
 };
 
 /// Fusion-aware server-side prediction of a backbone segment (extension;

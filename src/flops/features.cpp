@@ -8,14 +8,20 @@ std::string device_name(Device device) {
   return device == Device::kUser ? "user" : "edge";
 }
 
+namespace {
+
+/// Size of a single conv filter: s_f = C_in * K_H * K_W.
 std::int64_t filter_size(const NodeConfig& cfg) {
   return cfg.in.c() * cfg.kernel_h * cfg.kernel_w;
 }
 
+/// Total size of the padded input feature map (DWConv feature).
 std::int64_t padded_size(const NodeConfig& cfg) {
   return cfg.in.n() * cfg.in.c() * (cfg.in.h() + 2 * cfg.pad_h) *
          (cfg.in.w() + 2 * cfg.pad_w);
 }
+
+}  // namespace
 
 std::vector<double> features_of(const NodeConfig& cfg, Device device) {
   const auto kind = model_kind(cfg.op);

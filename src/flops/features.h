@@ -28,10 +28,4 @@ std::vector<std::string> feature_names(ModelKind kind, Device device);
 std::vector<double> candidate_features_of(const NodeConfig& cfg);
 std::vector<std::string> candidate_feature_names(ModelKind kind);
 
-/// Size of a single conv filter: s_f = C_in * K_H * K_W.
-std::int64_t filter_size(const NodeConfig& cfg);
-
-/// Total size of the padded input feature map (DWConv feature).
-std::int64_t padded_size(const NodeConfig& cfg);
-
 }  // namespace lp::flops

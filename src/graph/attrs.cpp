@@ -58,31 +58,4 @@ std::string op_name(OpType op) {
   return "?";
 }
 
-bool is_elementwise(OpType op) {
-  switch (op) {
-    case OpType::kBiasAdd:
-    case OpType::kAdd:
-    case OpType::kBatchNorm:
-    case OpType::kRelu:
-    case OpType::kSigmoid:
-    case OpType::kTanh:
-    case OpType::kSoftmax:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_activation(OpType op) {
-  switch (op) {
-    case OpType::kRelu:
-    case OpType::kSigmoid:
-    case OpType::kTanh:
-    case OpType::kSoftmax:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace lp::graph

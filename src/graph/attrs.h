@@ -36,13 +36,6 @@ std::string op_name(OpType op);
 /// Inverse of op_name; throws ContractError for unknown strings.
 OpType op_from_name(const std::string& name);
 
-/// True for the element-wise family the paper models with FLOPs-only
-/// features (BiasAdd / Add / BatchNorm / activations).
-bool is_elementwise(OpType op);
-
-/// True for activation nodes (ReLU / sigmoid / tanh / softmax).
-bool is_activation(OpType op);
-
 /// Attributes of convolution nodes (Conv and DWConv).
 struct ConvAttrs {
   std::int64_t out_channels = 0;

@@ -10,41 +10,28 @@ PartitionCache::PartitionCache(std::size_t capacity) : capacity_(capacity) {
   LP_CHECK(capacity > 0);
 }
 
-std::size_t PartitionCache::index_of(std::size_t p) const {
-  std::size_t i = 0;
-  while (i < plans_.size() && plans_[i]->p != p) ++i;
-  return i;
-}
-
-const PartitionPlan* PartitionCache::peek(std::size_t p) const {
-  const std::size_t i = index_of(p);
-  return i == plans_.size() ? nullptr : plans_[i].get();
-}
-
-const PartitionPlan* PartitionCache::find(std::size_t p) {
-  const std::size_t i = index_of(p);
-  if (i == plans_.size()) {
+bool PartitionCache::find(std::size_t p) {
+  const auto it = std::find(keys_.begin(), keys_.end(), p);
+  if (it == keys_.end()) {
     ++misses_;
-    return nullptr;
+    return false;
   }
   ++hits_;
-  std::rotate(plans_.begin(), plans_.begin() + i, plans_.begin() + i + 1);
-  return plans_.front().get();
+  std::rotate(keys_.begin(), it, it + 1);
+  return true;
 }
 
-void PartitionCache::insert(PlanPtr plan) {
-  LP_CHECK(plan != nullptr);
-  const std::size_t i = index_of(plan->p);
-  if (i < plans_.size()) {
-    plans_[i] = std::move(plan);
-    std::rotate(plans_.begin(), plans_.begin() + i, plans_.begin() + i + 1);
+void PartitionCache::insert(std::size_t p) {
+  const auto it = std::find(keys_.begin(), keys_.end(), p);
+  if (it != keys_.end()) {
+    std::rotate(keys_.begin(), it, it + 1);
     return;
   }
-  if (plans_.size() >= capacity_) {
-    plans_.pop_back();
+  if (keys_.size() >= capacity_) {
+    keys_.pop_back();
     ++evictions_;
   }
-  plans_.insert(plans_.begin(), std::move(plan));
+  keys_.insert(keys_.begin(), p);
 }
 
 double PartitionCache::hit_rate() const {
@@ -53,22 +40,11 @@ double PartitionCache::hit_rate() const {
                     : static_cast<double>(hits_) / static_cast<double>(total);
 }
 
-std::vector<std::size_t> PartitionCache::lru_keys() const {
-  std::vector<std::size_t> keys;
-  keys.reserve(plans_.size());
-  for (const PlanPtr& plan : plans_) keys.push_back(plan->p);
-  return keys;
-}
-
-void PartitionCache::reset_stats() {
+void PartitionCache::clear() {
+  keys_.clear();
   hits_ = 0;
   misses_ = 0;
   evictions_ = 0;
-}
-
-void PartitionCache::clear() {
-  plans_.clear();
-  reset_stats();
 }
 
 }  // namespace lp::partition

@@ -8,11 +8,12 @@
 //     feed a MakeTuple (when more than one) linked to a Return node.
 // Executing the device segment, shipping the boundary tensors, and running
 // the server segment reproduces the whole graph's output exactly (tested
-// against the reference interpreter).
+// against the reference interpreter). Plans are for code that executes
+// partitions (examples, exec benches). The simulated runtime never builds
+// one: core::GraphCostProfile prices each side's segment and the boundary.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,13 +40,8 @@ struct PartitionPlan {
   std::int64_t boundary_bytes = 0;
 };
 
-/// A plan is immutable once built, so every cache that holds the plan for
-/// one (model, p) shares a single copy (core::GraphCostProfile::plan).
-using PlanPtr = std::shared_ptr<const PartitionPlan>;
-
-/// Extracts backbone positions [begin, end] of `g` as a standalone graph.
-/// `tail_consumers_external`: treat the graph output as consumed outside
-/// the segment (true for device segments so the cut tensors are returned).
+/// Extracts backbone positions [begin, end] of `g` as a standalone graph
+/// that returns every tensor consumed after `end`, and the graph output.
 graph::Graph extract_segment(const graph::Graph& g, std::size_t begin,
                              std::size_t end, const std::string& name);
 

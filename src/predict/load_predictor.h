@@ -69,7 +69,6 @@ class LoadPredictor {
 
   std::uint64_t samples() const { return samples_; }
   TimeNs last_observed() const { return last_observed_; }
-  double last_value() const { return last_value_; }
 
   /// Mean absolute / signed forecast error over the scored observations.
   double mae() const;

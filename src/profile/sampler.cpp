@@ -13,7 +13,10 @@ using flops::ModelKind;
 using flops::NodeConfig;
 using graph::OpType;
 
-graph::OpType op_for_kind(ModelKind kind) {
+namespace {
+
+/// Representative operator for a model kind (inverse of model_kind()).
+OpType op_for_kind(ModelKind kind) {
   switch (kind) {
     case ModelKind::kConv:
       return OpType::kConv;
@@ -45,8 +48,6 @@ graph::OpType op_for_kind(ModelKind kind) {
   LP_CHECK_MSG(false, "no operator for kind");
   return OpType::kInput;
 }
-
-namespace {
 
 std::int64_t pick(Rng& rng, std::initializer_list<std::int64_t> values) {
   const auto idx = static_cast<std::size_t>(

@@ -14,7 +14,4 @@ namespace lp::profile {
 /// Draws one well-formed configuration of the given model kind.
 flops::NodeConfig sample_config(flops::ModelKind kind, Rng& rng);
 
-/// Representative operator for a model kind (inverse of model_kind()).
-graph::OpType op_for_kind(flops::ModelKind kind);
-
 }  // namespace lp::profile

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "partition/partitioner.h"
 
 namespace lp::serve {
 
@@ -118,9 +117,10 @@ EdgeServerFrontend::SessionStats EdgeServerFrontend::session_stats(
 
 namespace {
 // Modeled wire cost of a session export: a fixed header, the k tracker
-// (LoadFactorTracker::wire_bytes), a serialized plan per cache entry, and a
-// header per re-routed job (the boundary tensors themselves stay with the
-// jobs' origin upload — only control state crosses the interconnect).
+// (LoadFactorTracker::wire_bytes), a serialized partition per cache entry
+// (the cache itself holds only keys), and a header per re-routed job (the
+// boundary tensors themselves stay with the jobs' origin upload — only
+// control state crosses the interconnect).
 constexpr std::int64_t kExportHeaderBytes = 256;
 constexpr std::int64_t kPlanBytes = 4096;
 constexpr std::int64_t kJobHeaderBytes = 256;
@@ -426,17 +426,16 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
     in_flight_sec_ = std::max(in_flight_sec_, job.predicted_sec);
 
   // Partition caches are per session; one runtime preparation covers the
-  // whole batch (it shares (model, p)). Each job looks the plan up once;
-  // after the preparation every member session stores the profile's plan,
-  // which for a session that hit only refreshes its recency.
+  // whole batch (it shares (model, p)). Each job looks p up once; after the
+  // preparation every member session caches p, which for a session that hit
+  // only refreshes its recency.
   double overhead = 0.0;
   bool miss = false;
   for (const QueuedJob& job : batch)
-    if (sessions_[job.session].cache.find(p) == nullptr) miss = true;
+    if (!sessions_[job.session].cache.find(p)) miss = true;
   if (miss) {
-    const partition::PlanPtr plan = profile.plan(p);
     const core::Preparation prep =
-        core::preparation(*plan, core::Side::kServer);
+        core::preparation(profile, p, core::Side::kServer);
     overhead = prep.sec;
     const TimeNs prep_begin = sim_->now();
     co_await sim_->delay(seconds(overhead));
@@ -444,8 +443,7 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
     if (auto* tr = trace())
       tr->span(track_, "partition-prepare", prep_begin, sim_->now(),
                obs::TraceArgs().arg("p", p).arg("nodes", prep.nodes));
-    for (const QueuedJob& job : batch)
-      sessions_[job.session].cache.insert(plan);
+    for (const QueuedJob& job : batch) sessions_[job.session].cache.insert(p);
   }
   for (const QueuedJob& job : batch) job.reply->overhead = overhead;
 

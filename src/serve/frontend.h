@@ -198,10 +198,6 @@ class EdgeServerFrontend : public core::SuffixService {
   /// idle baseline (Section IV, per session).
   void start_gpu_watcher(DurationNs period);
 
-  /// Predicted delay a new arrival would see: queued backlog plus the
-  /// remaining in-flight dispatch.
-  double predicted_queue_delay_sec() const;
-
   std::size_t sessions() const { return sessions_.size(); }
   std::size_t queue_depth() const { return queue_.size(); }
   const FrontendCounters& counters() const { return counters_; }
@@ -306,6 +302,10 @@ class EdgeServerFrontend : public core::SuffixService {
   /// Folds a session-k forecast error into the frontend-wide predict.*
   /// aggregate (skips the unscored first sample).
   void note_forecast_error(double err);
+
+  /// Predicted delay a new arrival would see: queued backlog plus the
+  /// remaining in-flight dispatch (LoadSnapshot::predicted_delay_sec).
+  double predicted_queue_delay_sec() const;
 
   sim::Simulator* sim_;
   hw::GpuScheduler* scheduler_;

@@ -8,20 +8,6 @@
 
 namespace lp::serve {
 
-std::string queue_policy_name(QueuePolicy policy) {
-  switch (policy) {
-    case QueuePolicy::kFifo:
-      return "FIFO";
-    case QueuePolicy::kEdf:
-      return "EDF";
-    case QueuePolicy::kSpjf:
-      return "SPJF";
-    case QueuePolicy::kLeastSlack:
-      return "least-slack";
-  }
-  return "?";
-}
-
 namespace {
 
 // A non-finite prediction breaks the strict weak ordering of before()

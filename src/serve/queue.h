@@ -33,8 +33,6 @@ namespace lp::serve {
 
 enum class QueuePolicy { kFifo, kEdf, kSpjf, kLeastSlack };
 
-std::string queue_policy_name(QueuePolicy policy);
-
 /// take_matching cutoff that classifies no job as expired: below every
 /// representable deadline (and kNoDeadline jobs are exempt regardless).
 inline constexpr TimeNs kNeverExpired = std::numeric_limits<TimeNs>::min();

@@ -173,59 +173,4 @@ class Resource {
   std::vector<std::coroutine_handle<>> waiters_;
 };
 
-/// Unbounded FIFO message channel between processes.
-template <typename T>
-class Channel {
- public:
-  explicit Channel(Simulator& sim) : sim_(&sim) {}
-
-  /// Sends a value; wakes the oldest waiting receiver, if any.
-  void send(T value) {
-    if (!waiters_.empty()) {
-      Waiter* w = waiters_.front();
-      waiters_.erase(waiters_.begin());
-      w->value = std::move(value);
-      w->has_value = true;
-      sim_->schedule_handle(sim_->now(), w->handle);
-    } else {
-      queue_.push_back(std::move(value));
-    }
-  }
-
-  std::size_t size() const { return queue_.size(); }
-  bool empty() const { return queue_.empty(); }
-
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    T value{};
-    bool has_value = false;
-  };
-
-  /// Awaitable receive; resumes with the next value in FIFO order.
-  [[nodiscard]] auto receive() {
-    struct Awaiter {
-      Channel* ch;
-      Waiter self;
-      bool await_ready() const { return !ch->queue_.empty(); }
-      void await_suspend(std::coroutine_handle<> h) {
-        self.handle = h;
-        ch->waiters_.push_back(&self);
-      }
-      T await_resume() {
-        if (self.has_value) return std::move(self.value);
-        LP_CHECK(!ch->queue_.empty());
-        T v = std::move(ch->queue_.front());
-        ch->queue_.erase(ch->queue_.begin());
-        return v;
-      }
-    };
-    return Awaiter{this, {}};
-  }
-
- private:
-  Simulator* sim_;
-  std::vector<T> queue_;
-  std::vector<Waiter*> waiters_;
-};
-
 }  // namespace lp::sim

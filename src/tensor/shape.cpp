@@ -6,12 +6,18 @@
 
 namespace lp {
 
-Shape::Shape(std::initializer_list<std::int64_t> dims) : dims_(dims) {
-  for (auto d : dims_) LP_CHECK_MSG(d > 0, "axis sizes must be positive");
-}
+Shape::Shape(std::initializer_list<std::int64_t> dims)
+    : Shape(std::vector<std::int64_t>(dims)) {}
 
 Shape::Shape(std::vector<std::int64_t> dims) : dims_(std::move(dims)) {
-  for (auto d : dims_) LP_CHECK_MSG(d > 0, "axis sizes must be positive");
+  // Bound the byte size once here, so elements() and TensorDesc::bytes()
+  // can multiply unchecked without signed overflow.
+  std::int64_t bytes = static_cast<std::int64_t>(sizeof(float));
+  for (auto d : dims_) {
+    LP_CHECK_MSG(d > 0, "axis sizes must be positive");
+    const bool overflow = __builtin_mul_overflow(bytes, d, &bytes);
+    LP_CHECK_MSG(!overflow, "byte size overflows int64: " + to_string());
+  }
 }
 
 std::int64_t Shape::dim(std::size_t i) const {

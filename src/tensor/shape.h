@@ -13,7 +13,8 @@
 
 namespace lp {
 
-/// Dense tensor shape; axis sizes must be positive.
+/// Dense tensor shape; axis sizes must be positive, and the float32 byte
+/// size must fit in int64 (both checked at construction).
 class Shape {
  public:
   Shape() = default;

@@ -16,22 +16,16 @@
 namespace lp::check {
 namespace {
 
-partition::PlanPtr plan_for(std::size_t p) {
-  partition::PartitionPlan plan;
-  plan.p = p;
-  return std::make_shared<const partition::PartitionPlan>(std::move(plan));
-}
-
 // ---------------------------------------------------------------- satellite
 // regressions: each of these failed on the pre-fix code.
 
 TEST(PartitionCacheRegression, ClearResetsStatistics) {
   partition::PartitionCache cache(2);
-  cache.insert(plan_for(1));
-  EXPECT_NE(cache.find(1), nullptr);  // hit
-  EXPECT_EQ(cache.find(9), nullptr);  // miss
-  cache.insert(plan_for(2));
-  cache.insert(plan_for(3));  // evicts p=1 (capacity 2)
+  cache.insert(1);
+  EXPECT_TRUE(cache.find(1));   // hit
+  EXPECT_FALSE(cache.find(9));  // miss
+  cache.insert(2);
+  cache.insert(3);  // evicts p=1 (capacity 2)
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.evictions(), 1u);
@@ -45,19 +39,6 @@ TEST(PartitionCacheRegression, ClearResetsStatistics) {
   EXPECT_EQ(cache.misses(), 0u);
   EXPECT_EQ(cache.evictions(), 0u);
   EXPECT_EQ(cache.hit_rate(), 0.0);
-  audit(cache);
-}
-
-TEST(PartitionCacheRegression, ResetStatsKeepsEntries) {
-  partition::PartitionCache cache(4);
-  cache.insert(plan_for(1));
-  cache.insert(plan_for(2));
-  EXPECT_NE(cache.find(1), nullptr);
-  cache.reset_stats();
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-  EXPECT_EQ(cache.size(), 2u);  // entries survive a stats reset
-  EXPECT_NE(cache.peek(1), nullptr);
   audit(cache);
 }
 

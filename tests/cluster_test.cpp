@@ -153,12 +153,9 @@ TEST(SessionMigration, RoundTripStateIsBitIdentical) {
   // The forecaster arrived inside the tracker.
   ASSERT_GT(original.k.predictor().samples(), 0u);
   EXPECT_TRUE(h.b.session_tracker(s) == original.k);
-  // Plans migrate by reference: B's cache holds the very plan objects that
-  // left A, which are the profile's own.
+  // The cache migrates as its keys: B holds the one cut A served.
   EXPECT_TRUE(h.b.session_cache(s) == original.cache);
-  ASSERT_GT(original.cache.size(), 0u);
-  for (std::size_t p : original.cache.lru_keys())
-    EXPECT_EQ(original.cache.peek(p), h.profile.plan(p).get());
+  EXPECT_EQ(original.cache.lru_keys(), std::vector<std::size_t>{5});
 
   // Export again from B: identical to what left A, ring order and
   // incrementally maintained sums included.

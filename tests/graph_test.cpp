@@ -25,6 +25,15 @@ TEST(Shape, RejectsNonPositiveAxes) {
   EXPECT_THROW(Shape({-1}), ContractError);
 }
 
+TEST(Shape, RejectsByteSizesBeyondInt64) {
+  // 2^32 x 2^32 elements would overflow elements() itself; 2^31 x 2^30
+  // fits as a count but not as float32 bytes (2^63). The bound is exact:
+  // 2^61 - 1 elements take 2^63 - 4 bytes.
+  EXPECT_THROW((Shape{1LL << 32, 1LL << 32}), ContractError);
+  EXPECT_THROW((Shape{1LL << 31, 1LL << 30}), ContractError);
+  EXPECT_EQ(TensorDesc{Shape{(1LL << 61) - 1}}.bytes(), ((1LL << 61) - 1) * 4);
+}
+
 TEST(TensorDesc, BytesUseDtype) {
   TensorDesc d{Shape{2, 3}};
   EXPECT_EQ(d.bytes(), 24);

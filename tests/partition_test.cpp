@@ -150,20 +150,15 @@ TEST(Partitioner, SegmentGraphsValidate) {
   EXPECT_EQ(plan.server_part->input_id(), graph::kInvalidNode);
 }
 
-PlanPtr shared_plan(const graph::Graph& g, std::size_t p) {
-  return std::make_shared<const PartitionPlan>(partition_at(g, p));
-}
-
 TEST(Cache, HitMissEvictionAccounting) {
-  const auto g = tiny_dag();
   PartitionCache cache(2);
-  EXPECT_EQ(cache.find(1), nullptr);  // miss
-  cache.insert(shared_plan(g, 1));
-  cache.insert(shared_plan(g, 2));
-  EXPECT_NE(cache.find(1), nullptr);  // hit, refreshes 1
-  cache.insert(shared_plan(g, 3));  // evicts 2 (LRU)
-  EXPECT_EQ(cache.find(2), nullptr);
-  EXPECT_NE(cache.find(3), nullptr);
+  EXPECT_FALSE(cache.find(1));  // miss
+  cache.insert(1);
+  cache.insert(2);
+  EXPECT_TRUE(cache.find(1));  // hit, refreshes 1
+  cache.insert(3);             // evicts 2 (LRU)
+  EXPECT_FALSE(cache.find(2));
+  EXPECT_TRUE(cache.find(3));
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
@@ -171,32 +166,59 @@ TEST(Cache, HitMissEvictionAccounting) {
 }
 
 TEST(Cache, ReinsertReplacesInPlace) {
-  const auto g = tiny_dag();
   PartitionCache cache(2);
-  cache.insert(shared_plan(g, 1));
-  const PlanPtr again = shared_plan(g, 1);
-  cache.insert(again);
-  EXPECT_EQ(cache.size(), 1u);
+  cache.insert(1);
+  cache.insert(2);
+  cache.insert(1);  // refreshes 1: no second entry, no eviction
+  EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_EQ(cache.peek(1), again.get());
+  EXPECT_EQ(cache.lru_keys(), (std::vector<std::size_t>{1, 2}));
+  cache.insert(3);  // evicts 2, now the least recent
+  EXPECT_EQ(cache.lru_keys(), (std::vector<std::size_t>{3, 1}));
+  EXPECT_EQ(cache.evictions(), 1u);
+}
+
+TEST(Cache, MissLeavesEntriesAndRecencyAlone) {
+  PartitionCache cache(3);
+  cache.insert(1);
+  cache.insert(2);
+  cache.insert(3);
+  EXPECT_FALSE(cache.find(7));  // a miss caches nothing and reorders nothing
+  EXPECT_EQ(cache.lru_keys(), (std::vector<std::size_t>{3, 2, 1}));
+  EXPECT_TRUE(cache.find(1));  // a hit moves its key to the front
+  EXPECT_EQ(cache.lru_keys(), (std::vector<std::size_t>{1, 3, 2}));
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.evictions(), 0u);
+}
+
+TEST(Cache, EqualityComparesRecencyOrderAndStatistics) {
+  // A migrated session's cache must equal its source in every respect a
+  // later lookup can observe: same keys, same recency order, same counts.
+  PartitionCache a(4), b(4);
+  a.insert(1);
+  a.insert(2);
+  b.insert(2);
+  b.insert(1);
+  EXPECT_FALSE(a == b);  // same keys, other recency order
+  const PartitionCache copy = a;
+  EXPECT_TRUE(copy == a);
+  EXPECT_TRUE(a.find(1));
+  EXPECT_FALSE(copy == a);  // the hit refreshed 1 and counted
+  EXPECT_EQ(a.lru_keys(), b.lru_keys());
+  EXPECT_FALSE(a == b);  // same order now, different hit count
+  EXPECT_FALSE(PartitionCache(4) == PartitionCache(5));
 }
 
 TEST(Cache, RejectsZeroCapacity) {
   EXPECT_THROW(PartitionCache(0), ContractError);
 }
 
-TEST(Cache, RejectsNullPlan) {
-  PartitionCache cache(2);
-  EXPECT_THROW(cache.insert(nullptr), ContractError);
-}
-
 TEST(Cache, ClearResetsEntriesKeepsStats) {
-  const auto g = tiny_dag();
   PartitionCache cache(4);
-  cache.insert(shared_plan(g, 0));
+  cache.insert(0);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.find(0), nullptr);
+  EXPECT_FALSE(cache.find(0));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "core/algorithm.h"
 #include "core/dads.h"
+#include "core/offload_runtime.h"
 #include "exec/interpreter.h"
 #include "graph/cut.h"
 #include "partition/partitioner.h"
@@ -13,6 +14,23 @@
 
 namespace lp {
 namespace {
+
+/// FLOPs-proportional predictors: exact for any graph, no training.
+core::PredictorBundle flops_bundle() {
+  profile::NodePredictor user(flops::Device::kUser);
+  profile::NodePredictor edge(flops::Device::kEdge);
+  for (auto kind : flops::all_model_kinds()) {
+    std::vector<double> cu(
+        flops::feature_names(kind, flops::Device::kUser).size(), 0.0);
+    cu[0] = 3e-10;  // seconds per FLOP on the device
+    user.set_model(kind, ml::LinearModel(cu));
+    std::vector<double> ce(
+        flops::feature_names(kind, flops::Device::kEdge).size(), 0.0);
+    ce[0] = 5e-13;
+    edge.set_model(kind, ml::LinearModel(ce));
+  }
+  return core::PredictorBundle{std::move(user), std::move(edge)};
+}
 
 class RandomGraphProperty : public ::testing::TestWithParam<std::uint64_t> {
  protected:
@@ -63,10 +81,22 @@ TEST_P(RandomGraphProperty, EveryPartitionExecutesEquivalently) {
 }
 
 TEST_P(RandomGraphProperty, PartitionBoundaryMatchesCutSizes) {
+  // Random DAGs cut inside multi-branch blocks, so the device segment's
+  // MakeTuple shows up here as well as in the zoo.
   const auto s = graph::cut_sizes(g_);
-  for (std::size_t p = 0; p < g_.n(); ++p) {
+  const core::PredictorBundle bundle = flops_bundle();
+  const core::GraphCostProfile profile(g_, bundle);
+  for (std::size_t p = 0; p <= g_.n(); ++p) {
     const auto plan = partition::partition_at(g_, p);
-    EXPECT_EQ(plan.boundary_bytes, s[p]) << "p=" << p;
+    if (p < g_.n()) {
+      EXPECT_EQ(plan.boundary_bytes, s[p]) << "p=" << p;
+    }
+    EXPECT_EQ(core::preparation(profile, p, core::Side::kDevice).nodes,
+              plan.device_part ? plan.device_part->backbone().size() : 0)
+        << "p=" << p;
+    EXPECT_EQ(core::preparation(profile, p, core::Side::kServer).nodes,
+              plan.server_part ? plan.server_part->backbone().size() : 0)
+        << "p=" << p;
   }
 }
 
@@ -109,21 +139,7 @@ TEST_P(RandomGraphProperty, MinCutNeverWorseThanTopologicalSearch) {
   // Build a cost profile directly over the graph using simple synthetic
   // predictors (FLOPs-proportional), then compare the general min cut to
   // Algorithm 1: the min cut searches a superset of cuts.
-  profile::NodePredictor user(flops::Device::kUser);
-  profile::NodePredictor edge(flops::Device::kEdge);
-  for (auto kind : flops::all_model_kinds()) {
-    const std::size_t width =
-        flops::feature_names(kind, flops::Device::kUser).size();
-    std::vector<double> cu(width, 0.0), ce(width, 0.0);
-    cu[0] = 3e-10;  // seconds per FLOP on the device
-    user.set_model(kind, ml::LinearModel(cu));
-    const std::size_t ewidth =
-        flops::feature_names(kind, flops::Device::kEdge).size();
-    std::vector<double> cee(ewidth, 0.0);
-    cee[0] = 5e-13;
-    edge.set_model(kind, ml::LinearModel(cee));
-  }
-  const core::PredictorBundle bundle{std::move(user), std::move(edge)};
+  const core::PredictorBundle bundle = flops_bundle();
   const core::GraphCostProfile profile(g_, bundle);
   for (double bw : {0.5, 8.0, 64.0}) {
     const auto linear = core::decide(profile, 1.0, mbps(bw));
@@ -148,20 +164,7 @@ TEST(RandomGraphChain, MinCutEqualsTopologicalSearchOnChains) {
       if (rng.bernoulli(0.5)) x = b.relu(x);
     }
     const auto g = b.build(x);
-
-    profile::NodePredictor user(flops::Device::kUser);
-    profile::NodePredictor edge(flops::Device::kEdge);
-    for (auto kind : flops::all_model_kinds()) {
-      std::vector<double> cu(
-          flops::feature_names(kind, flops::Device::kUser).size(), 0.0);
-      cu[0] = 3e-10;
-      user.set_model(kind, ml::LinearModel(cu));
-      std::vector<double> ce(
-          flops::feature_names(kind, flops::Device::kEdge).size(), 0.0);
-      ce[0] = 5e-13;
-      edge.set_model(kind, ml::LinearModel(ce));
-    }
-    const core::PredictorBundle bundle{std::move(user), std::move(edge)};
+    const core::PredictorBundle bundle = flops_bundle();
     const core::GraphCostProfile profile(g, bundle);
     for (double bw : {1.0, 16.0}) {
       const auto linear = core::decide(profile, 1.0, mbps(bw));

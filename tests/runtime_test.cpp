@@ -3,6 +3,7 @@
 
 #include "core/load_factor.h"
 #include "core/offload_runtime.h"
+#include "graph/cut.h"
 #include "hw/load_generator.h"
 #include "serve/frontend.h"
 
@@ -165,6 +166,12 @@ sim::Task run_inferences(OffloadClient& client, int count,
   }
 }
 
+/// Sets *t to the sim time at which `ev` fires.
+sim::Task record_time_of(sim::Simulator& sim, sim::Event& ev, TimeNs* t) {
+  co_await ev.wait();
+  *t = sim.now();
+}
+
 TEST(OffloadRuntime, AlexNetIdleServerPicksMidCutAt8Mbps) {
   Harness h("alexnet");
   std::vector<InferenceRecord> records;
@@ -205,7 +212,7 @@ TEST(OffloadRuntime, CacheAmortizesPartitionOverhead) {
 }
 
 TEST(OffloadRuntime, OneRequestCountsOneCacheLookupPerSide) {
-  // Each side looks its plan up once per request, so a cold request is one
+  // Each side looks its cut up once per request, so a cold request is one
   // miss and no hit on the device and on the server alike.
   Harness h("alexnet");
   std::vector<InferenceRecord> records;
@@ -217,38 +224,32 @@ TEST(OffloadRuntime, OneRequestCountsOneCacheLookupPerSide) {
   EXPECT_EQ(h.client.cache().misses(), 1u);
   EXPECT_EQ(h.server.cache().hits(), 0u);
   EXPECT_EQ(h.server.cache().misses(), 1u);
-  // Both caches hold the profile's own plan, not copies of it.
-  const std::size_t p = records[0].p;
-  EXPECT_EQ(h.client.cache().peek(p), h.profile.plan(p).get());
-  EXPECT_EQ(h.server.cache().peek(p), h.profile.plan(p).get());
+  // Both caches now hold the cut the request used.
+  const std::vector<std::size_t> cut{records[0].p};
+  EXPECT_EQ(h.client.cache().lru_keys(), cut);
+  EXPECT_EQ(h.server.cache().lru_keys(), cut);
 }
 
-TEST(GraphCostProfile, PlanIsBuiltOnceAndMatchesPartitionAt) {
-  for (const char* name : {"alexnet", "squeezenet"}) {
+TEST(GraphCostProfile, PricesEveryCutLikeTheSegmentsPartitionAtBuilds) {
+  // The runtime never builds a partition: a cache miss prepares the node
+  // count the profile precomputed, and an upload ships s(p). Both must
+  // match the plan partition_at would have built, at every cut.
+  for (const std::string& name : models::evaluation_names()) {
     SCOPED_TRACE(name);
     const graph::Graph g = models::make_model(name);
     const GraphCostProfile profile(g, bundle());
     for (std::size_t p = 0; p <= g.n(); ++p) {
       SCOPED_TRACE("p=" + std::to_string(p));
-      const partition::PlanPtr& memo = profile.plan(p);
-      ASSERT_NE(memo, nullptr);
-      EXPECT_EQ(profile.plan(p).get(), memo.get());
-      const partition::PartitionPlan fresh = partition::partition_at(g, p);
-      EXPECT_EQ(memo->p, fresh.p);
-      EXPECT_EQ(memo->boundary, fresh.boundary);
-      EXPECT_EQ(memo->boundary_bytes, fresh.boundary_bytes);
-      ASSERT_EQ(memo->device_part.has_value(), fresh.device_part.has_value());
-      ASSERT_EQ(memo->server_part.has_value(), fresh.server_part.has_value());
-      if (fresh.device_part) {
-        EXPECT_EQ(memo->device_part->backbone().size(),
-                  fresh.device_part->backbone().size());
-      }
-      if (fresh.server_part) {
-        EXPECT_EQ(memo->server_part->backbone().size(),
-                  fresh.server_part->backbone().size());
+      const partition::PartitionPlan plan = partition::partition_at(g, p);
+      EXPECT_EQ(preparation(profile, p, Side::kDevice).nodes,
+                plan.device_part ? plan.device_part->backbone().size() : 0);
+      EXPECT_EQ(preparation(profile, p, Side::kServer).nodes,
+                plan.server_part ? plan.server_part->backbone().size() : 0);
+      if (p < g.n()) {
+        EXPECT_EQ(profile.s(p), plan.boundary_bytes);
       }
     }
-    EXPECT_THROW(profile.plan(g.n() + 1), ContractError);
+    EXPECT_THROW(preparation(profile, g.n() + 1, Side::kDevice), ContractError);
   }
 }
 
@@ -275,6 +276,28 @@ TEST(OffloadRuntime, FullOffloadUploadsWholeInput) {
     EXPECT_EQ(r.device_sec, 0.0);
     // 588 KB at 8 Mbps is ~0.6 s.
     EXPECT_NEAR(r.upload_sec, 0.6, 0.15);
+  }
+}
+
+TEST(OffloadRuntime, UploadShipsTheProfilesCutSizePlusHeader) {
+  // The client sizes an upload from the profile: s(p) bytes of boundary
+  // tensors plus the header, also at a cut inside a SqueezeNet fire module
+  // where several tensors cross.
+  const graph::Graph g = models::make_model("squeezenet");
+  std::size_t interior = 1;
+  while (interior < g.n() && !graph::cut_inside_block(g, interior))
+    ++interior;
+  ASSERT_LT(interior, g.n());
+  RuntimeParams params;
+  params.fixed_p = interior;
+  Harness h("squeezenet", Policy::kFixedPoint, params);
+  std::vector<InferenceRecord> records;
+  h.sim.spawn(run_inferences(h.client, 2, records));
+  h.sim.run_until(seconds(30));
+  ASSERT_EQ(records.size(), 2u);
+  for (const auto& r : records) {
+    EXPECT_EQ(r.p, interior);
+    EXPECT_EQ(r.upload_bytes, h.profile.s(interior) + kHeaderBytes);
   }
 }
 
@@ -472,19 +495,56 @@ TEST(OffloadServer, ServiceProcessesQueuedRequestsInOrder) {
   auto first = std::make_shared<SuffixReply>(h.sim);
   auto second = std::make_shared<SuffixReply>(h.sim);
   TimeNs t1 = 0, t2 = 0;
-  auto waiter = [](sim::Simulator& s, sim::Event& ev,
-                   TimeNs& t) -> sim::Task {
-    co_await ev.wait();
-    t = s.now();
-  };
   h.server.submit(SuffixRequest{0, first});
   h.server.submit(SuffixRequest{8, second});
-  h.sim.spawn(waiter(h.sim, first->done, t1));
-  h.sim.spawn(waiter(h.sim, second->done, t2));
+  h.sim.spawn(record_time_of(h.sim, first->done, &t1));
+  h.sim.spawn(record_time_of(h.sim, second->done, &t2));
   h.sim.run_until(seconds(10));
   EXPECT_GT(t1, 0);
   EXPECT_GT(t2, t1);  // FIFO: the p=8 request finished after the p=0 one
   EXPECT_GT(first->exec, second->exec);  // and the longer suffix took longer
+}
+
+TEST(OffloadServer, QueueWaitRunsFromArrivalToDispatch) {
+  // A request that arrives while the service runs another waits in the
+  // queue until that one resolves, and reports exactly that wait.
+  Harness h("alexnet");
+  auto running = std::make_shared<SuffixReply>(h.sim);
+  auto queued = std::make_shared<SuffixReply>(h.sim);
+  TimeNs running_done = 0;
+  h.server.submit(SuffixRequest{0, running});
+  h.sim.spawn(record_time_of(h.sim, running->done, &running_done));
+  const TimeNs arrival = milliseconds(1);
+  h.sim.run_until(arrival);
+  ASSERT_FALSE(running->done.triggered());  // still preparing or executing
+  h.server.submit(SuffixRequest{8, queued});
+  h.sim.run_until(seconds(10));
+  ASSERT_EQ(running->status, SuffixStatus::kServed);
+  ASSERT_EQ(queued->status, SuffixStatus::kServed);
+  ASSERT_TRUE(queued->done.triggered());
+  EXPECT_EQ(running->queue_wait, 0.0);
+  EXPECT_EQ(queued->queue_wait, to_seconds(running_done - arrival));
+}
+
+TEST(OffloadServer, DrainedServiceWakesForALaterRequest) {
+  // Once its queue drains, the service sleeps on its work event; a later
+  // submit wakes it at the submit time, so the request waits for nothing.
+  Harness h("alexnet");
+  auto first = std::make_shared<SuffixReply>(h.sim);
+  h.server.submit(SuffixRequest{8, first});
+  h.sim.run_until(seconds(5));
+  ASSERT_TRUE(first->done.triggered());
+  auto later = std::make_shared<SuffixReply>(h.sim);
+  TimeNs later_done = 0;
+  h.server.submit(SuffixRequest{8, later});
+  h.sim.spawn(record_time_of(h.sim, later->done, &later_done));
+  h.sim.run_until(seconds(10));
+  ASSERT_TRUE(later->done.triggered());
+  EXPECT_EQ(later->status, SuffixStatus::kServed);
+  EXPECT_EQ(later->queue_wait, 0.0);
+  EXPECT_EQ(later->overhead, 0.0);  // the server still caches cut 8
+  EXPECT_GT(later_done, seconds(5));
+  EXPECT_EQ(h.server.cache().hits(), 1u);
 }
 
 TEST(OffloadServer, MatchesAOneSessionFifoFrontendOnTheSharedCostModel) {

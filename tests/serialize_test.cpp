@@ -97,6 +97,18 @@ TEST(Serialize, MalformedInputsThrow) {
       ContractError);
 }
 
+TEST(Serialize, RejectsShapesWhoseBytesOverflow) {
+  // A model file may declare any positive dims; one whose byte size does
+  // not fit in int64 is a typed error at load, not signed overflow later.
+  const std::string text = serialize(models::alexnet());
+  const std::string input = " f32 4 1 3 224 224";
+  const auto at = text.find(input);
+  ASSERT_NE(at, std::string::npos);
+  std::string huge = text;
+  huge.replace(at, input.size(), " f32 2 4294967296 4294967296");
+  EXPECT_THROW(deserialize(huge), ContractError);
+}
+
 TEST(Serialize, RejectsDtypesOtherThanF32) {
   // Every tensor is f32: a file written today carries only that token and
   // reads back, and any other dtype token is a typed error.

@@ -554,7 +554,7 @@ TEST(EdgeServerFrontend, CrashWipesPartitionCacheAndKWindow) {
   const auto s = h.frontend.open_session(h.profile);
 
   // Warm the session: queueing drives k above idle and the partition
-  // cache holds the plan for p = 5.
+  // cache holds p = 5.
   std::vector<std::unique_ptr<PendingRequest>> requests;
   for (int i = 0; i < 12; ++i) {
     requests.push_back(std::make_unique<PendingRequest>(h.sim));
@@ -696,15 +696,15 @@ TEST(EdgeServerFrontend, ColdRequestCountsOneCacheMiss) {
   h.sim.run_until(seconds(30));
   ASSERT_TRUE(cold.reply->done.triggered());
   EXPECT_GT(cold.reply->overhead, 0.0);
-  // One lookup per job: storing the plan after the preparation delay is
-  // not a second lookup.
+  // One lookup per job: caching p after the preparation delay is not a
+  // second lookup.
   EXPECT_EQ(h.frontend.session_cache(s).hits(), 0u);
   EXPECT_EQ(h.frontend.session_cache(s).misses(), 1u);
 }
 
-TEST(EdgeServerFrontend, ClientAndSessionShareTheProfilesPlan) {
-  // A client offloading through a frontend session: the device cache, the
-  // session cache and the profile all hold one plan object per p.
+TEST(EdgeServerFrontend, ClientAndSessionBothCacheTheCut) {
+  // A client offloading through a frontend session: the device cache and
+  // the session cache each record the cut after preparing their side.
   FrontendHarness h(FrontendParams{});
   hw::CpuModel cpu;
   net::Link link(h.sim, net::BandwidthTrace::constant(mbps(8)),
@@ -717,10 +717,10 @@ TEST(EdgeServerFrontend, ClientAndSessionShareTheProfilesPlan) {
   h.sim.run_until(seconds(30));
   const std::size_t p = rec.p;
   ASSERT_GT(p, 0u);
-  ASSERT_LT(p, h.model.n());  // both sides prepared a plan
-  const partition::PartitionPlan* shared = h.profile.plan(p).get();
-  EXPECT_EQ(client.cache().peek(p), shared);
-  EXPECT_EQ(h.frontend.session_cache(s).peek(p), shared);
+  ASSERT_LT(p, h.model.n());  // both sides prepared a segment
+  const std::vector<std::size_t> cut{p};
+  EXPECT_EQ(client.cache().lru_keys(), cut);
+  EXPECT_EQ(h.frontend.session_cache(s).lru_keys(), cut);
 }
 
 // ------------------------------------------------------------- fleet --

@@ -139,43 +139,6 @@ TEST(Event, WaitAfterTriggerCompletesImmediately) {
   EXPECT_EQ(woke[0], 0);
 }
 
-Task producer(Simulator& sim, Channel<int>& ch, int count) {
-  for (int i = 0; i < count; ++i) {
-    co_await sim.delay(milliseconds(1));
-    ch.send(i);
-  }
-}
-Task consumer(Simulator& sim, Channel<int>& ch, int count,
-              std::vector<int>& got) {
-  (void)sim;
-  for (int i = 0; i < count; ++i) {
-    const int v = co_await ch.receive();
-    got.push_back(v);
-  }
-}
-
-TEST(Channel, DeliversInFifoOrderAcrossProcesses) {
-  Simulator sim;
-  Channel<int> ch(sim);
-  std::vector<int> got;
-  sim.spawn(consumer(sim, ch, 5, got));
-  sim.spawn(producer(sim, ch, 5));
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Channel, BufferedSendsReceivedLater) {
-  Simulator sim;
-  Channel<int> ch(sim);
-  ch.send(7);
-  ch.send(8);
-  EXPECT_EQ(ch.size(), 2u);
-  std::vector<int> got;
-  sim.spawn(consumer(sim, ch, 2, got));
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{7, 8}));
-}
-
 TEST(Event, ResetMakesItReusable) {
   Simulator sim;
   Event ev(sim);

@@ -106,6 +106,8 @@ FUZZ = [
     ("predict", 300, 2),
     ("queue", 400, 4),
     ("fleet", 40, 5),
+    ("decision", 200, 1),
+    ("cache", 200, 6),
 ]
 
 
