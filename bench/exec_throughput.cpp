@@ -3,11 +3,13 @@
 // setup), reference vs optimized kernels at 1/2/4/8 threads. Reports
 // ms/inference, peak resident tensor bytes (liveness), speedups and the
 // vector path the optimized conv took, and checks the optimized output is
-// bit-identical before trusting any timing. The reference is one run; each
-// optimized thread count is the median of kTimedRuns runs of one warmed
-// interpreter, so the thread columns compare like with like. Writes the
-// machine-readable summary to BENCH_exec.json (or argv[1]); exits 1 if
-// that write fails.
+// bit-identical before trusting any timing. Each optimized thread count,
+// and both columns of the standalone AlexNet conv-layer table, is the
+// median of kTimedRuns runs of one warmed interpreter, so those columns
+// compare like with like. The whole-model reference column is one cold
+// run: the six models' reference runs alone take 2 to 2.5 min per pass on
+// a 4-vCPU AVX-512 Xeon. Writes the machine-readable summary to
+// BENCH_exec.json (or argv[1]); exits 1 if that write fails.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -66,12 +68,12 @@ struct WarmTiming {
   bool bit_identical = true;
 };
 
-/// One optimized interpreter at `threads`: an untimed run first pays its
-/// thread pool's start-up and first-touch page faults, then the median of
+/// One interpreter with `options`: an untimed run first pays its thread
+/// pool's start-up and first-touch page faults, then the median of
 /// kTimedRuns timed runs. Every output is compared with `expected`.
 WarmTiming warm_timing(const lp::graph::Graph& g, const TensorMap& bind,
-                       int threads, const std::vector<Tensor>& expected) {
-  const Interpreter interp(g, {ExecMode::kOptimized, threads});
+                       Options options, const std::vector<Tensor>& expected) {
+  const Interpreter interp(g, options);
   WarmTiming w;
   auto check = [&](const std::vector<Tensor>& out) {
     for (std::size_t i = 0; i < expected.size(); ++i)
@@ -123,7 +125,8 @@ ModelReport bench_model(const std::string& name) {
   rep.reference_ms = ref.ms;
 
   for (int t = 0; t < 4; ++t) {
-    const WarmTiming opt = warm_timing(g, bind, kThreads[t], ref.out);
+    const WarmTiming opt =
+        warm_timing(g, bind, {ExecMode::kOptimized, kThreads[t]}, ref.out);
     rep.optimized_ms[t] = opt.median_ms;
     if (t == 0) rep.peak_resident_bytes = opt.stats.peak_resident_bytes;
     rep.bit_identical = rep.bit_identical && opt.bit_identical;
@@ -176,7 +179,8 @@ struct ConvReport {
 };
 
 /// Each AlexNet Conv layer as a standalone graph: the per-kernel speedup
-/// claim without pools/FC diluting it.
+/// claim without pools/FC diluting it. Both kernels are timed warm, and
+/// every run is checked bit for bit against one reference run.
 std::vector<ConvReport> bench_alexnet_convs() {
   const auto g = lp::models::alexnet();
   std::vector<ConvReport> reports;
@@ -195,16 +199,15 @@ std::vector<ConvReport> bench_alexnet_convs() {
     const TensorMap bind = {
         {"input", lp::exec::random_tensor(in_shape, 77)}};
 
-    ConvReport r;
-    r.name = node.name;
-    const auto ref = timed_run(layer, bind, {ExecMode::kReference, 1});
-    const auto opt = timed_run(layer, bind, {ExecMode::kOptimized, 1});
-    LP_CHECK_MSG(
-        lp::exec::Tensor::max_abs_diff(opt.out[0], ref.out[0]) == 0.0,
-        "conv layer diverged from reference");
-    r.reference_ms = ref.ms;
-    r.optimized_ms = opt.ms;
-    reports.push_back(r);
+    const std::vector<Tensor> expected =
+        Interpreter(layer, {ExecMode::kReference, 1}).run(bind);
+    const WarmTiming ref =
+        warm_timing(layer, bind, {ExecMode::kReference, 1}, expected);
+    const WarmTiming opt =
+        warm_timing(layer, bind, {ExecMode::kOptimized, 1}, expected);
+    LP_CHECK_MSG(ref.bit_identical && opt.bit_identical,
+                 "conv layer diverged from reference");
+    reports.push_back({node.name, ref.median_ms, opt.median_ms});
   }
   return reports;
 }
@@ -263,8 +266,9 @@ int main(int argc, char** argv) {
   std::printf(
       "Execution-engine throughput (bit-identity checked), host cores: %u, "
       "conv ISA: %s\n"
-      "(optimized: median of %d warm runs per thread count; thread scaling\n"
-      " is only visible when the host has that many cores)\n\n",
+      "(optimized: median of %d warm runs per thread count; reference: one\n"
+      " cold run per model, since the six together take minutes; thread\n"
+      " scaling is only visible when the host has that many cores)\n\n",
       std::thread::hardware_concurrency(), lp::exec::kernel_isa(),
       kTimedRuns);
   std::vector<ModelReport> models;
@@ -294,7 +298,10 @@ int main(int argc, char** argv) {
                  Table::num(m.cut_device_ms), Table::num(m.cut_server_ms)});
   cut.print();
 
-  std::printf("\nAlexNet Conv layers standalone (1 thread)\n");
+  std::printf(
+      "\nAlexNet Conv layers standalone (1 thread, median of %d warm runs "
+      "per kernel)\n",
+      kTimedRuns);
   const auto convs = bench_alexnet_convs();
   Table conv_table({"layer", "reference(ms)", "optimized(ms)", "speedup"});
   for (const auto& c : convs)

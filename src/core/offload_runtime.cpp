@@ -81,17 +81,26 @@ Preparation preparation(const GraphCostProfile& profile, std::size_t p,
 }
 
 std::vector<DurationNs> suffix_kernels(const hw::GpuModel& gpu,
-                                       const graph::Graph& g, std::size_t p,
-                                       std::size_t n, std::size_t batch,
+                                       const GraphCostProfile& profile,
+                                       std::size_t p, std::size_t batch,
                                        double straggle, Rng& rng) {
-  std::vector<DurationNs> kernels =
-      batch > 1 ? gpu.batched_segment_kernels(g, p + 1, n, batch)
-                : gpu.segment_kernels(g, p + 1, n);
-  const double jf = gpu.params().jitter_frac;
-  for (auto& k : kernels)
-    k = std::max<DurationNs>(
+  LP_CHECK(p < profile.n() && batch >= 1);
+  const hw::GpuModelParams& params = gpu.params();
+  const DurationNs dispatch = seconds(params.framework_dispatch_sec);
+  // At batch = 1 the scale is exactly 1.0, so each kernel is t + dispatch.
+  const double scale =
+      1.0 + static_cast<double>(batch - 1) * params.batch_compute_frac;
+  std::vector<DurationNs> kernels;
+  kernels.reserve(profile.n() - p);
+  for (std::size_t i = p + 1; i <= profile.n(); ++i) {
+    const DurationNs t = profile.kernel_ns(i);
+    if (t <= 0) continue;
+    const DurationNs k =
+        static_cast<DurationNs>(static_cast<double>(t) * scale) + dispatch;
+    kernels.push_back(std::max<DurationNs>(
         1, static_cast<DurationNs>(static_cast<double>(k) * straggle *
-                                   jitter_scale(rng, jf)));
+                                   jitter_scale(rng, params.jitter_frac))));
+  }
   return kernels;
 }
 
@@ -165,7 +174,7 @@ sim::Task OffloadServer::execute_suffix(std::size_t p, SuffixReply& reply) {
   reply.overhead = overhead;
 
   // Execute the suffix kernels on the (possibly contended) GPU.
-  auto kernels = suffix_kernels(*gpu_, profile_->graph(), p, n, /*batch=*/1,
+  auto kernels = suffix_kernels(*gpu_, *profile_, p, /*batch=*/1,
                                 /*straggle=*/1.0, rng_);
   const bool contended = gpu_contended(*scheduler_);
   const TimeNs begin = sim_->now();
@@ -286,9 +295,7 @@ void OffloadClient::rebind(SuffixService& server, std::uint64_t session) {
 
 sim::Task OffloadClient::run_suffix_locally(std::size_t p,
                                             InferenceRecord* rec) {
-  const auto& g = profile_->graph();
-  const std::size_t n = profile_->n();
-  const DurationNs base = cpu_->segment_time(g, p + 1, n);
+  const DurationNs base = profile_->device_suffix_ns(p);
   const DurationNs actual = std::max<DurationNs>(
       1, static_cast<DurationNs>(
              static_cast<double>(base) *
@@ -373,7 +380,7 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
 
   // Execute the device prefix {L1..Lp}.
   if (p > 0) {
-    const DurationNs base = cpu_->segment_time(g, 0, p);
+    const DurationNs base = profile_->device_prefix_ns(p);
     const DurationNs actual = std::max<DurationNs>(
         1, static_cast<DurationNs>(
                static_cast<double>(base) *

@@ -226,13 +226,17 @@ struct Preparation {
 Preparation preparation(const GraphCostProfile& profile, std::size_t p,
                         Side side);
 
-/// The jittered kernels of one suffix dispatch {Lp+1..Ln}: one coalesced
-/// stream for batch > 1, else one kernel per op. Each duration is scaled
-/// by `straggle` (an active fault window; 1.0 otherwise) and a jitter draw
+/// The jittered kernels of one suffix dispatch {Lp+1..Ln} of `batch`
+/// coalesced jobs (requires p < n and batch >= 1), read from the profile's
+/// kernel_ns table: one kernel per op with positive time, its body scaled
+/// by 1 + (batch - 1) * batch_compute_frac (each extra sample costs a
+/// fraction of the body) plus one framework dispatch. At batch = 1 that is
+/// hw::GpuModel::segment_kernels. Each duration is then scaled by
+/// `straggle` (an active fault window; 1.0 otherwise) and a jitter draw
 /// from `rng`, one draw per kernel in order.
 std::vector<DurationNs> suffix_kernels(const hw::GpuModel& gpu,
-                                       const graph::Graph& g, std::size_t p,
-                                       std::size_t n, std::size_t batch,
+                                       const GraphCostProfile& profile,
+                                       std::size_t p, std::size_t batch,
                                        double straggle, Rng& rng);
 
 /// Contention snapshot a server takes as it submits a suffix: other

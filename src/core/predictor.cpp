@@ -27,12 +27,20 @@ GraphCostProfile::GraphCostProfile(const graph::Graph& g,
     : graph_(&g) {
   const auto& order = g.backbone();
   const std::size_t n = g.n();
+  const hw::CpuModel cpu;
+  const hw::GpuModel gpu;
   f_.resize(n + 1);
   g_.resize(n + 1);
+  device_prefix_ns_.assign(n + 1, 0);
+  kernel_ns_.assign(n + 1, 0);
   for (std::size_t i = 0; i <= n; ++i) {
     const auto cfg = flops::config_of(g, order[i]);
     f_[i] = predictors.user.predict_seconds(cfg);
     g_[i] = predictors.edge.predict_seconds(cfg);
+    if (i > 0) {
+      device_prefix_ns_[i] = device_prefix_ns_[i - 1] + cpu.node_time(cfg);
+      kernel_ns_[i] = gpu.kernel_time(cfg);
+    }
   }
   // L0 is virtual: f(L0) = g(L0, k) = 0 by definition.
   f_[0] = g_[0] = 0.0;

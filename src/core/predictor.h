@@ -1,5 +1,5 @@
-// Per-graph predicted costs consumed by the partition decision algorithm
-// and the simulated runtime.
+// Per-graph costs consumed by the partition decision algorithm and the
+// simulated runtime.
 //
 // f(L_i) = M_user(L_i) and g(L_i, k) = k * M_edge(L_i) (Section IV). The
 // profile precomputes f, the base M_edge, their prefix/suffix sums, the
@@ -7,10 +7,15 @@
 // (model, predictor) pair; Algorithm 1 then answers each query in O(n) with
 // the most recent k and bandwidth, and the runtime prices every partition
 // cache miss and upload from the same profile without building a partition.
+// The profile also holds the simulated hardware's exact times
+// (hw::CpuModel::node_time, hw::GpuModel::kernel_time) per position, which
+// the client and both servers charge instead of re-deriving each layer's
+// configuration on every request.
 #pragma once
 
 #include <vector>
 
+#include "common/units.h"
 #include "graph/cut.h"
 #include "graph/graph.h"
 #include "profile/trainer.h"
@@ -47,6 +52,21 @@ class GraphCostProfile {
   /// Sum of M_edge over positions [p+1, n] (multiply by k for g).
   double suffix_g(std::size_t p) const { return suffix_g_[p + 1]; }
 
+  /// Exact simulated device time of {L1..Lp}: hw::CpuModel::segment_time
+  /// (g, 0, p), from an int64 prefix sum of node_time.
+  DurationNs device_prefix_ns(std::size_t p) const {
+    return device_prefix_ns_[p];
+  }
+  /// Exact simulated device time of {Lp+1..Ln} (0 at p = n): the difference
+  /// of two prefix sums over the same int64 terms, so it equals
+  /// segment_time(g, p + 1, n) bit for bit.
+  DurationNs device_suffix_ns(std::size_t p) const {
+    return device_prefix_ns_[n()] - device_prefix_ns_[p];
+  }
+  /// hw::GpuModel::kernel_time of the node at backbone position i; 0 at the
+  /// virtual L0.
+  DurationNs kernel_ns(std::size_t i) const { return kernel_ns_[i]; }
+
   /// Transmission bytes s_p of the cut after position p.
   std::int64_t s(std::size_t p) const { return s_[p]; }
 
@@ -73,6 +93,8 @@ class GraphCostProfile {
   std::vector<double> g_;
   std::vector<double> prefix_f_;  // prefix_f_[i] = sum f over first i nodes
   std::vector<double> suffix_g_;  // suffix_g_[i] = sum g over positions >= i
+  std::vector<DurationNs> device_prefix_ns_;  // node_time over L1..Li
+  std::vector<DurationNs> kernel_ns_;
   std::vector<std::int64_t> s_;
   std::vector<std::size_t> device_nodes_;
 };

@@ -23,9 +23,14 @@ TensorDesc read_desc(std::istream& in) {
   std::size_t rank = 0;
   LP_CHECK_MSG(static_cast<bool>(in >> dtype >> rank), "truncated desc");
   LP_CHECK_MSG(dtype == kDtypeToken, "unsupported dtype token: " + dtype);
-  std::vector<std::int64_t> dims(rank);
-  for (auto& d : dims)
+  // Append dim by dim: a rank larger than the dims on the line fails as
+  // truncated without first allocating `rank` elements.
+  std::vector<std::int64_t> dims;
+  for (std::size_t i = 0; i < rank; ++i) {
+    std::int64_t d = 0;
     LP_CHECK_MSG(static_cast<bool>(in >> d), "truncated shape");
+    dims.push_back(d);
+  }
   return TensorDesc{Shape(std::move(dims))};
 }
 
@@ -149,9 +154,12 @@ Graph deserialize(const std::string& text) {
       node.output = read_desc(fields);
       std::size_t arity = 0;
       LP_CHECK_MSG(static_cast<bool>(fields >> arity), "cnode without arity");
-      node.inputs.resize(arity);
-      for (auto& id : node.inputs)
+      // Appended id by id, like read_desc's dims.
+      for (std::size_t i = 0; i < arity; ++i) {
+        NodeId id = kInvalidNode;
         LP_CHECK_MSG(static_cast<bool>(fields >> id), "truncated inputs");
+        node.inputs.push_back(id);
+      }
       node.attrs = read_attrs(fields, node.op);
       const NodeId id = g.add_node(std::move(node));
       if (g.node(id).op == OpType::kInput) g.set_input(id);

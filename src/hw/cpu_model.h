@@ -1,10 +1,12 @@
 // Analytic cost model of the user-end device (Raspberry Pi 4 class CPU).
 //
 // Ground truth for the simulation: the offline profiler measures these times
-// (plus noise) to train M_user, and the device executor consumes them when
-// running partition prefixes. The model is FLOPs/efficiency + memory-traffic
-// + dispatch overhead, with mild configuration-dependent nonlinearities so
-// linear predictors show realistic errors.
+// (plus noise) to train M_user, and core::GraphCostProfile prices every
+// position with node_time once per model, so the simulated client charges
+// its prefix and any local suffix from that table. The model is
+// FLOPs/efficiency + memory-traffic + dispatch overhead, with mild
+// configuration-dependent nonlinearities so linear predictors show
+// realistic errors.
 #pragma once
 
 #include "common/units.h"
@@ -13,10 +15,11 @@
 
 namespace lp::hw {
 
+/// There is one simulated device: every CpuModel prices the calibration
+/// constants of hw/calibration.h, so a table built from one instance holds
+/// for all of them.
 class CpuModel {
  public:
-  explicit CpuModel(CpuModelParams params = {}) : params_(params) {}
-
   const CpuModelParams& params() const { return params_; }
 
   /// Deterministic execution time of one computation node.

@@ -76,25 +76,6 @@ DurationNs GpuModel::segment_time(const graph::Graph& g, std::size_t begin,
   return total;
 }
 
-std::vector<DurationNs> GpuModel::batched_segment_kernels(
-    const graph::Graph& g, std::size_t begin, std::size_t end,
-    std::size_t batch) const {
-  LP_CHECK(begin <= end && end < g.backbone().size());
-  LP_CHECK(batch >= 1);
-  std::vector<DurationNs> kernels;
-  kernels.reserve(end - begin + 1);
-  const DurationNs dispatch = seconds(params_.framework_dispatch_sec);
-  const double scale =
-      1.0 + static_cast<double>(batch - 1) * params_.batch_compute_frac;
-  for (std::size_t i = std::max<std::size_t>(begin, 1); i <= end; ++i) {
-    const auto t = kernel_time(flops::config_of(g, g.backbone()[i]));
-    if (t <= 0) continue;
-    kernels.push_back(
-        static_cast<DurationNs>(static_cast<double>(t) * scale) + dispatch);
-  }
-  return kernels;
-}
-
 std::vector<DurationNs> GpuModel::fused_segment_kernels(
     const graph::Graph& g, std::size_t begin, std::size_t end) const {
   LP_CHECK(begin <= end && end < g.backbone().size());

@@ -4,7 +4,10 @@
 // max(launch floor, compute/occupancy + memory), matching the property the
 // paper leans on: individual kernels are far shorter than a scheduler time
 // slice, so single-layer times are load-independent while multi-layer
-// partitions queue between kernels (Section III-C).
+// partitions queue between kernels (Section III-C). core::GraphCostProfile
+// prices every position with kernel_time once per model, and
+// core::suffix_kernels builds each simulated suffix dispatch from that
+// table; segment_kernels and segment_time serve offline callers.
 #pragma once
 
 #include <vector>
@@ -16,10 +19,11 @@
 
 namespace lp::hw {
 
+/// There is one simulated GPU: every GpuModel prices the calibration
+/// constants of hw/calibration.h, so a table built from one instance holds
+/// for all of them.
 class GpuModel {
  public:
-  explicit GpuModel(GpuModelParams params = {}) : params_(params) {}
-
   const GpuModelParams& params() const { return params_; }
 
   /// Deterministic device-side duration of the kernel implementing one
@@ -38,15 +42,6 @@ class GpuModel {
   /// Contention-free execution time of a segment (sum of segment_kernels).
   DurationNs segment_time(const graph::Graph& g, std::size_t begin,
                           std::size_t end) const;
-
-  /// Like segment_kernels, but for a coalesced batch of `batch` identical
-  /// suffix jobs executed as one dispatch per node: the framework dispatch
-  /// is paid once per node and each extra sample adds batch_compute_frac of
-  /// the single-sample kernel body (serving-layer suffix batching).
-  std::vector<DurationNs> batched_segment_kernels(const graph::Graph& g,
-                                                  std::size_t begin,
-                                                  std::size_t end,
-                                                  std::size_t batch) const;
 
   /// Contention-free execution time of a segment with framework operator
   /// fusion enabled (extension; see graph/fusion.h).

@@ -454,8 +454,8 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
   // for).
   const double straggle =
       faults_ != nullptr ? faults_->straggle_factor(sim_->now()) : 1.0;
-  auto kernels = core::suffix_kernels(*gpu_, profile.graph(), p, profile.n(),
-                                      batch.size(), straggle, rng_);
+  auto kernels = core::suffix_kernels(*gpu_, profile, p, batch.size(),
+                                      straggle, rng_);
   const bool gpu_contended = core::gpu_contended(*scheduler_);
   const TimeNs begin = sim_->now();
   co_await scheduler_->run_batch(ctx_, std::move(kernels), batch.size());

@@ -10,6 +10,7 @@
 #include "exec/interpreter.h"
 #include "graph/cut.h"
 #include "partition/partitioner.h"
+#include "support/hw_reference.h"
 #include "support/random_graph.h"
 
 namespace lp {
@@ -82,21 +83,23 @@ TEST_P(RandomGraphProperty, EveryPartitionExecutesEquivalently) {
 
 TEST_P(RandomGraphProperty, PartitionBoundaryMatchesCutSizes) {
   // Random DAGs cut inside multi-branch blocks, so the device segment's
-  // MakeTuple shows up here as well as in the zoo.
+  // MakeTuple shows up here as well as in the zoo. The profile's hardware
+  // tables must price them like the layer-by-layer models too.
   const auto s = graph::cut_sizes(g_);
   const core::PredictorBundle bundle = flops_bundle();
   const core::GraphCostProfile profile(g_, bundle);
   for (std::size_t p = 0; p <= g_.n(); ++p) {
+    SCOPED_TRACE("p=" + std::to_string(p));
     const auto plan = partition::partition_at(g_, p);
     if (p < g_.n()) {
-      EXPECT_EQ(plan.boundary_bytes, s[p]) << "p=" << p;
+      EXPECT_EQ(plan.boundary_bytes, s[p]);
+      test::expect_suffix_kernels_match(g_, profile, p);
     }
     EXPECT_EQ(core::preparation(profile, p, core::Side::kDevice).nodes,
-              plan.device_part ? plan.device_part->backbone().size() : 0)
-        << "p=" << p;
+              plan.device_part ? plan.device_part->backbone().size() : 0);
     EXPECT_EQ(core::preparation(profile, p, core::Side::kServer).nodes,
-              plan.server_part ? plan.server_part->backbone().size() : 0)
-        << "p=" << p;
+              plan.server_part ? plan.server_part->backbone().size() : 0);
+    test::expect_device_times_match(g_, profile, p);
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "models/zoo.h"
 #include "partition/partitioner.h"
+#include "support/hw_reference.h"
 
 namespace lp::core {
 namespace {
@@ -233,7 +234,8 @@ TEST(OffloadRuntime, OneRequestCountsOneCacheLookupPerSide) {
 TEST(GraphCostProfile, PricesEveryCutLikeTheSegmentsPartitionAtBuilds) {
   // The runtime never builds a partition: a cache miss prepares the node
   // count the profile precomputed, and an upload ships s(p). Both must
-  // match the plan partition_at would have built, at every cut.
+  // match the plan partition_at would have built, at every cut. The
+  // device time of each side must equal hw::CpuModel::segment_time.
   for (const std::string& name : models::evaluation_names()) {
     SCOPED_TRACE(name);
     const graph::Graph g = models::make_model(name);
@@ -248,8 +250,27 @@ TEST(GraphCostProfile, PricesEveryCutLikeTheSegmentsPartitionAtBuilds) {
       if (p < g.n()) {
         EXPECT_EQ(profile.s(p), plan.boundary_bytes);
       }
+      test::expect_device_times_match(g, profile, p);
     }
     EXPECT_THROW(preparation(profile, g.n() + 1, Side::kDevice), ContractError);
+  }
+}
+
+TEST(GraphCostProfile, SuffixKernelsMatchTheGpuModelAtEveryCutAndBatch) {
+  // Both servers build every dispatch from the profile's kernel table; it
+  // must give the kernels and jitter draws the GPU model gives layer by
+  // layer, unbatched and coalesced, with and without a straggle window.
+  for (const std::string& name : models::evaluation_names()) {
+    SCOPED_TRACE(name);
+    const graph::Graph g = models::make_model(name);
+    const GraphCostProfile profile(g, bundle());
+    for (std::size_t p = 0; p < g.n(); ++p) {
+      SCOPED_TRACE("p=" + std::to_string(p));
+      test::expect_suffix_kernels_match(g, profile, p);
+    }
+    Rng rng(1);
+    EXPECT_THROW(suffix_kernels(hw::GpuModel{}, profile, g.n(), 1, 1.0, rng),
+                 ContractError);
   }
 }
 

@@ -91,6 +91,14 @@ TEST(Serialize, MalformedInputsThrow) {
   // Truncated shape.
   EXPECT_THROW(deserialize("graph g\ncnode Input in f32 4 1 3\noutput 0\n"),
                ContractError);
+  // A rank or arity far beyond the tokens on the line is truncated input,
+  // not an allocation of that many elements.
+  EXPECT_THROW(deserialize("graph g\ncnode Input in f32 1000000000000000 1 "
+                           "3\noutput 0\n"),
+               ContractError);
+  EXPECT_THROW(deserialize("graph g\ncnode Input in f32 2 1 3 0\ncnode ReLU "
+                           "r f32 2 1 3 1000000000000000 0\noutput 1\n"),
+               ContractError);
   // Unknown operator.
   EXPECT_THROW(
       deserialize("graph g\ncnode Warp in f32 2 1 3 0\noutput 0\n"),

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """One smoke run for every committed claim bench.
 
-Usage: python3 tools/ci_smoke.py BUILD_DIR [--update]
+Usage: python3 tools/ci_smoke.py BUILD_DIR [--update | --fuzz-only]
 
 Run from the repository root after building every target. For each
 committed BENCH_*.json snapshot it runs the bench twice in a scratch
@@ -11,6 +11,7 @@ each traced workload twice and requires byte-identical trace and metrics
 files, and runs the fixed-seed fuzz families. --update rewrites the
 committed snapshots from the first run instead of comparing them (for a
 change that means to move a number); claims are still checked.
+--fuzz-only runs only the fuzz families, as the sanitizer build does.
 
 Exits non-zero on the first failure. Standard library only.
 """
@@ -175,16 +176,19 @@ def check_fuzz(build, scratch):
 
 
 def main(argv):
-    args = [a for a in argv[1:] if a != "--update"]
-    if len(args) != 1:
+    update = "--update" in argv
+    fuzz_only = "--fuzz-only" in argv
+    args = [a for a in argv[1:] if a not in ("--update", "--fuzz-only")]
+    if len(args) != 1 or (update and fuzz_only):
         print(__doc__)
         return 2
     build = os.path.abspath(args[0])
     root = os.getcwd()
     scratch = tempfile.mkdtemp(prefix="ci_smoke_")
     try:
-        check_snapshots(build, root, scratch, "--update" in argv)
-        check_traces(build, scratch)
+        if not fuzz_only:
+            check_snapshots(build, root, scratch, update)
+            check_traces(build, scratch)
         check_fuzz(build, scratch)
     finally:
         shutil.rmtree(scratch)
