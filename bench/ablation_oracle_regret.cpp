@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "common/table.h"
-#include "core/system.h"
 #include "models/zoo.h"
+#include "serve/experiment.h"
 
 namespace {
 
@@ -27,7 +27,7 @@ struct Condition {
 double run_mean(const graph::Graph& model,
                 const core::PredictorBundle& bundle, core::Policy policy,
                 std::size_t fixed_p, const Condition& cond) {
-  core::ExperimentConfig config;
+  serve::ExperimentConfig config;
   config.policy = policy;
   config.runtime.fixed_p = fixed_p;
   config.upload = net::BandwidthTrace::constant(mbps(cond.bw_mbps));
@@ -35,7 +35,7 @@ double run_mean(const graph::Graph& model,
   config.duration = seconds(20);
   config.warmup = seconds(4);
   config.seed = 37;
-  return core::run_experiment(model, bundle, config).mean_latency_sec();
+  return serve::run_experiment(model, bundle, config).mean_latency_sec();
 }
 
 }  // namespace

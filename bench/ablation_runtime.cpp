@@ -5,16 +5,16 @@
 #include <cstdio>
 
 #include "common/table.h"
-#include "core/system.h"
 #include "models/zoo.h"
+#include "serve/experiment.h"
 
 namespace {
 
 using namespace lp;
-using core::ExperimentConfig;
+using serve::ExperimentConfig;
 
 /// First time after `after` at which the chosen p left `from`.
-double switch_time_sec(const core::ExperimentResult& result, TimeNs after,
+double switch_time_sec(const serve::ExperimentResult& result, TimeNs after,
                        std::size_t from) {
   for (const auto& rec : result.records) {
     if (rec.start >= after && rec.p != from)
@@ -46,7 +46,7 @@ int main() {
       config.warmup = 0;
       config.profiler_period = seconds(period_s);
       config.seed = 21;
-      const auto result = core::run_experiment(model, bundle, config);
+      const auto result = serve::run_experiment(model, bundle, config);
       double after_total = 0.0;
       int after_count = 0;
       std::size_t p_before = 0;
@@ -85,7 +85,7 @@ int main() {
       config.warmup = 0;
       config.watcher_period = seconds(period_s);
       config.seed = 22;
-      const auto result = core::run_experiment(model, bundle, config);
+      const auto result = serve::run_experiment(model, bundle, config);
       const double lag =
           switch_time_sec(result, seconds(60), model.n());
       table.add_row({Table::num(period_s, 0) + " s",
@@ -115,7 +115,7 @@ int main() {
       config.warmup = 0;
       config.runtime.cache_capacity = capacity;
       config.seed = 23;
-      const auto result = core::run_experiment(model, bundle, config);
+      const auto result = serve::run_experiment(model, bundle, config);
       double overhead = 0.0, total = 0.0;
       for (const auto& rec : result.records) {
         overhead += rec.overhead_sec;
@@ -136,7 +136,7 @@ int main() {
         "(AlexNet, load alternating 100%%(h) <-> 50%% every 20 s)\n\n");
     Table table({"k window", "p switches", "mean(ms)"});
     const auto model = models::alexnet();
-    std::vector<core::LoadPhase> schedule;
+    std::vector<serve::LoadPhase> schedule;
     for (int i = 0; i < 8; ++i)
       schedule.push_back({seconds(20) * i, i % 2 == 0
                                                ? hw::LoadLevel::k100h
@@ -149,7 +149,7 @@ int main() {
       config.warmup = seconds(10);
       config.runtime.k_window = window;
       config.seed = 24;
-      const auto result = core::run_experiment(model, bundle, config);
+      const auto result = serve::run_experiment(model, bundle, config);
       int switches = 0;
       for (std::size_t i = 1; i < result.records.size(); ++i)
         if (result.records[i].p != result.records[i - 1].p) ++switches;

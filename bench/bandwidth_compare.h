@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "common/table.h"
-#include "core/system.h"
 #include "models/zoo.h"
+#include "serve/experiment.h"
 
 namespace lp::benchutil {
 
@@ -34,13 +34,13 @@ inline void run_bandwidth_comparison(const std::string& model_name,
   double sum_vs_local = 0.0, max_vs_local = 0.0;
   for (double bw : bandwidths) {
     auto run = [&](core::Policy policy) {
-      core::ExperimentConfig config;
+      serve::ExperimentConfig config;
       config.policy = policy;
       config.upload = net::BandwidthTrace::constant(mbps(bw));
       config.duration = seconds(40);
       config.warmup = seconds(8);
       config.seed = 11;
-      return core::run_experiment(model, bundle, config);
+      return serve::run_experiment(model, bundle, config);
     };
     const auto lp_result = run(core::Policy::kLoadPart);
     const auto local = run(core::Policy::kLocalOnly);

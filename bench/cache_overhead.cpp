@@ -8,10 +8,10 @@
 #include <cstdio>
 
 #include "common/table.h"
-#include "core/system.h"
 #include "models/zoo.h"
 #include "partition/cache.h"
 #include "partition/partitioner.h"
+#include "serve/experiment.h"
 
 namespace {
 
@@ -26,12 +26,12 @@ void report_amortization() {
                "overhead share", "cache hit rate"});
   for (const char* name : {"alexnet", "squeezenet", "resnet18"}) {
     const auto model = models::make_model(name);
-    core::ExperimentConfig config;
+    serve::ExperimentConfig config;
     config.duration = seconds(120);
     config.warmup = 0;
     config.request_gap = 0;
     config.seed = 5;
-    const auto result = core::run_experiment(model, bundle, config);
+    const auto result = serve::run_experiment(model, bundle, config);
     const std::size_t take =
         std::min<std::size_t>(100, result.records.size());
     double overhead = 0.0, total = 0.0;

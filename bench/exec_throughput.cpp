@@ -6,10 +6,11 @@
 // bit-identical before trusting any timing. Each optimized thread count,
 // and both columns of the standalone AlexNet conv-layer table, is the
 // median of kTimedRuns runs of one warmed interpreter, so those columns
-// compare like with like. The whole-model reference column is one cold
-// run: the six models' reference runs alone take 2 to 2.5 min per pass on
-// a 4-vCPU AVX-512 Xeon. Writes the machine-readable summary to
-// BENCH_exec.json (or argv[1]); exits 1 if that write fails.
+// compare like with like. The whole-model reference column is warm too,
+// but a single timed run after one untimed run: the six models' reference
+// runs take 2 to 2.5 min per pass on a 4-vCPU AVX-512 Xeon. Writes the
+// machine-readable summary to BENCH_exec.json (or argv[1]); exits 1 if that
+// write fails.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -52,9 +53,12 @@ struct TimedRun {
   std::vector<Tensor> out;
 };
 
+/// One interpreter with `options`: an untimed run pays the first-touch
+/// page faults, then one timed run.
 TimedRun timed_run(const lp::graph::Graph& g, const TensorMap& bind,
                    Options options) {
-  Interpreter interp(g, options);
+  const Interpreter interp(g, options);
+  interp.run(bind);
   TimedRun r;
   const double t0 = now_ms();
   r.out = interp.run(bind);
@@ -267,7 +271,7 @@ int main(int argc, char** argv) {
       "Execution-engine throughput (bit-identity checked), host cores: %u, "
       "conv ISA: %s\n"
       "(optimized: median of %d warm runs per thread count; reference: one\n"
-      " cold run per model, since the six together take minutes; thread\n"
+      " warm run per model, since the six together take minutes; thread\n"
       " scaling is only visible when the host has that many cores)\n\n",
       std::thread::hardware_concurrency(), lp::exec::kernel_isa(),
       kTimedRuns);

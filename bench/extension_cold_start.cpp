@@ -7,8 +7,8 @@
 #include <cstdio>
 
 #include "common/table.h"
-#include "core/system.h"
 #include "models/zoo.h"
+#include "serve/experiment.h"
 
 int main() {
   using namespace lp;
@@ -23,15 +23,15 @@ int main() {
                "weights upload(s)", "steady(ms)", "requests to amortize"});
   for (const char* name : {"squeezenet", "resnet18", "alexnet"}) {
     const auto model = models::make_model(name);
-    core::ExperimentConfig config;
+    serve::ExperimentConfig config;
     config.duration = seconds(400);
     config.warmup = 0;
     config.seed = 13;
     config.runtime.weights_preloaded = false;
-    const auto cold = core::run_experiment(model, bundle, config);
+    const auto cold = serve::run_experiment(model, bundle, config);
 
     config.runtime.weights_preloaded = true;
-    const auto warm = core::run_experiment(model, bundle, config);
+    const auto warm = serve::run_experiment(model, bundle, config);
 
     const auto& first = cold.records.front();
     const double steady_ms = warm.mean_latency_sec() * 1e3;

@@ -5,12 +5,12 @@
 
 #include "common/table.h"
 #include "series_report.h"
-#include "core/system.h"
 #include "models/zoo.h"
+#include "serve/experiment.h"
 
 int main() {
   using namespace lp;
-  using core::ExperimentConfig;
+  using serve::ExperimentConfig;
 
   const auto bundle = core::train_default_predictors();
 
@@ -32,7 +32,7 @@ int main() {
       config.duration = seconds(20);
       config.warmup = seconds(4);
       config.seed = 2024;
-      const auto result = core::run_experiment(model, bundle, config);
+      const auto result = serve::run_experiment(model, bundle, config);
       benchutil::maybe_dump_series(
           std::string("fig2_") + name + "_" +
               std::to_string(static_cast<int>(level)),

@@ -8,12 +8,12 @@
 
 #include "common/table.h"
 #include "series_report.h"
-#include "core/system.h"
 #include "models/zoo.h"
+#include "serve/experiment.h"
 
 int main() {
   using namespace lp;
-  using core::ExperimentConfig;
+  using serve::ExperimentConfig;
 
   const auto bundle = core::train_default_predictors();
   const DurationNs phase = seconds(30);
@@ -30,7 +30,7 @@ int main() {
     config.duration = phase * 10;
     config.warmup = 0;
     config.seed = 7;
-    const auto result = core::run_experiment(model, bundle, config);
+    const auto result = serve::run_experiment(model, bundle, config);
     benchutil::maybe_dump_series("fig6_" + name, result);
 
     std::printf("%s (n = %zu)\n", name.c_str(), model.n());

@@ -11,11 +11,11 @@
 #include <string>
 
 #include "common/table.h"
-#include "core/system.h"
 #include "load_schedule.h"
 #include "models/zoo.h"
 #include "obs/report.h"
 #include "series_report.h"
+#include "serve/experiment.h"
 
 namespace {
 
@@ -28,7 +28,7 @@ struct PhaseStats {
   int count = 0;
 };
 
-PhaseStats stats_in(const core::ExperimentResult& result,
+PhaseStats stats_in(const serve::ExperimentResult& result,
                     const benchutil::LoadPhaseSpan& ph) {
   PhaseStats out;
   std::map<std::size_t, int> counts;
@@ -71,13 +71,13 @@ int main(int argc, char** argv) {
   for (const auto& name : models::evaluation_names()) {
     const auto model = models::make_model(name);
     auto run = [&](core::Policy policy) {
-      core::ExperimentConfig config;
+      serve::ExperimentConfig config;
       config.policy = policy;
       config.load_schedule = benchutil::fig9_schedule();
       config.duration = benchutil::kFig9Duration;
       config.warmup = 0;
       config.seed = 31;
-      return core::run_experiment(model, bundle, config);
+      return serve::run_experiment(model, bundle, config);
     };
     const auto lp_result = run(core::Policy::kLoadPart);
     const auto ns_result = run(core::Policy::kNeurosurgeon);

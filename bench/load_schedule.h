@@ -6,7 +6,7 @@
 
 #include <vector>
 
-#include "core/system.h"
+#include "serve/experiment.h"
 
 namespace lp::benchutil {
 
@@ -17,8 +17,8 @@ struct LoadPhaseSpan {
   TimeNs end;
 };
 
-inline const std::vector<core::LoadPhase>& fig9_schedule() {
-  static const std::vector<core::LoadPhase> s = {
+inline const std::vector<serve::LoadPhase>& fig9_schedule() {
+  static const std::vector<serve::LoadPhase> s = {
       {0, hw::LoadLevel::k0},
       {seconds(30), hw::LoadLevel::k30},
       {seconds(60), hw::LoadLevel::k50},

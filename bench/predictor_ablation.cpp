@@ -25,11 +25,11 @@
 
 #include "common/stats.h"
 #include "common/table.h"
-#include "core/system.h"
 #include "load_schedule.h"
 #include "models/zoo.h"
 #include "obs/report.h"
 #include "predict/load_predictor.h"
+#include "serve/experiment.h"
 #include "serve/fleet.h"
 
 namespace {
@@ -54,14 +54,14 @@ struct Fig9Stats {
 Fig9Stats run_fig9_arm(const core::PredictorBundle& bundle,
                        const std::string& kind, bool smoke) {
   static const graph::Graph model = models::make_model("squeezenet");
-  core::ExperimentConfig config;
+  serve::ExperimentConfig config;
   config.policy = core::Policy::kLoadPart;
   config.load_schedule = benchutil::fig9_schedule();
   config.duration = smoke ? seconds(90) : benchutil::kFig9Duration;
   config.warmup = seconds(1);
   config.seed = 31;
   config.runtime.predictor.kind = kind;
-  const auto result = core::run_experiment(model, bundle, config);
+  const auto result = serve::run_experiment(model, bundle, config);
   Fig9Stats out;
   out.mean_ms = result.mean_latency_sec() * 1e3;
   out.p90_ms = result.percentile_latency_sec(90) * 1e3;

@@ -6,14 +6,14 @@
 
 #include <string>
 
-#include "core/system.h"
 #include "obs/report.h"
+#include "serve/experiment.h"
 
 namespace lp::benchutil {
 
 /// Fills `report`'s "series" section with one row per inference record.
 inline void fill_series(obs::Report& report,
-                        const core::ExperimentResult& result) {
+                        const serve::ExperimentResult& result) {
   auto& section = report.section(
       "series", {"t_s", "p", "total_ms", "device_ms", "upload_ms",
                  "server_ms", "download_ms", "k", "bandwidth_mbps"});
@@ -27,7 +27,7 @@ inline void fill_series(obs::Report& report,
 /// Drop-in for the old maybe_dump_series(): writes <name>_series.csv under
 /// LP_CSV_DIR when that env var is set, otherwise does nothing.
 inline void maybe_dump_series(const std::string& name,
-                              const core::ExperimentResult& result) {
+                              const serve::ExperimentResult& result) {
   obs::Report report(name);
   fill_series(report, result);
   report.maybe_write_csv_env();

@@ -25,7 +25,6 @@
 
 #include "common/stats.h"
 #include "common/table.h"
-#include "core/system.h"
 #include "models/zoo.h"
 #include "obs/report.h"
 #include "serve/fleet.h"

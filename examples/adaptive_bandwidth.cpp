@@ -4,8 +4,8 @@
 // timeline of (bandwidth estimate, partition point, latency).
 #include <cstdio>
 
-#include "core/system.h"
 #include "models/zoo.h"
+#include "serve/experiment.h"
 
 int main() {
   using namespace lp;
@@ -13,7 +13,7 @@ int main() {
   const auto model = models::squeezenet();
   const auto bundle = core::train_default_predictors();
 
-  core::ExperimentConfig config;
+  serve::ExperimentConfig config;
   config.upload = net::BandwidthTrace({{0, mbps(16)},
                                        {seconds(20), mbps(4)},
                                        {seconds(40), mbps(1)},
@@ -29,7 +29,7 @@ int main() {
       "(16 -> 4 -> 1 -> 16 Mbps)\n\n"
       "   t(s)  est(Mbps)      p  decision       latency(ms)\n");
 
-  const auto result = core::run_experiment(model, bundle, config);
+  const auto result = serve::run_experiment(model, bundle, config);
   TimeNs next_print = 0;
   for (const auto& r : result.records) {
     if (r.start < next_print) continue;

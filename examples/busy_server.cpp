@@ -5,8 +5,8 @@
 // after the load clears (the Figure 9 story on one model).
 #include <cstdio>
 
-#include "core/system.h"
 #include "models/zoo.h"
+#include "serve/experiment.h"
 
 int main() {
   using namespace lp;
@@ -14,7 +14,7 @@ int main() {
   const auto model = models::alexnet();
   const auto bundle = core::train_default_predictors();
 
-  core::ExperimentConfig config;
+  serve::ExperimentConfig config;
   config.load_schedule = {{0, hw::LoadLevel::k0},
                           {seconds(25), hw::LoadLevel::k100h},
                           {seconds(70), hw::LoadLevel::k0}};
@@ -30,7 +30,7 @@ int main() {
       "at 70 s), 8 Mbps uplink\n\n"
       "   t(s)      k      p  latency(ms)\n");
 
-  const auto result = core::run_experiment(model, bundle, config);
+  const auto result = serve::run_experiment(model, bundle, config);
   TimeNs next_print = 0;
   for (const auto& r : result.records) {
     if (r.start < next_print) continue;

@@ -50,21 +50,9 @@ sim::Task watch_deadline(sim::Simulator& sim,
   reply->resolve(SuffixStatus::kClientTimeout);
 }
 
-sim::Task idle_watcher(sim::Simulator& sim, const hw::GpuScheduler& scheduler,
-                       DurationNs period, TimeNs since,
-                       DurationNs busy_at_since,
-                       std::function<void()> on_idle) {
-  for (;;) {
-    co_await sim.delay(period);
-    const double util = scheduler.utilization_since(since, busy_at_since);
-    since = sim.now();
-    busy_at_since = scheduler.busy_ns();
-    if (util < kIdleUtilization) on_idle();
-  }
-}
 }  // namespace
 
-// ------------------------------------------------- shared server mechanics --
+// ----------------------------------------------------- suffix cost model --
 
 Preparation preparation(const GraphCostProfile& profile, std::size_t p,
                         Side side) {
@@ -102,100 +90,6 @@ std::vector<DurationNs> suffix_kernels(const hw::GpuModel& gpu,
                                    jitter_scale(rng, params.jitter_frac))));
   }
   return kernels;
-}
-
-bool gpu_contended(const hw::GpuScheduler& scheduler) {
-  return scheduler.pending_kernels() > 4;
-}
-
-void start_idle_watcher(sim::Simulator& sim, const hw::GpuScheduler& scheduler,
-                        DurationNs period, std::function<void()> on_idle) {
-  LP_CHECK(period > 0);
-  sim.spawn(idle_watcher(sim, scheduler, period, sim.now(),
-                         scheduler.busy_ns(), std::move(on_idle)));
-}
-
-// ---------------------------------------------------------------- server --
-
-OffloadServer::OffloadServer(sim::Simulator& sim, hw::GpuScheduler& scheduler,
-                             const hw::GpuModel& gpu,
-                             const GraphCostProfile& profile,
-                             RuntimeParams params, std::uint64_t seed)
-    : sim_(&sim),
-      scheduler_(&scheduler),
-      gpu_(&gpu),
-      profile_(&profile),
-      params_(params),
-      ctx_(scheduler.create_context("offload-service")),
-      cache_(params.cache_capacity),
-      k_(params.k_window, params.predictor),
-      work_arrived_(sim),
-      rng_(seed) {
-  sim_->spawn(service());
-}
-
-SubmitStatus OffloadServer::submit(SuffixRequest request) {
-  LP_CHECK(request.reply != nullptr);
-  LP_CHECK_MSG(request.p < profile_->n(),
-               "nothing to execute on the server at p = n");
-  request.enqueued = sim_->now();
-  requests_.push_back(std::move(request));
-  work_arrived_.trigger();
-  return SubmitStatus::kAccepted;
-}
-
-sim::Task OffloadServer::service() {
-  // Fig. 3: the main service thread — receive a request, partition/execute,
-  // signal the result ready for download.
-  for (;;) {
-    while (requests_.empty()) {
-      work_arrived_.reset();
-      co_await work_arrived_.wait();
-    }
-    const SuffixRequest request = std::move(requests_.front());
-    requests_.pop_front();
-    request.reply->queue_wait = to_seconds(sim_->now() - request.enqueued);
-    co_await execute_suffix(request.p, *request.reply);
-    request.reply->resolve(SuffixStatus::kServed);
-  }
-}
-
-sim::Task OffloadServer::execute_suffix(std::size_t p, SuffixReply& reply) {
-  const std::size_t n = profile_->n();
-  LP_CHECK_MSG(p < n, "nothing to execute on the server at p = n");
-
-  // Partition cache: a miss pays graph partitioning + runtime preparation.
-  double overhead = 0.0;
-  if (!cache_.find(p)) {
-    overhead = preparation(*profile_, p, Side::kServer).sec;
-    co_await sim_->delay(seconds(overhead));
-    cache_.insert(p);
-  }
-  reply.overhead = overhead;
-
-  // Execute the suffix kernels on the (possibly contended) GPU.
-  auto kernels = suffix_kernels(*gpu_, *profile_, p, /*batch=*/1,
-                                /*straggle=*/1.0, rng_);
-  const bool contended = gpu_contended(*scheduler_);
-  const TimeNs begin = sim_->now();
-  co_await scheduler_->run_job(ctx_, std::move(kernels));
-  const double measured = to_seconds(sim_->now() - begin);
-  reply.exec = measured;
-
-  // Runtime profiler bookkeeping (Section III-C): ratio of measured over
-  // model-predicted time for this partition.
-  const double predicted = profile_->suffix_g(p);
-  if (predicted > 0.0) k_.record(measured, predicted, contended, sim_->now());
-}
-
-LoadSignal OffloadServer::load_signal(std::uint64_t /*session*/,
-                                      DurationNs horizon) const {
-  return k_.signal(horizon);
-}
-
-void OffloadServer::start_gpu_watcher(DurationNs period) {
-  start_idle_watcher(*sim_, *scheduler_, period,
-                     [this] { k_.reset_idle(sim_->now()); });
 }
 
 // ---------------------------------------------------------------- client --
@@ -457,7 +351,6 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
         request.session = session_;
         if (params_.slo_sec > 0.0)
           request.deadline = rec.start + seconds(params_.slo_sec);
-        request.predicted_sec = rec.k_used * profile_->suffix_g(p);
         request.bandwidth_bps = estimator_.estimate();
         const SubmitStatus submit = server_->submit(request);
         if (submit == SubmitStatus::kRejected) {

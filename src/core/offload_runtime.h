@@ -1,5 +1,5 @@
-// Online offloading runtime: the device-side client and server-side service
-// of Figure 3, as simulation processes.
+// Online offloading runtime: the device-side client of Figure 3 as a
+// simulation process, and the interface it offloads through.
 //
 // One inference request (client):
 //   1. pick p with the policy's decision rule (LoADPart uses Algorithm 1
@@ -10,18 +10,14 @@
 //   4. upload the boundary tensors (passively feeding the bandwidth
 //      estimator), have the server run {Lp+1..Ln} on the GPU scheduler
 //      (its cache works the same way), download the result.
-// The server records measured/predicted ratios to maintain k; its GPU
-// watcher resets k when utilization falls below the threshold.
-//
-// Both servers — the paper's OffloadServer here and the multi-tenant
-// serve::EdgeServerFrontend — run that loop on one core: a SuffixReply per
-// request, a LoadFactorTracker that owns k and its forecaster, the suffix
-// cost model (preparation(), suffix_kernels()) and start_idle_watcher().
+// The server (serve::EdgeServerFrontend, behind SuffixService) records
+// measured/predicted ratios to maintain k; its GPU watcher resets k when
+// utilization falls below the threshold. This header also holds what the
+// client and the server both price a request with: the SuffixReply it
+// resolves, the cache-miss preparation() and the suffix_kernels().
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -33,7 +29,6 @@
 #include "fault/retry.h"
 #include "hw/cpu_model.h"
 #include "hw/gpu_model.h"
-#include "hw/gpu_scheduler.h"
 #include "net/estimator.h"
 #include "net/link.h"
 #include "obs/taxonomy.h"
@@ -52,10 +47,10 @@ enum class Policy {
 
 std::string policy_name(Policy policy);
 
-/// Knobs of the client and both servers. What the runtime models rather
-/// than configures is constant: the partition-preparation costs
-/// (hw/calibration.h), the idle-watcher threshold (kIdleUtilization) and
-/// the request header (kHeaderBytes).
+/// Knobs of the client and the server's sessions. What the runtime models
+/// rather than configures is constant: the partition-preparation costs
+/// (hw/calibration.h), the idle-watcher threshold
+/// (serve::kIdleUtilization) and the request header (kHeaderBytes).
 struct RuntimeParams {
   std::size_t cache_capacity = 16;
 
@@ -199,18 +194,15 @@ struct SuffixRequest {
   std::size_t p = 0;
   std::shared_ptr<SuffixReply> reply;  ///< required; resolved exactly once
 
-  // Serving-layer metadata (ignored by the plain OffloadServer).
-  std::uint64_t session = 0;   ///< frontend session of the requesting client
+  // What the server's queue and admission read besides the cut.
+  std::uint64_t session = 0;   ///< server session of the requesting client
   TimeNs deadline = kNoDeadline;  ///< absolute deadline (EDF / least-slack)
-  double predicted_sec = 0.0;  ///< client's k-adjusted suffix prediction
   double bandwidth_bps = 0.0;  ///< client's current bandwidth estimate
-  TimeNs enqueued = 0;         ///< filled by the service on arrival
 };
 
-// ------------------------------------------------- shared server mechanics --
-// Both servers (OffloadServer and serve::EdgeServerFrontend) charge a
-// partition-cache miss, build the suffix kernels and watch GPU idleness
-// through these; each keeps only its own policy around them.
+// ----------------------------------------------------- suffix cost model --
+// The client prices its own cache misses with preparation(); the server
+// prices its misses and builds every dispatch with both.
 
 /// Which side of the cut prepares a partition.
 enum class Side : std::uint8_t { kDevice, kServer };
@@ -239,22 +231,6 @@ std::vector<DurationNs> suffix_kernels(const hw::GpuModel& gpu,
                                        std::size_t p, std::size_t batch,
                                        double straggle, Rng& rng);
 
-/// Contention snapshot a server takes as it submits a suffix: other
-/// tenants' kernels already queued on the GPU. Only uncontended
-/// measurements calibrate the idle baseline of k.
-bool gpu_contended(const hw::GpuScheduler& scheduler);
-
-/// GPU utilization below which the watcher calls the server idle
-/// (Section IV).
-inline constexpr double kIdleUtilization = 0.90;
-
-/// Spawns the GPU-utilization watcher (Section IV): every `period` it
-/// reads the scheduler's utilization since its previous check — the first
-/// window starts now — and calls `on_idle` when it is below
-/// kIdleUtilization.
-void start_idle_watcher(sim::Simulator& sim, const hw::GpuScheduler& scheduler,
-                        DurationNs period, std::function<void()> on_idle);
-
 /// Verdict of the server-side admission check, returned synchronously from
 /// submit(). On kRejected ("server busy") nothing was enqueued and the
 /// client must complete the inference on the device. kDown models a
@@ -262,10 +238,11 @@ void start_idle_watcher(sim::Simulator& sim, const hw::GpuScheduler& scheduler,
 /// client treats it as a fault (retry / failover), not as load shedding.
 enum class SubmitStatus : std::uint8_t { kAccepted, kRejected, kDown };
 
-/// The server-side interface the client offloads through: either the
-/// paper's single-tenant OffloadServer (admits everything) or the
-/// multi-tenant serve::EdgeServerFrontend (sessions, admission control,
-/// deadline queueing, suffix batching).
+/// The server-side interface the client offloads through. The server is
+/// serve::EdgeServerFrontend (sessions, admission control, deadline
+/// queueing, suffix batching); src/core cannot depend on src/serve, and a
+/// decorator can stand in front of it (bench/perf times every call through
+/// one).
 class SuffixService {
  public:
   virtual ~SuffixService() = default;
@@ -285,57 +262,10 @@ class SuffixService {
   virtual bool alive() const { return true; }
 };
 
-/// The paper's single-tenant server (Fig. 3): a FIFO request queue into one
-/// service process. Its k is measured against kernel execution alone —
-/// the window Figures 1-9 rest on (DESIGN.md §8).
-class OffloadServer : public SuffixService {
- public:
-  OffloadServer(sim::Simulator& sim, hw::GpuScheduler& scheduler,
-                const hw::GpuModel& gpu, const GraphCostProfile& profile,
-                RuntimeParams params, std::uint64_t seed);
-
-  /// Enqueues a request for the service process (Fig. 3: the main thread
-  /// providing the offloading service). Always admits; the caller waits on
-  /// request.reply->done. Requires request.p < n and a non-null reply.
-  SubmitStatus submit(SuffixRequest request) override;
-
-  /// k as the runtime profiler would report it right now.
-  double current_k() const { return k_.k(); }
-
-  /// The single-tenant server publishes one signal for every session: its
-  /// tracker's k forecast.
-  LoadSignal load_signal(std::uint64_t session,
-                         DurationNs horizon) const override;
-
-  /// Spawns the GPU-utilization watcher (Section IV), checking every
-  /// `period` and resetting k when utilization < kIdleUtilization.
-  void start_gpu_watcher(DurationNs period);
-
-  const partition::PartitionCache& cache() const { return cache_; }
-  const LoadFactorTracker& load_tracker() const { return k_; }
-
- private:
-  sim::Task service();
-  sim::Task execute_suffix(std::size_t p, SuffixReply& reply);
-
-  sim::Simulator* sim_;
-  hw::GpuScheduler* scheduler_;
-  const hw::GpuModel* gpu_;
-  const GraphCostProfile* profile_;
-  RuntimeParams params_;
-  hw::GpuScheduler::ContextId ctx_;
-  partition::PartitionCache cache_;
-  LoadFactorTracker k_;
-  std::deque<SuffixRequest> requests_;
-  sim::Event work_arrived_;  ///< triggered by submit(), reset when drained
-  Rng rng_;
-};
-
 class OffloadClient {
  public:
-  /// `session` identifies this client to a multi-tenant SuffixService
-  /// (serve::EdgeServerFrontend::open_session); the single-tenant
-  /// OffloadServer ignores it.
+  /// `session` identifies this client to its SuffixService
+  /// (serve::EdgeServerFrontend::open_session).
   OffloadClient(sim::Simulator& sim, const hw::CpuModel& cpu,
                 const GraphCostProfile& profile, net::Link& link,
                 SuffixService& server, Policy policy, RuntimeParams params,

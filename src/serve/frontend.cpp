@@ -430,6 +430,7 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
   // preparation every member session caches p, which for a session that hit
   // only refreshes its recency.
   double overhead = 0.0;
+  DurationNs prep_ns = 0;
   bool miss = false;
   for (const QueuedJob& job : batch)
     if (!sessions_[job.session].cache.find(p)) miss = true;
@@ -437,8 +438,9 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
     const core::Preparation prep =
         core::preparation(profile, p, core::Side::kServer);
     overhead = prep.sec;
+    prep_ns = seconds(overhead);
     const TimeNs prep_begin = sim_->now();
-    co_await sim_->delay(seconds(overhead));
+    co_await sim_->delay(prep_ns);
     if (epoch_ != epoch) co_return;
     if (auto* tr = trace())
       tr->span(track_, "partition-prepare", prep_begin, sim_->now(),
@@ -456,7 +458,9 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
       faults_ != nullptr ? faults_->straggle_factor(sim_->now()) : 1.0;
   auto kernels = core::suffix_kernels(*gpu_, profile, p, batch.size(),
                                       straggle, rng_);
-  const bool gpu_contended = core::gpu_contended(*scheduler_);
+  // Contention snapshot: other tenants' kernels already queued on the GPU.
+  // Only uncontended measurements calibrate the idle baseline of k.
+  const bool gpu_contended = scheduler_->pending_kernels() > 4;
   const TimeNs begin = sim_->now();
   co_await scheduler_->run_batch(ctx_, std::move(kernels), batch.size());
   if (epoch_ != epoch) co_return;
@@ -479,10 +483,12 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
       continue;
     }
     ++served_now;
-    // The session's k tracks the full service time (queue wait included):
-    // at the frontend, load manifests as queueing, and k is the signal
-    // that carries it back into the client's partition decision.
-    const double service = to_seconds(finished - job.enqueued);
+    // The session's k tracks queue wait plus execution: at the frontend,
+    // load manifests as queueing, and k is the signal that carries it back
+    // into the client's partition decision. The preparation delay is left
+    // out (the reply already charges it as overhead); subtracting it in ns
+    // keeps the sample bit-exact.
+    const double service = to_seconds(finished - job.enqueued - prep_ns);
     // Waiting longer than the batching window means the queue was the
     // bottleneck, not the coalescing delay.
     const bool contended =
@@ -597,9 +603,20 @@ void EdgeServerFrontend::restart() {
 }
 
 void EdgeServerFrontend::start_gpu_watcher(DurationNs period) {
-  core::start_idle_watcher(*sim_, *scheduler_, period, [this] {
-    for (Session& session : sessions_) session.k.reset_idle(sim_->now());
-  });
+  LP_CHECK(period > 0);
+  sim_->spawn(gpu_watcher(period, sim_->now(), scheduler_->busy_ns()));
+}
+
+sim::Task EdgeServerFrontend::gpu_watcher(DurationNs period, TimeNs since,
+                                          DurationNs busy_at_since) {
+  for (;;) {
+    co_await sim_->delay(period);
+    const double util = scheduler_->utilization_since(since, busy_at_since);
+    since = sim_->now();
+    busy_at_since = scheduler_->busy_ns();
+    if (util < kIdleUtilization)
+      for (Session& session : sessions_) session.k.reset_idle(sim_->now());
+  }
 }
 
 }  // namespace lp::serve

@@ -1,9 +1,10 @@
-// Multi-tenant edge serving frontend.
+// The edge server: the suffix service every offloading client talks to.
 //
-// One EdgeServerFrontend owns the GPU on behalf of many offloading clients
-// (the serving-system view of the paper's edge server, which "grows busy as
-// more devices offload to it"). It replaces the per-client OffloadServer
-// duplication with:
+// One EdgeServerFrontend owns the GPU on behalf of its clients. With one
+// session, a FIFO queue and batch 1 it is the paper's single service thread
+// (Fig. 3), the server serve::run_experiment runs the paper's figures on.
+// With many sessions it is the serving-system view of the paper's edge
+// server, which "grows busy as more devices offload to it":
 //   * per-client sessions — each holds the client's influential factor k
 //     and its partition cache;
 //   * a bounded request queue with pluggable ordering (FIFO / EDF / SPJF);
@@ -16,21 +17,17 @@
 //     — are coalesced into one GPU dispatch, amortizing the per-op
 //     framework dispatch cost across the batch.
 //
-// It shares the server core with core::OffloadServer (offload_runtime.h):
-// the SuffixReply each request resolves, the LoadFactorTracker that owns
-// k and its forecaster, the suffix cost model (preparation + jittered
-// kernels) and the idle watcher. What stays its own is policy — the queue,
-// admission, batching, fencing — and the k window: a session's k is
-// measured against the *service* time (queue wait + preparation +
-// execution), and a job counts as contended when it waited longer than the
-// batching window. In the serving architecture the load signal a client
-// feels is queueing at the frontend, not kernel interleaving, so k folds
-// the queue in and the LoADPart feedback loop (k up -> partition retreats
-// -> load drops) closes through the queue. core::OffloadServer measures k
-// against kernel execution alone, so even one FIFO session with no
-// admission control and batch 1 differs there: a partition-cache miss puts
-// its preparation delay into the frontend's k sample, never into the
-// OffloadServer's. The paper's figures keep the OffloadServer.
+// A session's k sample is a job's queue wait plus its execution, over the
+// model-predicted suffix time (Section III-C). In the serving architecture
+// the load a client feels is queueing at the frontend, not kernel
+// interleaving, so k folds the queue in and the LoADPart feedback loop
+// (k up -> partition retreats -> load drops) closes through the queue. A
+// partition-cache miss's preparation delay stays out of k: the request is
+// already charged for it once, as SuffixReply::overhead. A job counts as
+// contended when the GPU held more than four pending kernels as its suffix
+// was submitted, or when it waited longer than the batching window. With
+// one FIFO session and batch 1 nothing ever waits, so the sample is the
+// execution time alone.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +37,15 @@
 #include "core/load_signal.h"
 #include "core/offload_runtime.h"
 #include "fault/fault_plan.h"
+#include "hw/gpu_scheduler.h"
 #include "obs/telemetry.h"
 #include "serve/queue.h"
 
 namespace lp::serve {
+
+/// GPU utilization below which the watcher calls the server idle
+/// (Section IV).
+inline constexpr double kIdleUtilization = 0.90;
 
 struct FrontendParams {
   QueuePolicy policy = QueuePolicy::kFifo;
@@ -193,9 +195,10 @@ class EdgeServerFrontend : public core::SuffixService {
   core::LoadSignal load_signal(std::uint64_t session,
                                DurationNs horizon) const override;
 
-  /// Spawns the GPU-utilization watcher: when utilization over a period
-  /// falls below core::kIdleUtilization, every session's k resets to its
-  /// idle baseline (Section IV, per session).
+  /// Spawns the GPU-utilization watcher: every `period` it reads the
+  /// scheduler's utilization since its previous check — the first window
+  /// starts now — and when that falls below kIdleUtilization, every
+  /// session's k resets to its idle baseline (Section IV, per session).
   void start_gpu_watcher(DurationNs period);
 
   std::size_t sessions() const { return sessions_.size(); }
@@ -288,6 +291,8 @@ class EdgeServerFrontend : public core::SuffixService {
   sim::Task service();
   sim::Task execute_batch(std::vector<QueuedJob> batch);
   sim::Task crash_driver();
+  sim::Task gpu_watcher(DurationNs period, TimeNs since,
+                        DurationNs busy_at_since);
 
   /// Resets a session's volatile state — k window and forecaster and
   /// partition cache (entries and statistics) — to that of a fresh

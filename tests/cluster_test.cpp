@@ -92,7 +92,6 @@ struct PendingRequest {
     r.p = p;
     r.reply = reply;
     r.session = session;
-    r.predicted_sec = 0.01;
     return r;
   }
 };

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -201,16 +200,6 @@ TEST(Table, RejectsRaggedRow) {
 TEST(Table, NumFormatsPrecision) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(2.0, 0), "2");
-}
-
-TEST(Logging, LevelFilteringAndRestore) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kOff);
-  LP_ERROR << "suppressed";  // must not crash and must be filtered
-  set_log_level(LogLevel::kDebug);
-  LP_DEBUG << "emitted at debug level " << 42;
-  set_log_level(before);
-  EXPECT_EQ(log_level(), before);
 }
 
 }  // namespace

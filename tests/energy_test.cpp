@@ -3,6 +3,7 @@
 
 #include "core/energy.h"
 #include "models/zoo.h"
+#include "serve/frontend.h"
 
 namespace lp::core {
 namespace {
@@ -97,9 +98,10 @@ TEST(Energy, RuntimeRecordsCarryTransferBytes) {
                  net::BandwidthTrace::constant(mbps(8)), milliseconds(2), 3);
   const GraphCostProfile profile(model, bundle);
   RuntimeParams params;
-  OffloadServer server(sim, scheduler, gpu, profile, params, 5);
-  OffloadClient client(sim, cpu, profile, link, server,
-                       Policy::kFullOffload, params, 6);
+  serve::EdgeServerFrontend server(sim, scheduler, gpu,
+                                   serve::FrontendParams{}, params, 5);
+  OffloadClient client(sim, cpu, profile, link, server, Policy::kFullOffload,
+                       params, 6, server.open_session(profile));
   InferenceRecord rec;
   auto run = [](OffloadClient& c, InferenceRecord& out) -> sim::Task {
     co_await c.infer(&out);

@@ -146,7 +146,9 @@ struct Harness {
                  19};
   graph::Graph model;
   GraphCostProfile profile;
-  OffloadServer server;
+  /// The paper's server: one session behind a FIFO queue with batch 1.
+  serve::EdgeServerFrontend server;
+  std::uint64_t session;
   OffloadClient client;
 
   explicit Harness(const std::string& name,
@@ -154,8 +156,16 @@ struct Harness {
                    RuntimeParams params = {})
       : model(models::make_model(name)),
         profile(model, bundle()),
-        server(sim, scheduler, gpu, profile, params, 5),
-        client(sim, cpu, profile, link, server, policy, params, 6) {}
+        server(sim, scheduler, gpu, serve::FrontendParams{}, params, 5),
+        session(server.open_session(profile)),
+        client(sim, cpu, profile, link, server, policy, params, 6, session) {}
+
+  const partition::PartitionCache& server_cache() const {
+    return server.session_cache(session);
+  }
+  const LoadFactorTracker& server_k() const {
+    return server.session_tracker(session);
+  }
 };
 
 sim::Task run_inferences(OffloadClient& client, int count,
@@ -165,12 +175,6 @@ sim::Task run_inferences(OffloadClient& client, int count,
     co_await client.infer(&rec);
     out.push_back(rec);
   }
-}
-
-/// Sets *t to the sim time at which `ev` fires.
-sim::Task record_time_of(sim::Simulator& sim, sim::Event& ev, TimeNs* t) {
-  co_await ev.wait();
-  *t = sim.now();
 }
 
 TEST(OffloadRuntime, AlexNetIdleServerPicksMidCutAt8Mbps) {
@@ -223,12 +227,12 @@ TEST(OffloadRuntime, OneRequestCountsOneCacheLookupPerSide) {
   ASSERT_LT(records[0].p, h.model.n());  // the suffix ran on the server
   EXPECT_EQ(h.client.cache().hits(), 0u);
   EXPECT_EQ(h.client.cache().misses(), 1u);
-  EXPECT_EQ(h.server.cache().hits(), 0u);
-  EXPECT_EQ(h.server.cache().misses(), 1u);
+  EXPECT_EQ(h.server_cache().hits(), 0u);
+  EXPECT_EQ(h.server_cache().misses(), 1u);
   // Both caches now hold the cut the request used.
   const std::vector<std::size_t> cut{records[0].p};
   EXPECT_EQ(h.client.cache().lru_keys(), cut);
-  EXPECT_EQ(h.server.cache().lru_keys(), cut);
+  EXPECT_EQ(h.server_cache().lru_keys(), cut);
 }
 
 TEST(GraphCostProfile, PricesEveryCutLikeTheSegmentsPartitionAtBuilds) {
@@ -330,7 +334,7 @@ TEST(OffloadRuntime, ServerKRisesUnderLoadAndProfilerDeliversIt) {
   std::vector<InferenceRecord> records;
   h.sim.spawn(run_inferences(h.client, 40, records));
   h.sim.run_until(seconds(60));
-  EXPECT_GT(h.server.current_k(), 2.0);
+  EXPECT_GT(h.server_k().k(), 2.0);
   EXPECT_GT(h.client.cached_k(), 2.0);  // fetched by the profiler
 }
 
@@ -341,19 +345,18 @@ TEST(OffloadRuntime, GpuWatcherResetsKWhenLoadVanishes) {
   std::vector<InferenceRecord> warm;
   h.sim.spawn(run_inferences(h.client, 60, warm));
   h.sim.run_until(seconds(20));
-  const double idle_k = h.server.current_k();
+  const double idle_k = h.server_k().k();
   h.load.set_level(hw::LoadLevel::k100h);
   h.sim.run_until(seconds(50));
-  const double loaded_k = h.server.current_k();
+  const double loaded_k = h.server_k().k();
   ASSERT_GT(loaded_k, idle_k * 1.5);
   // Load disappears; no more foreground inferences update k, but the
   // watcher notices utilization < 90% and resets it toward the idle
   // baseline (Section IV).
   h.load.set_level(hw::LoadLevel::k0);
   h.sim.run_for(seconds(25));
-  EXPECT_LT(h.server.current_k(), loaded_k * 0.6);
-  EXPECT_LE(h.server.current_k(),
-            h.server.load_tracker().idle_baseline() + 1e-9);
+  EXPECT_LT(h.server_k().k(), loaded_k * 0.6);
+  EXPECT_LE(h.server_k().k(), h.server_k().idle_baseline() + 1e-9);
 }
 
 TEST(OffloadRuntime, EstimatorTracksBandwidthCollapse) {
@@ -371,9 +374,10 @@ TEST(OffloadRuntime, EstimatorTracksBandwidthCollapse) {
   const auto model = models::alexnet();
   const GraphCostProfile profile(model, bundle());
   RuntimeParams params;
-  OffloadServer server(sim, scheduler, gpu, profile, params, 5);
+  serve::EdgeServerFrontend server(sim, scheduler, gpu,
+                                   serve::FrontendParams{}, params, 5);
   OffloadClient client(sim, cpu, profile, link, server, Policy::kLoadPart,
-                       params, 6);
+                       params, 6, server.open_session(profile));
   client.start_runtime_profiler(seconds(2));
   sim.run_until(seconds(70));
   EXPECT_NEAR(client.estimator().estimate(), mbps(0.5), mbps(0.15));
@@ -498,109 +502,6 @@ TEST(OffloadRuntime, CacheCapacityOneThrashesUnderAlternatingDecisions) {
   // Now force a different p and come back: the original entry was evicted,
   // so it must be re-partitioned (the thrash ablation measures the cost).
   EXPECT_EQ(h.client.cache().size(), 1u);
-}
-
-TEST(OffloadServer, RejectsMalformedRequests) {
-  Harness h("alexnet");
-  auto reply = std::make_shared<SuffixReply>(h.sim);
-  // p = n means local inference: nothing to ask the server for.
-  EXPECT_THROW(h.server.submit(SuffixRequest{h.model.n(), reply}),
-               ContractError);
-  EXPECT_THROW(h.server.submit(SuffixRequest{0, nullptr}), ContractError);
-}
-
-TEST(OffloadServer, ServiceProcessesQueuedRequestsInOrder) {
-  // Two requests submitted back-to-back: the service runs them in FIFO
-  // order on its single stream (the second waits for the first).
-  Harness h("alexnet");
-  auto first = std::make_shared<SuffixReply>(h.sim);
-  auto second = std::make_shared<SuffixReply>(h.sim);
-  TimeNs t1 = 0, t2 = 0;
-  h.server.submit(SuffixRequest{0, first});
-  h.server.submit(SuffixRequest{8, second});
-  h.sim.spawn(record_time_of(h.sim, first->done, &t1));
-  h.sim.spawn(record_time_of(h.sim, second->done, &t2));
-  h.sim.run_until(seconds(10));
-  EXPECT_GT(t1, 0);
-  EXPECT_GT(t2, t1);  // FIFO: the p=8 request finished after the p=0 one
-  EXPECT_GT(first->exec, second->exec);  // and the longer suffix took longer
-}
-
-TEST(OffloadServer, QueueWaitRunsFromArrivalToDispatch) {
-  // A request that arrives while the service runs another waits in the
-  // queue until that one resolves, and reports exactly that wait.
-  Harness h("alexnet");
-  auto running = std::make_shared<SuffixReply>(h.sim);
-  auto queued = std::make_shared<SuffixReply>(h.sim);
-  TimeNs running_done = 0;
-  h.server.submit(SuffixRequest{0, running});
-  h.sim.spawn(record_time_of(h.sim, running->done, &running_done));
-  const TimeNs arrival = milliseconds(1);
-  h.sim.run_until(arrival);
-  ASSERT_FALSE(running->done.triggered());  // still preparing or executing
-  h.server.submit(SuffixRequest{8, queued});
-  h.sim.run_until(seconds(10));
-  ASSERT_EQ(running->status, SuffixStatus::kServed);
-  ASSERT_EQ(queued->status, SuffixStatus::kServed);
-  ASSERT_TRUE(queued->done.triggered());
-  EXPECT_EQ(running->queue_wait, 0.0);
-  EXPECT_EQ(queued->queue_wait, to_seconds(running_done - arrival));
-}
-
-TEST(OffloadServer, DrainedServiceWakesForALaterRequest) {
-  // Once its queue drains, the service sleeps on its work event; a later
-  // submit wakes it at the submit time, so the request waits for nothing.
-  Harness h("alexnet");
-  auto first = std::make_shared<SuffixReply>(h.sim);
-  h.server.submit(SuffixRequest{8, first});
-  h.sim.run_until(seconds(5));
-  ASSERT_TRUE(first->done.triggered());
-  auto later = std::make_shared<SuffixReply>(h.sim);
-  TimeNs later_done = 0;
-  h.server.submit(SuffixRequest{8, later});
-  h.sim.spawn(record_time_of(h.sim, later->done, &later_done));
-  h.sim.run_until(seconds(10));
-  ASSERT_TRUE(later->done.triggered());
-  EXPECT_EQ(later->status, SuffixStatus::kServed);
-  EXPECT_EQ(later->queue_wait, 0.0);
-  EXPECT_EQ(later->overhead, 0.0);  // the server still caches cut 8
-  EXPECT_GT(later_done, seconds(5));
-  EXPECT_EQ(h.server.cache().hits(), 1u);
-}
-
-TEST(OffloadServer, MatchesAOneSessionFifoFrontendOnTheSharedCostModel) {
-  // Both servers charge a request through the same cost model: with the
-  // same seed and an idle GPU, a cold request (cache miss) and a warm one
-  // (hit) report bit-identical overhead, execution and queue wait.
-  const graph::Graph model = models::make_model("alexnet");
-  const GraphCostProfile profile(model, bundle());
-  const hw::GpuModel gpu;
-  for (std::size_t p : {0, 3, 5, 8, 12}) {
-    SCOPED_TRACE(p);
-    sim::Simulator ssim, fsim;
-    hw::GpuScheduler ssched(ssim), fsched(fsim);
-    OffloadServer server(ssim, ssched, gpu, profile, {}, /*seed=*/5);
-    serve::EdgeServerFrontend frontend(fsim, fsched, gpu,
-                                       serve::FrontendParams{}, {},
-                                       /*seed=*/5);
-    const std::uint64_t s = frontend.open_session(profile);
-    for (int i = 0; i < 2; ++i) {
-      auto on_server = std::make_shared<SuffixReply>(ssim);
-      auto on_frontend = std::make_shared<SuffixReply>(fsim);
-      server.submit(SuffixRequest{p, on_server});
-      SuffixRequest request{p, on_frontend};
-      request.session = s;
-      ASSERT_EQ(frontend.submit(request), SubmitStatus::kAccepted);
-      ssim.run_until(ssim.now() + seconds(5));
-      fsim.run_until(fsim.now() + seconds(5));
-      ASSERT_EQ(on_server->status, SuffixStatus::kServed);
-      ASSERT_EQ(on_frontend->status, SuffixStatus::kServed);
-      EXPECT_EQ(on_server->overhead > 0.0, i == 0);
-      EXPECT_EQ(on_server->overhead, on_frontend->overhead);
-      EXPECT_EQ(on_server->exec, on_frontend->exec);
-      EXPECT_EQ(on_server->queue_wait, on_frontend->queue_wait);
-    }
-  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -466,6 +467,151 @@ TEST(EdgeServerFrontend, RejectsMalformedRequests) {
   no_reply.p = 5;
   no_reply.session = s;
   EXPECT_THROW(h.frontend.submit(no_reply), ContractError);
+}
+
+// ------------------------------- one FIFO session: the paper's server --
+
+/// Sets *t to the sim time at which `ev` fires.
+sim::Task record_time_of(sim::Simulator& sim, sim::Event& ev, TimeNs* t) {
+  co_await ev.wait();
+  *t = sim.now();
+}
+
+TEST(EdgeServerFrontend, ServiceProcessesQueuedRequestsInOrder) {
+  // Two requests submitted back-to-back: the service runs them in FIFO
+  // order on its single stream (the second waits for the first).
+  FrontendHarness h(FrontendParams{});
+  const auto s = h.frontend.open_session(h.profile);
+  PendingRequest first(h.sim), second(h.sim);
+  TimeNs t1 = 0, t2 = 0;
+  ASSERT_EQ(h.frontend.submit(first.request(s, 0)),
+            core::SubmitStatus::kAccepted);
+  ASSERT_EQ(h.frontend.submit(second.request(s, 8)),
+            core::SubmitStatus::kAccepted);
+  h.sim.spawn(record_time_of(h.sim, first.reply->done, &t1));
+  h.sim.spawn(record_time_of(h.sim, second.reply->done, &t2));
+  h.sim.run_until(seconds(10));
+  EXPECT_GT(t1, 0);
+  EXPECT_GT(t2, t1);  // FIFO: the p=8 request finished after the p=0 one
+  EXPECT_GT(first.reply->exec, second.reply->exec);  // longer suffix
+}
+
+TEST(EdgeServerFrontend, QueueWaitRunsFromArrivalToDispatch) {
+  // A request that arrives while the service runs another waits in the
+  // queue until that one resolves, and reports exactly that wait.
+  FrontendHarness h(FrontendParams{});
+  const auto s = h.frontend.open_session(h.profile);
+  PendingRequest running(h.sim), queued(h.sim);
+  TimeNs running_done = 0;
+  ASSERT_EQ(h.frontend.submit(running.request(s, 0)),
+            core::SubmitStatus::kAccepted);
+  h.sim.spawn(record_time_of(h.sim, running.reply->done, &running_done));
+  const TimeNs arrival = milliseconds(1);
+  h.sim.run_until(arrival);
+  ASSERT_FALSE(running.reply->done.triggered());  // preparing or executing
+  ASSERT_EQ(h.frontend.submit(queued.request(s, 8)),
+            core::SubmitStatus::kAccepted);
+  h.sim.run_until(seconds(10));
+  ASSERT_EQ(running.reply->status, core::SuffixStatus::kServed);
+  ASSERT_EQ(queued.reply->status, core::SuffixStatus::kServed);
+  ASSERT_TRUE(queued.reply->done.triggered());
+  EXPECT_EQ(running.reply->queue_wait, 0.0);
+  EXPECT_EQ(queued.reply->queue_wait, to_seconds(running_done - arrival));
+}
+
+TEST(EdgeServerFrontend, DrainedServiceWakesForALaterRequest) {
+  // Once its queue drains, the service sleeps on its work event; a later
+  // submit wakes it at the submit time, so the request waits for nothing.
+  FrontendHarness h(FrontendParams{});
+  const auto s = h.frontend.open_session(h.profile);
+  PendingRequest first(h.sim), later(h.sim);
+  ASSERT_EQ(h.frontend.submit(first.request(s, 8)),
+            core::SubmitStatus::kAccepted);
+  h.sim.run_until(seconds(5));
+  ASSERT_TRUE(first.reply->done.triggered());
+  TimeNs later_done = 0;
+  ASSERT_EQ(h.frontend.submit(later.request(s, 8)),
+            core::SubmitStatus::kAccepted);
+  h.sim.spawn(record_time_of(h.sim, later.reply->done, &later_done));
+  h.sim.run_until(seconds(10));
+  ASSERT_TRUE(later.reply->done.triggered());
+  EXPECT_EQ(later.reply->status, core::SuffixStatus::kServed);
+  EXPECT_EQ(later.reply->queue_wait, 0.0);
+  EXPECT_EQ(later.reply->overhead, 0.0);  // the session still caches cut 8
+  EXPECT_GT(later_done, seconds(5));
+  EXPECT_EQ(h.frontend.session_cache(s).hits(), 1u);
+}
+
+TEST(EdgeServerFrontend, KSampleLeavesOutTheCacheMissPreparation) {
+  // A cold request on an idle GPU: the reply charges the preparation once,
+  // as overhead, and the session's k sample is the execution alone (the
+  // job never waited in the queue), over the predicted suffix time.
+  for (std::size_t p : {0, 5, 8, 12}) {
+    SCOPED_TRACE(p);
+    FrontendHarness h(FrontendParams{});
+    const auto s = h.frontend.open_session(h.profile);
+    PendingRequest cold(h.sim);
+    ASSERT_EQ(h.frontend.submit(cold.request(s, p)),
+              core::SubmitStatus::kAccepted);
+    h.sim.run_until(seconds(5));
+    ASSERT_EQ(cold.reply->status, core::SuffixStatus::kServed);
+    ASSERT_GT(cold.reply->overhead, 0.0);
+    ASSERT_EQ(cold.reply->queue_wait, 0.0);
+    EXPECT_EQ(h.frontend.session_tracker(s).k(),
+              std::max(1.0, cold.reply->exec / h.profile.suffix_g(p)));
+  }
+}
+
+TEST(EdgeServerFrontend, KSampleCountsTheQueueWait) {
+  // The second of two back-to-back jobs waits for the first: its sample is
+  // that wait plus its own execution (queueing is the load a client
+  // feels), while the first job's is its execution alone.
+  FrontendHarness h(FrontendParams{});
+  const auto s = h.frontend.open_session(h.profile);
+  PendingRequest first(h.sim), second(h.sim);
+  ASSERT_EQ(h.frontend.submit(first.request(s, 8)),
+            core::SubmitStatus::kAccepted);
+  ASSERT_EQ(h.frontend.submit(second.request(s, 8)),
+            core::SubmitStatus::kAccepted);
+  h.sim.run_until(seconds(5));
+  ASSERT_EQ(second.reply->status, core::SuffixStatus::kServed);
+  ASSERT_GT(first.reply->overhead, 0.0);
+  ASSERT_EQ(second.reply->overhead, 0.0);  // the first cached cut 8
+  ASSERT_GT(second.reply->queue_wait, 0.0);
+  const double g = h.profile.suffix_g(8);
+  const double first_ratio = first.reply->exec / g;
+  const double second_ratio =
+      (second.reply->queue_wait + second.reply->exec) / g;
+  EXPECT_NEAR(h.frontend.session_tracker(s).k(),
+              std::max(1.0, (first_ratio + second_ratio) / 2), 1e-9);
+}
+
+TEST(EdgeServerFrontend, GpuWatcherResetsEverySessionToItsIdleBaseline) {
+  // Jobs that queued behind others are contended samples, which lift k
+  // above the idle baseline; once the GPU has idled through a watcher
+  // period, every session's k is back at its baseline.
+  FrontendHarness h(FrontendParams{});
+  const auto a = h.frontend.open_session(h.profile);
+  const auto b = h.frontend.open_session(h.profile);
+  h.frontend.start_gpu_watcher(seconds(1));
+  std::vector<std::unique_ptr<PendingRequest>> requests;
+  for (int i = 0; i < 6; ++i) {
+    requests.push_back(std::make_unique<PendingRequest>(h.sim));
+    ASSERT_EQ(h.frontend.submit(requests.back()->request(i % 2 ? b : a, 5)),
+              core::SubmitStatus::kAccepted);
+  }
+  h.sim.run_until(milliseconds(500));
+  for (const auto s : {a, b}) {
+    const core::LoadFactorTracker& k = h.frontend.session_tracker(s);
+    ASSERT_EQ(k.records(), 3u);
+    ASSERT_GT(k.k(), k.idle_baseline());
+  }
+  h.sim.run_until(milliseconds(1500));
+  for (const auto s : {a, b}) {
+    const core::LoadFactorTracker& k = h.frontend.session_tracker(s);
+    EXPECT_EQ(k.records(), 0u);
+    EXPECT_EQ(k.k(), k.idle_baseline());
+  }
 }
 
 // ---------------------------------------------------- crash / restart --

@@ -4,11 +4,15 @@
 #include <algorithm>
 
 #include "core/baselines.h"
-#include "core/system.h"
 #include "models/zoo.h"
+#include "serve/experiment.h"
 
 namespace lp::core {
 namespace {
+
+using serve::ExperimentConfig;
+using serve::ExperimentResult;
+using serve::run_experiment;
 
 const PredictorBundle& bundle() {
   static const PredictorBundle b = train_default_predictors(1234);
