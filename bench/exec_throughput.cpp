@@ -2,20 +2,22 @@
 // LoADPart-chosen cut (best latency_breakdown point at 8 Mbps, the Fig. 1
 // setup), reference vs optimized kernels at 1/2/4/8 threads. Reports
 // ms/inference, peak resident tensor bytes (liveness), speedups and the
-// vector path the optimized conv took, and checks the optimized output is
+// vector path the optimized kernels took, and checks the optimized output is
 // bit-identical before trusting any timing. Each optimized thread count,
-// and both columns of the standalone AlexNet conv-layer table, is the
+// and both columns of the standalone-layer table (AlexNet's conv layers
+// and fc6, SqueezeNet's conv1, max pool and one fire module), is the
 // median of kTimedRuns runs of one warmed interpreter, so those columns
 // compare like with like. The whole-model reference column is warm too,
 // but a single timed run after one untimed run: the six models' reference
 // runs take 2 to 2.5 min per pass on a 4-vCPU AVX-512 Xeon. Writes the
 // machine-readable summary to BENCH_exec.json (or argv[1]); exits 1 if that
-// write fails.
+// write fails or any output differs from the reference.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -176,43 +178,79 @@ ModelReport bench_model(const std::string& name) {
   return rep;
 }
 
-struct ConvReport {
-  std::string name;
+struct LayerReport {
+  std::string name;  // model/node
   double reference_ms = 0.0;
   double optimized_ms = 0.0;
+  bool bit_identical = true;
 };
 
-/// Each AlexNet Conv layer as a standalone graph: the per-kernel speedup
-/// claim without pools/FC diluting it. Both kernels are timed warm, and
-/// every run is checked bit for bit against one reference run.
-std::vector<ConvReport> bench_alexnet_convs() {
-  const auto g = lp::models::alexnet();
-  std::vector<ConvReport> reports;
-  for (lp::graph::NodeId id : g.backbone()) {
-    const auto& node = g.node(id);
-    if (node.op != lp::graph::OpType::kConv) continue;
-    const auto& a = std::get<lp::graph::ConvAttrs>(node.attrs);
-    const auto& in_shape = g.node(node.inputs[0]).output.shape;
+/// Node `node_name` of `model` as a standalone graph, run as the model
+/// runs it: a Conv or MatMul with its bias and ReLU fused, a MaxPool
+/// alone. Every parameter is left unbound, so an FC weight is streamed in
+/// the optimized run and materialized in the reference. Both kernels are
+/// timed warm, and every run is checked bit for bit against one reference
+/// run.
+LayerReport bench_layer(const std::string& model,
+                        const std::string& node_name) {
+  const auto g = lp::models::make_model(model);
+  const lp::graph::Node* node = nullptr;
+  for (const auto& n : g.nodes())
+    if (n.name == node_name) node = &n;
+  LP_CHECK_MSG(node != nullptr, "no node " + node_name + " in " + model);
+  const auto& in_shape = g.node(node->inputs[0]).output.shape;
 
-    lp::graph::GraphBuilder b("conv-" + node.name);
-    auto x = b.input(in_shape);
-    auto y = b.conv2d_rect(x, a.out_channels, a.kernel_h, a.kernel_w,
-                           a.stride_h, a.pad_h, a.pad_w,
-                           /*with_bias=*/false, "c");
-    const auto layer = b.build(y);
-    const TensorMap bind = {
-        {"input", lp::exec::random_tensor(in_shape, 77)}};
-
-    const std::vector<Tensor> expected =
-        Interpreter(layer, {ExecMode::kReference, 1}).run(bind);
-    const WarmTiming ref =
-        warm_timing(layer, bind, {ExecMode::kReference, 1}, expected);
-    const WarmTiming opt =
-        warm_timing(layer, bind, {ExecMode::kOptimized, 1}, expected);
-    LP_CHECK_MSG(ref.bit_identical && opt.bit_identical,
-                 "conv layer diverged from reference");
-    reports.push_back({node.name, ref.median_ms, opt.median_ms});
+  lp::graph::GraphBuilder b(model + "/" + node_name);
+  auto x = b.input(in_shape);
+  lp::graph::NodeId y = x;
+  switch (node->op) {
+    case lp::graph::OpType::kConv: {
+      const auto& a = std::get<lp::graph::ConvAttrs>(node->attrs);
+      y = b.relu(b.conv2d_rect(x, a.out_channels, a.kernel_h, a.kernel_w,
+                               a.stride_h, a.pad_h, a.pad_w,
+                               /*with_bias=*/true, "c"));
+      break;
+    }
+    case lp::graph::OpType::kMatMul: {
+      const auto& a = std::get<lp::graph::MatMulAttrs>(node->attrs);
+      y = b.relu(b.fc(x, a.out_features, /*with_bias=*/true, "fc"));
+      break;
+    }
+    case lp::graph::OpType::kMaxPool: {
+      const auto& a = std::get<lp::graph::PoolAttrs>(node->attrs);
+      y = b.maxpool(x, a.kernel_h, a.stride_h, a.pad_h, a.ceil_mode);
+      break;
+    }
+    default:
+      LP_CHECK_MSG(false, "no standalone form for " + node_name);
   }
+  const auto layer = b.build(y);
+  const TensorMap bind = {{"input", lp::exec::random_tensor(in_shape, 77)}};
+
+  const std::vector<Tensor> expected =
+      Interpreter(layer, {ExecMode::kReference, 1}).run(bind);
+  const WarmTiming ref =
+      warm_timing(layer, bind, {ExecMode::kReference, 1}, expected);
+  const WarmTiming opt =
+      warm_timing(layer, bind, {ExecMode::kOptimized, 1}, expected);
+  return {model + "/" + node_name, ref.median_ms, opt.median_ms,
+          ref.bit_identical && opt.bit_identical};
+}
+
+/// The standalone layers: AlexNet's five conv layers and its first FC
+/// layer (the paper's fc6, 9216 x 4096, weight streamed), and SqueezeNet's
+/// 7x7/2 conv1, its 3x3/2 max pool and one fire module's three convs.
+std::vector<LayerReport> bench_layers() {
+  const std::pair<const char*, const char*> layers[] = {
+      {"alexnet", "conv1"},          {"alexnet", "conv2"},
+      {"alexnet", "conv3"},          {"alexnet", "conv4"},
+      {"alexnet", "conv5"},          {"alexnet", "fc1"},
+      {"squeezenet", "conv1"},       {"squeezenet", "maxpool1"},
+      {"squeezenet", "fire2.squeeze"}, {"squeezenet", "fire2.expand1x1"},
+      {"squeezenet", "fire2.expand3x3"}};
+  std::vector<LayerReport> reports;
+  for (const auto& [model, node] : layers)
+    reports.push_back(bench_layer(model, node));
   return reports;
 }
 
@@ -220,7 +258,7 @@ std::vector<ConvReport> bench_alexnet_convs() {
 /// disk included.
 bool write_json(const std::string& path,
                 const std::vector<ModelReport>& models,
-                const std::vector<ConvReport>& convs) {
+                const std::vector<LayerReport>& layers) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n  \"host_cores\": %u,\n  \"isa\": \"%s\",\n",
@@ -247,15 +285,17 @@ bool write_json(const std::string& path,
                  m.bit_identical ? "true" : "false",
                  i + 1 < models.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"alexnet_conv_layers\": [\n");
-  for (std::size_t i = 0; i < convs.size(); ++i) {
-    const auto& c = convs[i];
+  std::fprintf(f, "  ],\n  \"layers\": [\n");
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    const auto& l = layers[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"reference_ms\": %.3f, "
-                 "\"optimized_ms\": %.3f, \"speedup\": %.2f}%s\n",
-                 c.name.c_str(), c.reference_ms, c.optimized_ms,
-                 c.reference_ms / c.optimized_ms,
-                 i + 1 < convs.size() ? "," : "");
+                 "\"optimized_ms\": %.3f, \"speedup\": %.2f,\n"
+                 "     \"bit_identical\": %s}%s\n",
+                 l.name.c_str(), l.reference_ms, l.optimized_ms,
+                 l.reference_ms / l.optimized_ms,
+                 l.bit_identical ? "true" : "false",
+                 i + 1 < layers.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   const bool written = std::ferror(f) == 0;
@@ -269,7 +309,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "Execution-engine throughput (bit-identity checked), host cores: %u, "
-      "conv ISA: %s\n"
+      "kernel ISA: %s\n"
       "(optimized: median of %d warm runs per thread count; reference: one\n"
       " warm run per model, since the six together take minutes; thread\n"
       " scaling is only visible when the host has that many cores)\n\n",
@@ -303,18 +343,20 @@ int main(int argc, char** argv) {
   cut.print();
 
   std::printf(
-      "\nAlexNet Conv layers standalone (1 thread, median of %d warm runs "
-      "per kernel)\n",
+      "\nStandalone layers with their fused bias and ReLU (1 thread, median "
+      "of %d warm runs per kernel)\n",
       kTimedRuns);
-  const auto convs = bench_alexnet_convs();
-  Table conv_table({"layer", "reference(ms)", "optimized(ms)", "speedup"});
-  for (const auto& c : convs)
-    conv_table.add_row({c.name, Table::num(c.reference_ms),
-                        Table::num(c.optimized_ms),
-                        Table::num(c.reference_ms / c.optimized_ms)});
-  conv_table.print();
+  const auto layers = bench_layers();
+  Table layer_table(
+      {"layer", "reference(ms)", "optimized(ms)", "speedup", "exact"});
+  for (const auto& l : layers)
+    layer_table.add_row({l.name, Table::num(l.reference_ms),
+                         Table::num(l.optimized_ms),
+                         Table::num(l.reference_ms / l.optimized_ms),
+                         l.bit_identical ? "yes" : "NO"});
+  layer_table.print();
 
-  if (!write_json(out_path, models, convs)) {
+  if (!write_json(out_path, models, layers)) {
     std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
     return 1;
   }
@@ -322,5 +364,6 @@ int main(int argc, char** argv) {
 
   bool all_exact = true;
   for (const auto& m : models) all_exact = all_exact && m.bit_identical;
+  for (const auto& l : layers) all_exact = all_exact && l.bit_identical;
   return all_exact ? 0 : 1;
 }

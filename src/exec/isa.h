@@ -1,11 +1,14 @@
-// The vector instruction sets the optimized convolution and the weight fill
-// are compiled for, and a hook that runs either on a named one. Private to
-// src/exec and its tests: everyone else gets the host's path through
-// conv2d_fast and ParamGenerator::fill, chosen once per process.
+// The vector instruction sets the optimized convolution, the matmul GEMV
+// and the weight fill are compiled for, and hooks that run each on a named
+// one. Private to src/exec and its tests: everyone else gets the host's
+// path through conv2d_fast, matmul_fast and ParamGenerator::fill, chosen
+// once per process.
 //
-// Every path gives the same bits. The conv keeps one double chain per
-// output fed in ascending (ic, kh, kw) with a separate multiply and add,
-// at any vector width; the fill computes each element from its own counter.
+// Every path gives the same bits. The conv and the GEMV keep one double
+// chain per output fed in ascending (ic, kh, kw) or k with a separate
+// multiply and add, at any vector width, and their fused BiasAdd,
+// BatchNorm and ReLU compute the reference's float expression in every
+// lane; the fill computes each element from its own counter.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +35,10 @@ Isa host();
 Tensor conv2d_im2col(Isa isa, const Tensor& x, const Tensor& w,
                      const graph::ConvAttrs& a, const Shape& out_shape,
                      const Epilogue& ep, ThreadPool& pool);
+
+/// matmul_fast's GEMV on `isa`, which must be supported.
+Tensor matmul(Isa isa, const Tensor& x, const WeightRows& w,
+              const Shape& out_shape, const Epilogue& ep, ThreadPool& pool);
 
 /// ParamGenerator::fill's loop on `isa`, which must be supported: elements
 /// [first, first + count) of the stream seeded by `seed`, each

@@ -1,7 +1,8 @@
 // Optimized execution kernels: im2col convolution on vector lanes (a
 // micro-kernel per ISA, chosen once per process by CPU), a row-order matmul
-// over resident or streamed weights, parallel pooling/elementwise, and a
-// fused elementwise epilogue driven by graph::fusion groups.
+// GEMV over resident or streamed weights (per ISA too), parallel
+// pooling/elementwise, and a fused elementwise epilogue driven by
+// graph::fusion groups.
 //
 // Determinism contract: every kernel reproduces the reference interpreter's
 // per-output-element operation order exactly — double-precision
@@ -9,14 +10,18 @@
 // expressions for the epilogue ops — so optimized output is bit-identical
 // to the reference. Parallelism, blocking and vector lanes only
 // re-partition the output index space: each lane holds one output's
-// chain, widened from float exactly and fed by a separate multiply and add
-// (no FMA), so no single element's accumulation is ever split or
-// reordered. Padding contributes exact 0.0f entries to the im2col panel,
-// which leave a running double accumulator bit-unchanged (weights must be
-// finite, which graph parameters are).
+// chain, fed by a separate multiply and add (no FMA) of operands widened
+// from float exactly, so no single element's accumulation is ever split or
+// reordered. The conv widens both operands once, outside its inner loop:
+// the im2col panel and each tile's weight rows are packed as doubles, and
+// a conv deeper than one panel runs its K in ascending slices, each
+// chain carried across them in double. Padding contributes exact 0.0
+// entries to the panel, which leave a running double accumulator
+// bit-unchanged (weights must be finite, which graph parameters are).
+// BiasAdd, BatchNorm and ReLU run a vector of an output row at a time;
+// Sigmoid and Tanh one element at a time.
 #pragma once
 
-#include <cmath>
 #include <vector>
 
 #include "exec/tensor.h"
@@ -38,7 +43,8 @@ struct EpilogueStep {
 };
 
 /// A fusion group's epilogue, applied to each output element in group
-/// order. `c` is the channel (NCHW) or column (rank-2) index.
+/// order with the reference's float expression per op. An element's
+/// parameters are its channel's (NCHW) or its column's (rank 2).
 struct Epilogue {
   std::vector<EpilogueStep> steps;
 
@@ -52,37 +58,11 @@ struct Epilogue {
         return true;
     return false;
   }
-
-  float apply(float v, std::int64_t c) const {
-    for (const auto& s : steps) {
-      switch (s.op) {
-        case graph::OpType::kBiasAdd:
-          v += s.bias[c];
-          break;
-        case graph::OpType::kBatchNorm: {
-          const float d = s.denom[static_cast<std::size_t>(c)];
-          v = s.gamma[c] * (v - s.mean[c]) / d + s.beta[c];
-          break;
-        }
-        case graph::OpType::kRelu:
-          v = std::max(0.0f, v);
-          break;
-        case graph::OpType::kSigmoid:
-          v = 1.0f / (1.0f + std::exp(-v));
-          break;
-        case graph::OpType::kTanh:
-          v = std::tanh(v);
-          break;
-        default:
-          break;  // unreachable; epilogue ops are validated on construction
-      }
-    }
-    return v;
-  }
 };
 
-/// The vector path the optimized conv and the weight fill take on this
-/// CPU: "avx512", "avx2" or "baseline", chosen once per process.
+/// The vector path the optimized conv, the matmul GEMV and the weight fill
+/// take on this CPU: "avx512", "avx2" or "baseline", chosen once per
+/// process.
 const char* kernel_isa();
 
 /// Convolution (im2col into k-major strips and a vector micro-kernel;
@@ -114,22 +94,27 @@ class WeightRows {
   const ParamGenerator* synth_ = nullptr;
 };
 
-/// Fully-connected matmul. W is walked in row order, k outer, and the pool
-/// splits the output columns into fixed slices, each with one double
-/// accumulator per output fed in ascending k. Epilogue fused into the store.
+/// Fully-connected matmul, a GEMV per batch row on the host's vector path.
+/// W is walked in row order, k outer, and the pool splits the output
+/// columns into fixed slices, each with one double accumulator per output
+/// fed in ascending k. Epilogue fused into the store, per-column constants
+/// read as vectors.
 Tensor matmul_fast(const Tensor& x, const WeightRows& w,
                    const Shape& out_shape, const Epilogue& ep,
                    ThreadPool& pool);
 
-/// Max/avg pooling, parallel over (n, c) planes.
+/// Max/avg pooling, parallel over (n, c) planes. Each window's in-bounds
+/// taps are found once, then read without a bounds test: a float max, or
+/// the reference's double sum for the average.
 Tensor pool2d_fast(const Tensor& x, const graph::PoolAttrs& a,
                    const Shape& out_shape, bool is_max, ThreadPool& pool);
 
 /// a += b, element-wise and in place.
 void add_inplace(Tensor& a, const Tensor& b, ThreadPool& pool);
 
-/// Applies an epilogue to every element of `t` in place (standalone
-/// BiasAdd/BatchNorm/activation nodes and Add-anchored fusion groups).
+/// Applies an epilogue to every element of `t` in place, a row of a channel
+/// plane or a matrix at a time (standalone BiasAdd/BatchNorm/activation
+/// nodes and Add-anchored fusion groups).
 void epilogue_inplace(Tensor& t, const Epilogue& ep, ThreadPool& pool);
 
 /// Softmax over the last axis, in place.

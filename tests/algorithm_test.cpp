@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <tuple>
 
 #include "check/generators.h"
 #include "common/rng.h"
@@ -100,7 +102,7 @@ TEST(Algorithm1, RejectsMismatchedInputs) {
 }
 
 class DecideVsBruteForce
-    : public ::testing::TestWithParam<std::tuple<const char*, double, double>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, double, double>> {
 };
 
 TEST_P(DecideVsBruteForce, IncrementalFormMatchesOracle) {
@@ -113,13 +115,23 @@ TEST_P(DecideVsBruteForce, IncrementalFormMatchesOracle) {
   EXPECT_NEAR(fast.predicted_latency, slow.predicted_latency, 1e-9);
 }
 
+// Named model_k<load>_bw<mbps>, e.g. alexnet_k20_bw8, so the test list is
+// the same in every build.
 INSTANTIATE_TEST_SUITE_P(
     ModelsBandwidthsLoads, DecideVsBruteForce,
-    ::testing::Combine(
-        ::testing::Values("alexnet", "squeezenet", "resnet18", "vgg16",
-                          "xception"),
-        ::testing::Values(1.0, 3.0, 20.0),
-        ::testing::Values(1.0, 8.0, 64.0)));
+    ::testing::Combine(::testing::Values(std::string("alexnet"),
+                                         std::string("squeezenet"),
+                                         std::string("resnet18"),
+                                         std::string("vgg16"),
+                                         std::string("xception")),
+                       ::testing::Values(1.0, 3.0, 20.0),
+                       ::testing::Values(1.0, 8.0, 64.0)),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_k" +
+             std::to_string(static_cast<int>(std::get<1>(info.param))) +
+             "_bw" +
+             std::to_string(static_cast<int>(std::get<2>(info.param)));
+    });
 
 TEST(Decide, RandomCostVectorsMatchVerbatimForm) {
   // Property sweep: on random synthetic chains the O(n) incremental form,

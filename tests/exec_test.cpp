@@ -537,9 +537,60 @@ TEST(Interpreter, BoundInputThatIsAnOutputIsReturnedAsACopy) {
   }
 }
 
+TEST(Interpreter, PoolingMatchesTheReferenceOnNanAndPaddedWindows) {
+  // Max and average pooling with padding, the max also in ceil mode, on an
+  // input with scattered NaN taps, an all-NaN 3x3 block (a max window that
+  // sees only NaN gives -inf, as the reference's does) and a -0.0 / +0.0
+  // pair whose order decides the sign of a max. 23 columns give 3x3/2
+  // rows of 11 outputs, whose last run of 8 overlaps the first. Pooling
+  // has one path on every CPU, so this runs the optimized interpreter
+  // against the reference.
+  const Shape in{2, 3, 13, 23};
+  Tensor input = random_tensor(in, 21);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (std::int64_t i = 0; i < input.elements(); i += 7) input.at(i) = nan;
+  for (std::int64_t h = 4; h < 7; ++h)
+    for (std::int64_t w = 4; w < 7; ++w) input.at4(0, 1, h, w) = nan;
+  for (std::int64_t h = 0; h < 3; ++h)
+    for (std::int64_t w = 0; w < 3; ++w) input.at4(1, 2, h, w) = -1.0f;
+  input.at4(1, 2, 0, 1) = -0.0f;
+  input.at4(1, 2, 1, 0) = 0.0f;
+
+  const struct {
+    bool max;
+    std::int64_t kernel, stride, pad;
+    bool ceil;
+  } cases[] = {{true, 3, 2, 0, true},
+               {true, 3, 2, 1, false},
+               {true, 2, 2, 0, false},
+               {true, 3, 1, 1, false},
+               {false, 3, 2, 1, false},
+               {false, 3, 1, 1, false}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.max ? "max" : "avg") + " k=" +
+                 std::to_string(c.kernel) + " s=" + std::to_string(c.stride) +
+                 " pad=" + std::to_string(c.pad));
+    GraphBuilder b("pool");
+    auto x = b.input(in);
+    const graph::Graph g =
+        b.build(c.max ? b.maxpool(x, c.kernel, c.stride, c.pad, c.ceil)
+                      : b.avgpool(x, c.kernel, c.stride, c.pad));
+    const Tensor want =
+        Interpreter(g, {ExecMode::kReference, 1}).run({{"input", input}})[0];
+    if (c.max && c.pad == 0 && c.kernel == 3) {
+      EXPECT_EQ(want.at4(0, 1, 2, 2), -std::numeric_limits<float>::infinity());
+    }
+    for (int threads : {1, 3})
+      EXPECT_TRUE(same_bits(
+          Interpreter(g, {ExecMode::kOptimized, threads})
+              .run({{"input", input}})[0],
+          want));
+  }
+}
+
 // Every compiled vector path on its own, on the CPUs that have it: the
-// conv against the reference interpreter, the weight fill against the
-// scalar loop.
+// conv and the GEMV, with their fused epilogues, against the reference
+// interpreter, the weight fill against the scalar loop.
 class IsaPath : public ::testing::TestWithParam<isa::Isa> {
  protected:
   void SetUp() override {
@@ -548,6 +599,27 @@ class IsaPath : public ::testing::TestWithParam<isa::Isa> {
                    << " path";
   }
 };
+
+/// The epilogue the interpreter fuses for BiasAdd -> BatchNorm -> ReLU ->
+/// `tail`, reading the given tensors.
+Epilogue bias_bn_relu(const Tensor& bias, const Tensor& gamma,
+                      const Tensor& beta, const Tensor& mean,
+                      const Tensor& var, graph::OpType tail) {
+  EpilogueStep add_bias, bn, relu, act;
+  add_bias.op = graph::OpType::kBiasAdd;
+  add_bias.bias = bias.data();
+  bn.op = graph::OpType::kBatchNorm;
+  bn.gamma = gamma.data();
+  bn.beta = beta.data();
+  bn.mean = mean.data();
+  for (std::int64_t c = 0; c < var.elements(); ++c)
+    bn.denom.push_back(std::sqrt(std::max(var.at(c), 0.0f) + 1e-5f));
+  relu.op = graph::OpType::kRelu;
+  act.op = tail;
+  Epilogue ep;
+  ep.steps = {add_bias, bn, relu, act};
+  return ep;
+}
 
 TEST_P(IsaPath, RandomConvLayersMatchTheReferenceBitForBit) {
   // Kernels 1-11 and 1x7 / 7x1, strides 1-4, padding, 1-37 output channels
@@ -629,6 +701,194 @@ TEST_P(IsaPath, ConvKeepsTheReferenceAccumulationOrder) {
   EXPECT_TRUE(same_bits(isa::conv2d_im2col(GetParam(), input, weight,
                                            {11, 3, 3, 1, 1, 1, 1},
                                            want.shape(), Epilogue{}, pool),
+                        want));
+}
+
+TEST_P(IsaPath, ConvEpiloguesMatchTheReferenceBitForBit) {
+  // BiasAdd -> BatchNorm -> ReLU and a Sigmoid or Tanh tail, against the
+  // layer's graph in the reference interpreter, on six layers picked for
+  // the conv's paths and six random ones: 1x1 stride-1 strips (a widening
+  // copy), strips inside one row of a 3x3 at stride 1, strided and padded
+  // taps, K deeper than one panel slice (chains carried between slices,
+  // some split inside an input channel), output channels off the tile
+  // height, pixel counts off a strip, and a BatchNorm variance that is
+  // sometimes negative (clamped).
+  struct Layer {
+    std::int64_t batch, ic, h, w, oc, k, stride, pad;
+  };
+  std::vector<Layer> layers = {
+      {1, 300, 6, 7, 19, 1, 1, 0},  {1, 37, 9, 23, 13, 3, 1, 1},
+      {1, 3, 29, 31, 21, 7, 2, 0},  {1, 70, 8, 8, 9, 3, 1, 1},
+      {1, 16, 17, 18, 64, 1, 1, 0}, {1, 5, 12, 40, 11, 5, 2, 2}};
+  Rng rng(29);
+  for (int r = 0; r < 6; ++r) {
+    const std::int64_t k = 2 * rng.uniform_int(0, 3) + 1;
+    layers.push_back({rng.uniform_int(1, 2), rng.uniform_int(1, 40),
+                      k + rng.uniform_int(0, 12), k + rng.uniform_int(0, 20),
+                      rng.uniform_int(1, 37), k, rng.uniform_int(1, 2),
+                      rng.uniform_int(0, k / 2)});
+  }
+  ThreadPool one(1), three(3);
+  int i = 0;
+  for (const Layer& l : layers) {
+    const Shape in{l.batch, l.ic, l.h, l.w};
+    const graph::OpType tail =
+        i % 2 == 0 ? graph::OpType::kSigmoid : graph::OpType::kTanh;
+    SCOPED_TRACE("layer " + std::to_string(i) + ": " + in.to_string() +
+                 " oc=" + std::to_string(l.oc) + " k=" + std::to_string(l.k));
+    GraphBuilder b("layer");
+    auto y = b.conv2d(b.input(in), l.oc, l.k, l.stride, l.pad,
+                      /*with_bias=*/true, "c");
+    y = b.relu(b.batchnorm(y, "bn"), "r");
+    y = tail == graph::OpType::kSigmoid ? b.sigmoid(y, "t") : b.tanh(y, "t");
+    const graph::Graph g = b.build(y);
+
+    const Shape per_oc{l.oc};
+    const Tensor input = random_tensor(in, 400 + i);
+    const Tensor weight =
+        random_tensor(Shape{l.oc, l.ic, l.k, l.k}, 500 + i);
+    const Tensor bias = random_tensor(per_oc, 600 + i);
+    const Tensor gamma = random_tensor(per_oc, 700 + i);
+    const Tensor beta = random_tensor(per_oc, 800 + i);
+    const Tensor mean = random_tensor(per_oc, 900 + i);
+    const Tensor var = random_tensor(per_oc, 1000 + i);
+    const Tensor want = Interpreter(g, {ExecMode::kReference, 1})
+                            .run({{"input", input},
+                                  {"c.weight", weight},
+                                  {"c.bias", bias},
+                                  {"bn.gamma", gamma},
+                                  {"bn.beta", beta},
+                                  {"bn.mean", mean},
+                                  {"bn.var", var}})[0];
+    const Epilogue ep = bias_bn_relu(bias, gamma, beta, mean, var, tail);
+    const graph::ConvAttrs attrs{l.oc,     l.k,   l.k,  l.stride,
+                                 l.stride, l.pad, l.pad};
+    for (ThreadPool* pool : {&one, &three})
+      EXPECT_TRUE(same_bits(isa::conv2d_im2col(GetParam(), input, weight,
+                                               attrs, want.shape(), ep,
+                                               *pool),
+                            want));
+    ++i;
+  }
+}
+
+TEST_P(IsaPath, ReluTurnsNegativeZeroAndNanIntoPositiveZero) {
+  // std::max(0.0f, v) is +0.0 for v = -0.0 and for a NaN; a select with
+  // its operands swapped keeps both. -1e-30 * 1e-30 is -1e-60 in double,
+  // which narrows to -0.0f. Both the conv and the GEMV store, over more
+  // elements than a vector so the tail runs too.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float tiny = 1e-30f;
+  const float kept = static_cast<float>(0.5 * static_cast<double>(tiny));
+  Epilogue relu;
+  relu.steps.resize(1);
+  relu.steps[0].op = graph::OpType::kRelu;
+  ThreadPool pool(1);
+  auto expect_relu = [&](const Tensor& got, auto input_at) {
+    for (std::int64_t i = 0; i < got.elements(); ++i) {
+      const float in = input_at(i);
+      const float want = in > 0.0f ? kept : 0.0f;
+      EXPECT_EQ(std::memcmp(&got.data()[i], &want, sizeof want), 0)
+          << "element " << i << " = " << got.data()[i];
+    }
+  };
+
+  const std::int64_t n = 37;
+  Tensor image(Shape{1, 1, 1, n});
+  for (std::int64_t i = 0; i < n; ++i)
+    image.at(i) = i % 3 == 0 ? nan : i % 3 == 1 ? -tiny : 0.5f;
+  Tensor one_tap(Shape{1, 1, 1, 1});
+  one_tap.at(0) = tiny;
+  expect_relu(isa::conv2d_im2col(GetParam(), image, one_tap,
+                                 {1, 1, 1, 1, 1, 0, 0}, image.shape(), relu,
+                                 pool),
+              [&](std::int64_t i) { return image.at(i); });
+
+  Tensor x(Shape{3, 1});
+  x.at(0) = nan;
+  x.at(1) = -tiny;
+  x.at(2) = 0.5f;
+  Tensor w(Shape{1, n});
+  for (std::int64_t c = 0; c < n; ++c) w.at(c) = tiny;
+  expect_relu(isa::matmul(GetParam(), x, WeightRows(w), Shape{3, n}, relu,
+                          pool),
+              [&](std::int64_t i) { return x.at(i / n); });
+}
+
+TEST_P(IsaPath, GemvMatchesTheReferenceStreamedAndBound) {
+  // Batch 1 and 2; column counts off every vector width, below the 256
+  // columns of one task's slice and split into three slices at 3 threads;
+  // a per-column BiasAdd and a ReLU, Sigmoid or Tanh tail. The weight is
+  // bound, or streamed from its generator as the interpreter streams an
+  // unbound FC weight.
+  const graph::OpType kTails[] = {graph::OpType::kRelu,
+                                  graph::OpType::kSigmoid,
+                                  graph::OpType::kTanh};
+  ThreadPool one(1), three(3);
+  int i = 0;
+  for (std::int64_t rows : {1, 2})
+    for (std::int64_t cols : {1, 7, 17, 40, 255, 257, 1001}) {
+      const std::int64_t inner = 23 + 11 * i;
+      const graph::OpType tail = kTails[i % 3];
+      SCOPED_TRACE("rows=" + std::to_string(rows) +
+                   " inner=" + std::to_string(inner) +
+                   " cols=" + std::to_string(cols));
+      GraphBuilder b("fc");
+      auto y = b.fc(b.input({rows, inner}), cols, /*with_bias=*/true, "fc");
+      y = tail == graph::OpType::kRelu      ? b.relu(y)
+          : tail == graph::OpType::kSigmoid ? b.sigmoid(y)
+                                            : b.tanh(y);
+      const graph::Graph g = b.build(y);
+      const Shape w_shape{inner, cols};
+      const Tensor input = random_tensor(Shape{rows, inner}, 40 + i);
+      const Tensor want =
+          Interpreter(g, {ExecMode::kReference, 1}).run({{"input", input}})[0];
+
+      const Tensor weight = deterministic_param("fc.weight", w_shape);
+      const ParamGenerator synth("fc.weight", w_shape);
+      const Tensor bias = deterministic_param("fc.bias", Shape{cols});
+      Epilogue ep;
+      ep.steps.resize(2);
+      ep.steps[0].op = graph::OpType::kBiasAdd;
+      ep.steps[0].bias = bias.data();
+      ep.steps[1].op = tail;
+      for (ThreadPool* pool : {&one, &three}) {
+        EXPECT_TRUE(same_bits(isa::matmul(GetParam(), input,
+                                          WeightRows(weight), want.shape(),
+                                          ep, *pool),
+                              want));
+        EXPECT_TRUE(same_bits(isa::matmul(GetParam(), input,
+                                          WeightRows(synth), want.shape(), ep,
+                                          *pool),
+                              want));
+      }
+      ++i;
+    }
+}
+
+TEST_P(IsaPath, GemvKeepsTheReferenceAccumulationOrder) {
+  // As for the conv: x's k = 0 is scaled by 2^40, k = 1 is its negative
+  // and W's rows 0 and 1 are equal, so their products cancel exactly.
+  // Only the reference order, k 0 then 1 then 2, adds row 2's products to
+  // an exact zero; any other order rounds them against a product 2^40
+  // larger first.
+  const std::int64_t rows = 2, inner = 3, cols = 300;
+  Tensor input = random_tensor(Shape{rows, inner}, 11);
+  Tensor weight = random_tensor(Shape{inner, cols}, 12);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    input.at2(r, 0) = std::ldexp(input.at2(r, 0), 40);
+    input.at2(r, 1) = -input.at2(r, 0);
+  }
+  for (std::int64_t c = 0; c < cols; ++c) weight.at2(1, c) = weight.at2(0, c);
+
+  GraphBuilder b("cancel-fc");
+  const graph::Graph g =
+      b.build(b.fc(b.input({rows, inner}), cols, /*with_bias=*/false, "fc"));
+  const Tensor want = Interpreter(g, {ExecMode::kReference, 1})
+                          .run({{"input", input}, {"fc.weight", weight}})[0];
+  ThreadPool pool(1);
+  EXPECT_TRUE(same_bits(isa::matmul(GetParam(), input, WeightRows(weight),
+                                    want.shape(), Epilogue{}, pool),
                         want));
 }
 

@@ -6,12 +6,14 @@ Usage: python3 tools/ci_smoke.py BUILD_DIR [--update | --fuzz-only]
 Run from the repository root after building every target. For each
 committed BENCH_*.json snapshot it runs the bench twice in a scratch
 directory, requires both outputs to equal the committed file byte for
-byte, and checks the bench's headline claims on the JSON. Then it runs
-each traced workload twice and requires byte-identical trace and metrics
-files, and runs the fixed-seed fuzz families. --update rewrites the
-committed snapshots from the first run instead of comparing them (for a
-change that means to move a number); claims are still checked.
---fuzz-only runs only the fuzz families, as the sanitizer build does.
+byte, and checks the bench's headline claims on the JSON. BENCH_exec.json
+holds host wall-clock times, so it is not rerun: its structure is checked
+instead, down to bit identity in every row. Then it runs each traced
+workload twice and requires byte-identical trace and metrics files, and
+runs the fixed-seed fuzz families. --update rewrites the committed
+snapshots from the first run instead of comparing them (for a change that
+means to move a number); claims are still checked. --fuzz-only runs only
+the fuzz families, as the sanitizer build does.
 
 Exits non-zero on the first failure. Standard library only.
 """
@@ -29,7 +31,8 @@ def rows(report, section):
 
 
 # snapshot -> (bench, claims on the parsed JSON). BENCH_exec.json measures
-# host wall-clock time, so it is not reproducible and not listed.
+# host wall-clock time, so it is not reproducible and not listed; see
+# check_exec_snapshot.
 SNAPSHOTS = {
     "BENCH_fleet.json": ("fleet_scheduling", [
         ("same-seed fleet runs are bit-identical",
@@ -151,6 +154,46 @@ def check_snapshots(build, root, scratch, update):
         print("ok  %s (%d claims)" % (snapshot, len(claims)))
 
 
+# BENCH_exec.json (bench/exec_throughput, about 6 min): the keys of the
+# file, of each whole-model row and of each standalone-layer row, and the
+# vector paths the kernels may report.
+EXEC_KEYS = {"host_cores", "isa", "threads", "models", "layers"}
+EXEC_ROWS = {
+    "models": {"name", "reference_ms", "optimized_ms", "speedup_1t",
+               "speedup_4t", "peak_resident_bytes", "all_resident_bytes",
+               "best_cut_p", "cut_device_ms", "cut_server_ms",
+               "bit_identical"},
+    "layers": {"name", "reference_ms", "optimized_ms", "speedup",
+               "bit_identical"},
+}
+EXEC_ISAS = ("baseline", "avx2", "avx512")
+
+
+def check_exec_snapshot(root):
+    """The committed BENCH_exec.json without rerunning its bench: its
+    structure, a known ISA name, and bit_identical true in every row, so a
+    snapshot whose optimized outputs diverged cannot be committed."""
+    with open(os.path.join(root, "BENCH_exec.json")) as f:
+        report = json.load(f)
+    if set(report) != EXEC_KEYS:
+        fail("BENCH_exec.json: keys %s, expected %s"
+             % (sorted(report), sorted(EXEC_KEYS)))
+    if report["isa"] not in EXEC_ISAS:
+        fail("BENCH_exec.json: unknown isa %r" % report["isa"])
+    for section, keys in EXEC_ROWS.items():
+        if not report[section]:
+            fail("BENCH_exec.json: no %s rows" % section)
+        for row in report[section]:
+            if set(row) != keys:
+                fail("BENCH_exec.json: %s row %s has keys %s, expected %s"
+                     % (section, row.get("name"), sorted(row), sorted(keys)))
+            if row["bit_identical"] is not True:
+                fail("BENCH_exec.json: %s row %s is not bit-identical"
+                     % (section, row["name"]))
+    print("ok  BENCH_exec.json structure (%d models, %d layers, isa %s)"
+          % (len(report["models"]), len(report["layers"]), report["isa"]))
+
+
 def check_traces(build, scratch):
     for binary, args, files in TRACED:
         dirs = []
@@ -188,6 +231,7 @@ def main(argv):
     try:
         if not fuzz_only:
             check_snapshots(build, root, scratch, update)
+            check_exec_snapshot(root)
             check_traces(build, scratch)
         check_fuzz(build, scratch)
     finally:
