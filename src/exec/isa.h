@@ -5,8 +5,11 @@
 // once per process.
 //
 // Every path gives the same bits. The conv and the GEMV keep one double
-// chain per output fed in ascending (ic, kh, kw) or k with a separate
-// multiply and add, at any vector width, and their fused BiasAdd,
+// chain per output fed in ascending (ic, kh, kw) or k, at any vector
+// width. A product of two widened floats is exact in double, so a step
+// rounds once, at the sum, whether it is a multiply and an add (the GEMV
+// everywhere, the conv on the baseline) or one explicit fused
+// multiply-add (the conv on AVX2 and AVX-512). Their fused BiasAdd,
 // BatchNorm and ReLU compute the reference's float expression in every
 // lane; the fill computes each element from its own counter.
 #pragma once
@@ -24,8 +27,9 @@ inline constexpr Isa kAll[] = {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512};
 /// "baseline", "avx2" or "avx512".
 const char* name(Isa isa);
 
-/// Whether this CPU runs `isa`'s path. The baseline always runs; the
-/// others exist on x86-64 only.
+/// Whether this CPU runs `isa`'s path: SSE2 for the baseline, which always
+/// runs; AVX2 and FMA for avx2; AVX-512F and DQ for avx512. The last two
+/// exist on x86-64 only.
 bool supported(Isa isa);
 
 /// The widest supported path, chosen on first use.

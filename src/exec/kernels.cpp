@@ -10,6 +10,10 @@
 #include "common/check.h"
 #include "exec/isa.h"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace lp::exec {
 
 namespace isa {
@@ -30,7 +34,8 @@ bool supported(Isa isa) {
   if (isa == Isa::kBaseline) return true;
 #if defined(__x86_64__)
   __builtin_cpu_init();
-  if (isa == Isa::kAvx2) return __builtin_cpu_supports("avx2");
+  if (isa == Isa::kAvx2)
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   if (isa == Isa::kAvx512)
     return __builtin_cpu_supports("avx512f") &&
            __builtin_cpu_supports("avx512dq");
@@ -69,24 +74,44 @@ using V16f = float __attribute__((vector_size(64)));
 // channels by kNv VDs of pixels; it grows with the register file: 2 x 8
 // lanes in SSE2's sixteen 2-double registers, 4 x 8 in AVX2's sixteen
 // 4-double ones, 8 x 16 in AVX-512's thirty-two 8-double ones.
+//
+// madd(acc, w, x) is the conv chain's step, acc + w * x in every lane. Both
+// operands are widened floats, whose product is exact in double, so a
+// multiply and then an add round once, at the sum, exactly where a fused
+// multiply-add rounds. AVX2 and AVX-512 issue one explicit FMA under their
+// own target; SSE2 has none. The helpers are plain (implicitly) inline:
+// GCC refuses to inline an always_inline one with a target into the
+// target-less micro-kernel template, and inlines a plain one once that
+// template lands in the ISA's wrapper.
 struct Baseline {
   using VD = V2d;
   using VN = V2f;
   using VF = V4f;
   static constexpr int kMr = 2, kNv = 4;
+  static void madd(VD& acc, double w, const VD& x) { acc += w * x; }
 };
+#if defined(__x86_64__)
 struct Avx2 {
   using VD = V4d;
   using VN = V4f;
   using VF = V8f;
   static constexpr int kMr = 4, kNv = 2;
+  __attribute__((target("avx2,fma"))) static void madd(VD& acc, double w,
+                                                       const VD& x) {
+    acc = _mm256_fmadd_pd(_mm256_set1_pd(w), x, acc);
+  }
 };
 struct Avx512 {
   using VD = V8d;
   using VN = V8f;
   using VF = V16f;
   static constexpr int kMr = 8, kNv = 2;
+  __attribute__((target("avx512f"))) static void madd(VD& acc, double w,
+                                                      const VD& x) {
+    acc = _mm512_fmadd_pd(_mm512_set1_pd(w), x, acc);
+  }
 };
+#endif
 
 template <typename V>
 constexpr int kLanes = sizeof(V) / sizeof(V{}[0]);
@@ -221,17 +246,18 @@ struct ConvJob {
 /// One task's buffers, reused by every block it runs.
 struct ConvScratch {
   explicit ConvScratch(const ConvJob& job)
-      : panel(static_cast<std::size_t>(kPixelBlock * job.k_slice)),
-        weights(static_cast<std::size_t>(kMaxMr * job.w_stride)),
-        acc(static_cast<std::size_t>(
+      : panel(uninit_vector<double>(kPixelBlock * job.k_slice)),
+        weights(uninit_vector<double>(kMaxMr * job.w_stride)),
+        acc(uninit_vector<double>(
             job.k_slice < job.k_extent ? job.oc_extent * kPixelBlock
                                        : kMaxMr * kMaxNr)) {}
 
-  std::vector<double> panel;    // the block's strips over one K slice
-  std::vector<double> weights;  // one tile's weight rows over that slice
+  // Each is written before it is read, so none is zero-filled.
+  UninitVector<double> panel;    // the block's strips over one K slice
+  UninitVector<double> weights;  // one tile's weight rows over that slice
   // The tile's chains between micro-kernel calls: for a sliced K, every
   // channel's 64 pixels, carried from one slice to the next.
-  std::vector<double> acc;
+  UninitVector<double> acc;
 };
 
 /// Packs the im2col patches of output pixels [px0, px1) of image n, for
@@ -300,18 +326,20 @@ template <int NR>
 /// An MR x NR tile of outputs over kn values of k, NR = NV vectors of VD's
 /// lanes. Row i's weights are w[i * w_stride + k] and the strip holds NR
 /// doubles per k, so each k costs NV vector loads, MR broadcast loads and
-/// the tile's multiplies and adds. Each lane is one output's double chain,
-/// fed in ascending k by a separate multiply and add, so it rounds exactly
-/// as the reference's does. The chains start at 0.0 on the first slice and
+/// the tile's MR x NV multiply-add steps (T::madd). Each lane is one
+/// output's double chain, fed in ascending k, so it rounds exactly as the
+/// reference's does. The chains start at 0.0 on the first slice and
 /// otherwise continue from acc (row i at acc + i * stride), and are left
 /// there.
-template <int MR, int NV, typename VD>
+template <class T, int MR>
 [[gnu::always_inline]] inline void micro_tile(const double* w,
                                               std::int64_t w_stride,
                                               std::int64_t kn,
                                               const double* strip,
                                               double* acc, std::int64_t stride,
                                               bool first) {
+  using VD = typename T::VD;
+  constexpr int NV = T::kNv;
   constexpr int kL = kLanes<VD>;
   // Every loop over the tile is unrolled, so the compiler keeps a[][] and
   // xv[] in registers.
@@ -332,7 +360,7 @@ template <int MR, int NV, typename VD>
     for (int i = 0; i < MR; ++i) {
       const double wv = w[i * w_stride + k];
 #pragma GCC unroll 4
-      for (int v = 0; v < NV; ++v) a[i][v] += wv * xv[v];
+      for (int v = 0; v < NV; ++v) T::madd(a[i][v], wv, xv[v]);
     }
   }
 #pragma GCC unroll 8
@@ -375,9 +403,8 @@ template <class T, int MR>
     double* acc = sliced ? s.acc.data() + oc0 * kPixelBlock + (p0 - px0)
                          : s.acc.data();
     const std::int64_t stride = sliced ? kPixelBlock : kNr;
-    micro_tile<MR, T::kNv, typename T::VD>(s.weights.data(), job.w_stride, kn,
-                                           s.panel.data() + (p0 - px0) * kn,
-                                           acc, stride, first);
+    micro_tile<T, MR>(s.weights.data(), job.w_stride, kn,
+                      s.panel.data() + (p0 - px0) * kn, acc, stride, first);
     if (last)
       store_tile<T, MR>(yn + oc0 * job.pixels + p0, job.pixels, acc, stride,
                         std::min<std::int64_t>(kNr, px1 - p0));
@@ -480,14 +507,14 @@ void matmul_slice_baseline(const MatmulJob& job, std::int64_t c0,
 }
 
 #if defined(__x86_64__)
-__attribute__((target("avx2"))) void conv_block_avx2(const ConvJob& job,
-                                                     std::int64_t blk,
-                                                     ConvScratch& s) {
+__attribute__((target("avx2,fma"))) void conv_block_avx2(const ConvJob& job,
+                                                         std::int64_t blk,
+                                                         ConvScratch& s) {
   conv_block<Avx2>(job, blk, s);
 }
-__attribute__((target("avx2"))) void matmul_slice_avx2(const MatmulJob& job,
-                                                       std::int64_t c0,
-                                                       std::int64_t c1) {
+__attribute__((target("avx2,fma"))) void matmul_slice_avx2(const MatmulJob& job,
+                                                           std::int64_t c0,
+                                                           std::int64_t c1) {
   matmul_slice<Avx2>(job, c0, c1);
 }
 
@@ -519,7 +546,7 @@ Tensor isa::conv2d_im2col(Isa isa, const Tensor& x, const Tensor& w,
                           const graph::ConvAttrs& a, const Shape& out_shape,
                           const Epilogue& ep, ThreadPool& pool) {
   const ConvBlockFn block = kernels_for(isa).conv_block;
-  Tensor out(out_shape);
+  Tensor out = Tensor::uninitialized(out_shape);
   const std::int64_t pixels = out_shape.h() * out_shape.w();
   const std::int64_t k_extent = x.shape().c() * a.kernel_h * a.kernel_w;
   const std::int64_t slices = (k_extent + kMaxKSlice - 1) / kMaxKSlice;
@@ -556,7 +583,7 @@ Tensor isa::matmul(Isa isa, const Tensor& x, const WeightRows& w,
                    const Shape& out_shape, const Epilogue& ep,
                    ThreadPool& pool) {
   const MatmulSliceFn slice = kernels_for(isa).matmul_slice;
-  Tensor out(out_shape);
+  Tensor out = Tensor::uninitialized(out_shape);
   const MatmulJob job{
       .x = x.data(),
       .w = &w,
@@ -580,7 +607,7 @@ namespace {
 Tensor conv2d_depthwise(const Tensor& x, const Tensor& w,
                         const graph::ConvAttrs& a, const Shape& out_shape,
                         const Epilogue& ep, ThreadPool& pool) {
-  Tensor out(out_shape);
+  Tensor out = Tensor::uninitialized(out_shape);
   const std::int64_t batch = out_shape.n(), channels = out_shape.c();
   const std::int64_t oh = out_shape.h(), ow = out_shape.w();
   const std::int64_t ih = x.shape().h(), iw = x.shape().w();
@@ -710,7 +737,7 @@ void pool_plane(const float* x, std::int64_t ih, std::int64_t iw,
 
 Tensor pool2d_fast(const Tensor& x, const graph::PoolAttrs& a,
                    const Shape& out_shape, bool is_max, ThreadPool& pool) {
-  Tensor out(out_shape);
+  Tensor out = Tensor::uninitialized(out_shape);
   const std::int64_t planes = out_shape.n() * out_shape.c();
   const std::int64_t oh = out_shape.h(), ow = out_shape.w();
   const std::int64_t ih = x.shape().h(), iw = x.shape().w();
@@ -789,7 +816,7 @@ void softmax_inplace(Tensor& t) {
 
 Tensor concat_fast(const std::vector<const Tensor*>& xs,
                    const Shape& out_shape) {
-  Tensor out(out_shape);
+  Tensor out = Tensor::uninitialized(out_shape);
   const std::int64_t batch = out_shape.n();
   const std::int64_t plane = out_shape.h() * out_shape.w();
   const std::int64_t out_c = out_shape.c();

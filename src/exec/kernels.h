@@ -10,9 +10,12 @@
 // expressions for the epilogue ops — so optimized output is bit-identical
 // to the reference. Parallelism, blocking and vector lanes only
 // re-partition the output index space: each lane holds one output's
-// chain, fed by a separate multiply and add (no FMA) of operands widened
-// from float exactly, so no single element's accumulation is ever split or
-// reordered. The conv widens both operands once, outside its inner loop:
+// chain, so no single element's accumulation is ever split or reordered.
+// Every product in a chain is of two floats widened exactly to double, so
+// it is exact, and each step rounds once, at the sum, whether it is a
+// multiply and an add (the reference, the GEMV, the SSE2 conv) or one
+// fused multiply-add (the AVX2 and AVX-512 conv). The conv widens both
+// operands once, outside its inner loop:
 // the im2col panel and each tile's weight rows are packed as doubles, and
 // a conv deeper than one panel runs its K in ascending slices, each
 // chain carried across them in double. Padding contributes exact 0.0
@@ -61,8 +64,8 @@ struct Epilogue {
 };
 
 /// The vector path the optimized conv, the matmul GEMV and the weight fill
-/// take on this CPU: "avx512", "avx2" or "baseline", chosen once per
-/// process.
+/// take on this CPU: "avx512" (AVX-512F and DQ), "avx2" (AVX2 and FMA) or
+/// "baseline" (SSE2), chosen once per process.
 const char* kernel_isa();
 
 /// Convolution (im2col into k-major strips and a vector micro-kernel;

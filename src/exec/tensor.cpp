@@ -16,9 +16,30 @@ Tensor::Tensor(Shape shape)
     : shape_(std::move(shape)),
       data_(static_cast<std::size_t>(shape_.elements()), 0.0f) {}
 
-Tensor::Tensor(Shape shape, std::vector<float> data)
-    : shape_(std::move(shape)), data_(std::move(data)) {
+Tensor::Tensor(Shape shape, const std::vector<float>& data)
+    : shape_(std::move(shape)),
+      data_(uninit_vector<float>(static_cast<std::int64_t>(data.size()))) {
   LP_CHECK(static_cast<std::int64_t>(data_.size()) == shape_.elements());
+  std::copy(data.begin(), data.end(), data_.begin());
+}
+
+Tensor::Tensor(const Tensor& other)
+    : shape_(other.shape_),
+      data_(uninit_vector<float>(
+          static_cast<std::int64_t>(other.data_.size()))) {
+  std::copy(other.data_.begin(), other.data_.end(), data_.begin());
+}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this != &other) *this = Tensor(other);
+  return *this;
+}
+
+Tensor Tensor::uninitialized(Shape shape) {
+  Tensor t;
+  t.data_ = uninit_vector<float>(shape.elements());
+  t.shape_ = std::move(shape);
+  return t;
 }
 
 Tensor Tensor::reshaped(Tensor&& t, Shape shape) {
@@ -166,7 +187,7 @@ void ParamGenerator::fill(std::int64_t first, std::int64_t count,
 }
 
 Tensor deterministic_param(const std::string& name, const Shape& shape) {
-  Tensor t(shape);
+  Tensor t = Tensor::uninitialized(shape);
   ParamGenerator(name, shape).fill(0, t.elements(), t.data());
   return t;
 }

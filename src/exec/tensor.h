@@ -6,7 +6,10 @@
 // development.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,11 +18,48 @@
 
 namespace lp::exec {
 
+/// std::allocator, except that an element it constructs with no value is
+/// default-initialized: a vector of floats or doubles sized through it
+/// leaves its elements unset instead of zero-filling them.
+template <class T>
+struct UninitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+  template <class U>
+  void construct(U* p) { ::new (static_cast<void*>(p)) U; }
+};
+
+template <class T>
+using UninitVector = std::vector<T, UninitAllocator<T>>;
+
+/// n unset elements, for a buffer its user writes before reading any of
+/// it. Where LP_DCHECK is active they start as NaN instead, so an element
+/// a kernel reads before writing, or never writes, shows in its output.
+template <class T>
+UninitVector<T> uninit_vector(std::int64_t n) {
+  UninitVector<T> v(static_cast<std::size_t>(n));
+#ifndef NDEBUG
+  std::fill(v.begin(), v.end(), std::numeric_limits<T>::quiet_NaN());
+#endif
+  return v;
+}
+
 class Tensor {
  public:
   Tensor() = default;
+  /// Every element 0.0f.
   explicit Tensor(Shape shape);
-  Tensor(Shape shape, std::vector<float> data);
+  Tensor(Shape shape, const std::vector<float>& data);
+
+  // Each copy is one memmove: a vector with a non-standard allocator
+  // copies element by element, in a scalar loop.
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
+  Tensor(Tensor&&) noexcept = default;
+  Tensor& operator=(Tensor&&) noexcept = default;
+
+  /// A tensor whose elements are unset (NaN where LP_DCHECK is active),
+  /// for a kernel that writes every one of them.
+  static Tensor uninitialized(Shape shape);
 
   const Shape& shape() const { return shape_; }
   std::int64_t elements() const { return shape_.elements(); }
@@ -85,7 +125,7 @@ class Tensor {
 
  private:
   Shape shape_;
-  std::vector<float> data_;
+  UninitVector<float> data_;
 };
 
 /// Uniform [-1, 1) tensor from a seed.

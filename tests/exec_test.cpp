@@ -892,6 +892,118 @@ TEST_P(IsaPath, GemvKeepsTheReferenceAccumulationOrder) {
                         want));
 }
 
+TEST_P(IsaPath, ConvAndGemvChainsAreExactAtFloatExtremes) {
+  // The vector conv may fuse each chain's multiply and add, because a
+  // float times a float is exact in double: this test pins that premise
+  // where it is tightest. Each chain is one output's (x, w) terms in k
+  // order and the float its exact double sum narrows to. Chain c's terms
+  // sit at k = c + kChains * slot, spread over K = 299 (two K slices of
+  // the conv), and every other x and w is 0, so output (chain c, c) of a
+  // 1x1 conv and of a GEMV is exactly that chain; the other outputs mix
+  // zeros with the chains' operands (0 * inf is NaN there).
+  const float kMax = std::numeric_limits<float>::max();
+  const float kMin = std::numeric_limits<float>::min();
+  const float kTiny = std::numeric_limits<float>::denorm_min();
+  const float kSub = std::nextafter(kMin, 0.0f);  // the largest subnormal
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  const float kWide = 1.0f + 0x1p-23f;  // kWide^2 = 1 + 2^-22 + 2^-46
+  struct Chain {
+    std::vector<std::pair<float, float>> terms;
+    float sum;
+  };
+  const std::vector<Chain> chains = {
+      // All 48 bits of a product count: only kWide^2's 2^-46 survives.
+      {{{-1.0f, 1.0f}, {-0x1p-22f, 1.0f}, {kWide, kWide}}, 0x1p-46f},
+      // kWide^2 lands 2^-46 above a tie in the double ulp (2^-21) of 2^31.
+      {{{0x1p31f, 1.0f}, {kWide, kWide}, {-0x1p31f, 1.0f}}, 1.0f + 0x1p-21f},
+      // FLT_MAX^2 is finite in double, and it cancels exactly.
+      {{{kMax, kMax}, {-kMax, kMax}, {kTiny, 1.0f}}, kTiny},
+      {{{kMax, 2.0f}}, kInf},  // overflows only when narrowed
+      // Subnormals are neither flushed nor read as zero, and a product of
+      // two of them is a normal double.
+      {{{kSub, 1.0f}, {kTiny, 1.0f}}, kMin},
+      {{{kTiny, kMax}, {kTiny, kTiny}}, 0x1p-21f - 0x1p-45f},
+      {{{kSub, kWide}}, kMin},
+      // Signed zeros: -2^-298 narrows to -0.0; the others sum to +0.0.
+      {{{-kTiny, kTiny}}, -0.0f},
+      {{{-0.0f, 1.0f}, {0.0f, -1.0f}, {-0.0f, -0.0f}}, 0.0f},
+      // Infinities, and the NaN of inf * 0 and of inf - inf.
+      {{{kInf, kTiny}, {kMax, kMax}}, kInf},
+      {{{1.0f, -kInf}}, -kInf},
+      {{{kInf, 0.0f}}, kNan},
+      {{{kInf, 1.0f}, {-kInf, 1.0f}}, kNan},
+  };
+  const std::int64_t kChains = static_cast<std::int64_t>(chains.size());
+  const std::int64_t kSlots = 23;  // K = 13 * 23 = 299
+  const std::int64_t k_extent = kChains * kSlots;
+  ASSERT_GT(k_extent, 256);
+
+  // The conv's input holds each chain's x as pixel c of row 0 and -x as
+  // pixel c of row 1; the GEMV's holds them as rows c and kChains + c.
+  const Shape conv_in{1, k_extent, 2, kChains};
+  const Shape gemv_in{2 * kChains, k_extent};
+  Tensor conv_x(conv_in), conv_w(Shape{kChains, k_extent, 1, 1});
+  Tensor gemv_x(gemv_in), gemv_w(Shape{k_extent, kChains});
+  for (std::int64_t c = 0; c < kChains; ++c) {
+    const auto& terms = chains[static_cast<std::size_t>(c)].terms;
+    const auto n = static_cast<std::int64_t>(terms.size());
+    for (std::int64_t j = 0; j < n; ++j) {
+      const std::int64_t slot = n == 1 ? 0 : j * (kSlots - 1) / (n - 1);
+      const std::int64_t k = c + kChains * slot;
+      const auto [x, w] = terms[static_cast<std::size_t>(j)];
+      conv_x.at4(0, k, 0, c) = x;
+      conv_x.at4(0, k, 1, c) = -x;
+      conv_w.at4(c, k, 0, 0) = w;
+      gemv_x.at2(c, k) = x;
+      gemv_x.at2(kChains + c, k) = -x;
+      gemv_w.at2(k, c) = w;
+    }
+  }
+  // Output (chain c, c) sits at c * row_stride + c.
+  auto expect_sums = [&](const Tensor& got, std::int64_t row_stride) {
+    for (std::int64_t c = 0; c < kChains; ++c) {
+      const float want = chains[static_cast<std::size_t>(c)].sum;
+      const float y = got.data()[c * row_stride + c];
+      EXPECT_TRUE(std::isnan(want) ? std::isnan(y)
+                                   : std::memcmp(&y, &want, sizeof y) == 0)
+          << "chain " << c << " = " << y << ", want " << want;
+    }
+  };
+  ThreadPool pool(1);
+
+  GraphBuilder cb("extremes");
+  const graph::Graph conv =
+      cb.build(cb.conv2d(cb.input(conv_in), kChains, 1, 1, 0, false, "c"));
+  const Tensor conv_want =
+      Interpreter(conv, {ExecMode::kReference, 1})
+          .run({{"input", conv_x}, {"c.weight", conv_w}})[0];
+  expect_sums(conv_want, 2 * kChains);  // y[oc c][row 0][pixel c]
+  const graph::ConvAttrs one_by_one{kChains, 1, 1, 1, 1, 0, 0};
+  EXPECT_TRUE(same_bits(isa::conv2d_im2col(GetParam(), conv_x, conv_w,
+                                           one_by_one, conv_want.shape(),
+                                           Epilogue{}, pool),
+                        conv_want));
+
+  GraphBuilder gb("extremes-fc");
+  const graph::Graph fc =
+      gb.build(gb.fc(gb.input(gemv_in), kChains, /*with_bias=*/false, "fc"));
+  const Tensor gemv_want =
+      Interpreter(fc, {ExecMode::kReference, 1})
+          .run({{"input", gemv_x}, {"fc.weight", gemv_w}})[0];
+  expect_sums(gemv_want, kChains);  // y[row c][column c]
+  EXPECT_TRUE(same_bits(isa::matmul(GetParam(), gemv_x, WeightRows(gemv_w),
+                                    gemv_want.shape(), Epilogue{}, pool),
+                        gemv_want));
+  // A streamed weight is synthesized, so only x is extreme there.
+  const Tensor streamed_want =
+      Interpreter(fc, {ExecMode::kReference, 1}).run({{"input", gemv_x}})[0];
+  const ParamGenerator synth("fc.weight", Shape{k_extent, kChains});
+  EXPECT_TRUE(same_bits(isa::matmul(GetParam(), gemv_x, WeightRows(synth),
+                                    streamed_want.shape(), Epilogue{}, pool),
+                        streamed_want));
+}
+
 TEST_P(IsaPath, WeightFillMatchesTheScalarLoopAtEveryOffsetAndLength) {
   // A conv weight's (mean 0) and a BatchNorm variance's (mean 1) scaling.
   const struct {
