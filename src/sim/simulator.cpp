@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <limits>
 #include <utility>
 
 namespace lp::sim {
@@ -62,6 +63,7 @@ void Simulator::step(const Entry& e) {
 }
 
 TimeNs Simulator::run() {
+  bound_ = std::numeric_limits<TimeNs>::max();
   while (!queue_.empty()) {
     const Entry e = queue_.top();
     queue_.pop();
@@ -72,6 +74,7 @@ TimeNs Simulator::run() {
 
 void Simulator::run_until(TimeNs t) {
   LP_CHECK(t >= now_);
+  bound_ = t;
   while (!queue_.empty() && queue_.top().time <= t) {
     const Entry e = queue_.top();
     queue_.pop();

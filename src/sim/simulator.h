@@ -40,12 +40,16 @@ class Simulator {
   void call_after(DurationNs delay, std::function<void()> fn);
 
   /// Awaitable that resumes the caller after `delay` (>= 0) of virtual time.
+  /// When that resume would be the running loop's next event anyway (it
+  /// ends within the current run call's bound and strictly before every
+  /// queued event), the caller resumes in place: the clock advances and the
+  /// resume counts as an executed event, but the queue is never touched.
   [[nodiscard]] auto delay(DurationNs d) {
     LP_CHECK(d >= 0);
     struct Awaiter {
       Simulator* sim;
       DurationNs d;
-      bool await_ready() const { return false; }
+      bool await_ready() { return sim->resume_in_place(sim->now_ + d); }
       void await_suspend(std::coroutine_handle<> h) {
         sim->schedule_handle(sim->now_ + d, h);
       }
@@ -63,7 +67,8 @@ class Simulator {
   /// Convenience: run_until(now() + d).
   void run_for(DurationNs d) { run_until(now_ + d); }
 
-  /// Total events executed so far (for tests and sanity checks).
+  /// Total events executed so far (for tests and sanity checks), counting
+  /// each delay that resumed in place as the event it stands for.
   std::uint64_t executed_events() const { return executed_; }
 
   /// True if no future work is scheduled.
@@ -89,7 +94,25 @@ class Simulator {
 
   void step(const Entry& e);
 
+  // A resume at `t` pushed now would take the largest sequence number, and
+  // nothing runs between that push and the loop's next pop. So the loop
+  // pops it next exactly when `t` is within the running call's bound and
+  // every queued entry is strictly later (an older entry wins a tie). Then
+  // this does step()'s part, setting the clock and counting the event, and
+  // the caller keeps running; no sequence number is taken.
+  bool resume_in_place(TimeNs t) {
+    if (t > bound_ || (!queue_.empty() && queue_.top().time <= t))
+      return false;
+    now_ = t;
+    ++executed_;
+    return true;
+  }
+
   TimeNs now_ = 0;
+  // The last time the running call may reach: t for run_until(t), the end
+  // of time for run(). Each call sets it on entry; coroutines resume only
+  // inside those calls.
+  TimeNs bound_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
